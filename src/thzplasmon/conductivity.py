@@ -36,6 +36,9 @@ class GrapheneSheet:
     temperature_k: float = DEFAULT_TEMPERATURE_K
 
     def __post_init__(self):
+        for name in ("chemical_potential_ev", "relaxation_time_s", "temperature_k"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.temperature_k <= 0.0:
             raise ValueError("temperature_k must be > 0")
         if self.chemical_potential_ev < 0.0:

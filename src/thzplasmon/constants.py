@@ -1,10 +1,17 @@
-"""Physical constants used throughout the toolkit (CODATA, via scipy)."""
+"""Physical constants used throughout the toolkit (CODATA 2022).
+
+The literals are the CODATA 2022 values, written to the same doubles that
+``scipy.constants`` 1.17 holds, so results do not depend on whether scipy
+is installed.  e, h (hence hbar), k and c are exact in the SI; eps0 and
+mu0 are measured.
+"""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-import scipy.constants as _sc
+_EPSILON_0 = 8.8541878188e-12   # F/m
+_MU_0 = 1.25663706127e-06       # N/A^2
 
 
 @dataclass(frozen=True)
@@ -12,12 +19,12 @@ class PhysicalConstants:
     """SI constants bundle. All values strictly positive; the free-space
     impedance must be consistent with c0 and eps0 to 1e-12 relative."""
 
-    electron_charge: float = _sc.e                  # C
-    reduced_planck: float = _sc.hbar                # J s
-    boltzmann: float = _sc.k                        # J/K
-    vacuum_permittivity: float = _sc.epsilon_0      # F/m
-    light_speed: float = _sc.c                      # m/s
-    free_space_impedance: float = math.sqrt(_sc.mu_0 / _sc.epsilon_0)  # ohm
+    electron_charge: float = 1.602176634e-19        # C
+    reduced_planck: float = 1.0545718176461565e-34  # J s, h / (2 pi)
+    boltzmann: float = 1.380649e-23                 # J/K
+    vacuum_permittivity: float = _EPSILON_0         # F/m
+    light_speed: float = 299792458.0                # m/s
+    free_space_impedance: float = math.sqrt(_MU_0 / _EPSILON_0)  # ohm
 
     def __post_init__(self):
         for name in ("electron_charge", "reduced_planck", "boltzmann",

@@ -120,6 +120,13 @@ class StackMetricsRow:
     status: str
 
 
+def _check_angular_frequency(angular_frequency: float) -> None:
+    if not math.isfinite(angular_frequency):
+        raise ValueError("angular_frequency must be finite")
+    if angular_frequency <= 0.0:
+        raise ValueError("angular_frequency must be > 0")
+
+
 def _transverse_decay(x_sq: complex, eps: float) -> complex:
     # branch Re k >= 0: decaying solutions in the claddings
     k = cmath.sqrt(x_sq - eps)
@@ -206,8 +213,7 @@ def dispersion_residual(stack: LayeredStack, wavevector: complex,
     Dimensionless: the two-half-space case evaluates to
     eps1/k1 + eps2/k2 + i sigma/(eps0 c0) with k_i = sqrt((q/k0)^2 - eps_i).
     """
-    if angular_frequency <= 0.0:
-        raise ValueError("angular_frequency must be > 0")
+    _check_angular_frequency(angular_frequency)
     k0 = angular_frequency / C0
     x = wavevector / k0
     x_sq = x * x
@@ -243,6 +249,7 @@ def quasi_static_wavevector(stack: LayeredStack,
                             angular_frequency: float) -> complex:
     """Closed-form large-q estimate of the plasmon wavevector (rad/m), used
     as the default root-finder seed:  q0 = i (eps_top + eps_bot) w eps0 / sigma."""
+    _check_angular_frequency(angular_frequency)
     sheet = stack.sheets[stack.top_sheet_interface]
     sigma = intraband_conductivity(sheet, angular_frequency)
     eps_sum = (stack.layers[0].relative_permittivity
@@ -370,8 +377,7 @@ def find_mode(stack: LayeredStack, angular_frequency: float,
     of all converged bound roots, the one with smallest Re q is returned.
     With a guess, only that seed is iterated (continuation use).
     """
-    if angular_frequency <= 0.0:
-        raise ValueError("angular_frequency must be > 0")
+    _check_angular_frequency(angular_frequency)
     k0 = angular_frequency / C0
     sheet_terms = _sheet_terms(stack, angular_frequency)
     ref = stack.top_sheet_interface

@@ -36,6 +36,10 @@ class DielectricLayer:
     thickness_m: float | None = None
 
     def __post_init__(self):
+        if not math.isfinite(self.relative_permittivity):
+            raise ValueError("relative_permittivity must be finite")
+        if self.thickness_m is not None and not math.isfinite(self.thickness_m):
+            raise ValueError("thickness_m must be finite (or None for a cladding)")
         if self.relative_permittivity < 1.0:
             raise ValueError("relative_permittivity must be >= 1")
         if self.thickness_m is not None and self.thickness_m <= 0.0:

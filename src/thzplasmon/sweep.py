@@ -377,12 +377,13 @@ def _run_conductivity(spec: SweepSpec) -> ResultTable:
     params = dict(spec.fixed)
     for value in spec.grid:
         params[spec.variable] = value
-        sheet = GrapheneSheet(
-            float(params["chemical_potential_ev"]),
-            float(params["relaxation_time_ps"]) * 1e-12,
-            float(params.get("temperature_k", DEFAULT_TEMPERATURE_K)))
         omega = 2.0 * math.pi * float(params["frequency_thz"]) * 1e12
-        sigma = intraband_conductivity(sheet, omega)
+        try:
+            sigma = intraband_conductivity(_make_sheet(params), omega)
+        except ValueError as err:
+            rows.append([value, None, None, None, None])
+            statuses.append(_clean_reason(err))
+            continue
         rows.append([value, sigma.real, sigma.imag, abs(sigma), -sigma.imag])
         statuses.append("ok")
     return ResultTable(columns, rows, statuses)
@@ -448,17 +449,17 @@ def _run_antenna(spec: SweepSpec, tolerance: float, max_iterations: int) -> Resu
     params = dict(spec.fixed)
     for value in spec.grid:
         params[spec.variable] = value
-        dipole = _antenna.DipoleGeometry(
-            width_m=float(params["width_um"]) * 1e-6,
-            total_length_m=float(params["length_um"]) * 1e-6,
-            gap_m=float(params["gap_um"]) * 1e-6,
-            substrate_permittivity=float(params["substrate_permittivity"]),
-            end_correction=float(params.get("end_correction", 1.0)))
-        sheet = _make_sheet(params)
         try:
+            dipole = _antenna.DipoleGeometry(
+                width_m=float(params["width_um"]) * 1e-6,
+                total_length_m=float(params["length_um"]) * 1e-6,
+                gap_m=float(params["gap_um"]) * 1e-6,
+                substrate_permittivity=float(params["substrate_permittivity"]),
+                end_correction=float(params.get("end_correction", 1.0)))
             pred = _antenna.resonance_frequency(
-                dipole, sheet, tolerance=tolerance, max_iterations=max_iterations)
-        except (_antenna.NoResonanceInBandError,
+                dipole, _make_sheet(params),
+                tolerance=tolerance, max_iterations=max_iterations)
+        except (ValueError, _antenna.NoResonanceInBandError,
                 _modesolver.ModeSolverError) as err:
             rows.append([value, None, None, None, None])
             statuses.append(_clean_reason(err))

@@ -3,7 +3,9 @@ import math
 import pytest
 
 import oracles
-from thzplasmon import (CODATA, DipoleGeometry, GrapheneSheet, ModeSolution,
+from thzplasmon import antenna
+from thzplasmon import (CODATA, ConvergenceError, DipoleGeometry,
+                        GrapheneSheet, ModeSolution,
                         NoResonanceInBandError, efficiency_proxy, find_mode,
                         graphene_on_substrate, intraband_conductivity,
                         metal_dipole_resonance, miniaturization_factor,
@@ -129,6 +131,75 @@ def test_no_resonance_outside_band():
                                gap_m=0.05e-6, substrate_permittivity=3.8)
     with pytest.raises(NoResonanceInBandError):
         resonance_frequency(too_short, SHEET_02)
+
+
+def _oracle_resonance(length_m, sheet):
+    def sigma_of(omega):
+        return intraband_conductivity(sheet, omega)
+
+    return oracles.resonance_frequency_oracle(length_m, 3.8, sigma_of)
+
+
+RESONANCE_GRID = (
+    [(length_um, ef, tau_ps, 1.0) for length_um in (8.0, 20.0, 40.0)
+     for ef, tau_ps in ((0.2, 1.0), (0.6, 0.1), (1.0, 0.5))]
+    + [(20.0, ef, tau_ps, alpha) for ef, tau_ps in ((0.2, 1.0), (0.6, 0.1),
+                                                    (1.0, 0.5))
+       for alpha in (0.5, 1.5)])
+
+
+@pytest.mark.parametrize("length_um, ef, tau_ps, alpha", RESONANCE_GRID)
+def test_resonance_matches_oracle_over_grid(length_um, ef, tau_ps, alpha):
+    sheet = GrapheneSheet(ef, tau_ps * 1e-12)
+    dipole = DipoleGeometry(total_length_m=length_um * 1e-6,
+                            end_correction=alpha, **QUARTZ_DIPOLE)
+    value = resonance_frequency(dipole, sheet).resonance_frequency_hz
+    # the condition involves only the product alpha * L
+    reference = _oracle_resonance(alpha * length_um * 1e-6, sheet)
+    assert abs(value - reference) < 1e-9 * reference
+
+
+@pytest.mark.parametrize("length_m", [2e-3, 0.2e-6])
+def test_no_resonance_message_names_band_edges(length_m):
+    dipole = DipoleGeometry(width_m=0.05e-6, total_length_m=length_m,
+                            gap_m=0.05e-6, substrate_permittivity=3.8)
+    with pytest.raises(NoResonanceInBandError) as info:
+        resonance_frequency(dipole, SHEET_02)
+    message = str(info.value)
+    assert message.startswith(
+        "no half-wavelength resonance in [1.000e+11, 1.000e+13] Hz "
+        "(low edge 1.000e+11 Hz: not bound: Re q = ")
+    assert message.endswith("; high edge 1.000e+13 Hz: ok)")
+
+
+def test_resonance_fallback_scan_returns_oracle_root(monkeypatch):
+    calls = []
+    real_find_mode = antenna.find_mode
+
+    def first_cold_solve_fails(stack, omega, guess=None, **kwargs):
+        calls.append(guess is None)
+        if len(calls) == 1:
+            raise ConvergenceError("injected failure of the seed solve")
+        return real_find_mode(stack, omega, guess, **kwargs)
+
+    monkeypatch.setattr(antenna, "find_mode", first_cold_solve_fails)
+    dipole = DipoleGeometry(total_length_m=20e-6, **QUARTZ_DIPOLE)
+    value = resonance_frequency(dipole, SHEET_02).resonance_frequency_hz
+    assert calls[0] is True
+    assert len(calls) > 48            # the band scan ran
+    reference = _oracle_resonance(20e-6, SHEET_02)
+    assert abs(value - reference) < 1e-9 * reference
+
+
+@pytest.mark.parametrize("field", ["width_m", "total_length_m", "gap_m",
+                                   "substrate_permittivity", "end_correction"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_dipole_rejects_non_finite(field, bad):
+    kwargs = dict(width_m=8e-6, total_length_m=20e-6, gap_m=3e-6,
+                  substrate_permittivity=3.8, end_correction=1.0)
+    kwargs[field] = bad
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        DipoleGeometry(**kwargs)
 
 
 # --- efficiency proxy --------------------------------------------------------

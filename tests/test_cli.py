@@ -88,6 +88,31 @@ def test_antenna_subcommand(capsys):
     assert f_res[0] > f_res[1]
 
 
+def _failed_first_row(capsys, argv, rows):
+    assert main(argv + ["--quiet"]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    table = parse_result_csv(captured.out)
+    assert len(table.rows) == rows
+    assert table.statuses[0].startswith("failed:")
+    assert all(status == "ok" for status in table.statuses[1:])
+
+
+def test_conductivity_invalid_row_is_failed_row(capsys):
+    _failed_first_row(capsys, [
+        "conductivity", "--variable", "chemical_potential_ev",
+        "--grid", "-0.1 0.1 0.2", "--relaxation-time-ps", "1",
+        "--frequency-thz", "1"], rows=3)
+
+
+def test_antenna_invalid_row_is_failed_row(capsys):
+    # a 2 um dipole cannot hold a 3 um feed gap
+    _failed_first_row(capsys, [
+        "antenna", "--grid", "2 20", "--width-um", "8", "--gap-um", "3",
+        "--substrate-permittivity", "3.8", "--chemical-potential-ev", "0.2",
+        "--relaxation-time-ps", "1"], rows=2)
+
+
 def test_presets_output(tmp_path, capsys):
     csv_path = tmp_path / "table.csv"
     assert main(["presets", "--csv", str(csv_path), "--quiet"]) == 0

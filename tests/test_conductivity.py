@@ -46,6 +46,17 @@ def test_sheet_invariants(kwargs):
         GrapheneSheet(**kwargs)
 
 
+@pytest.mark.parametrize("field", ["chemical_potential_ev", "relaxation_time_s",
+                                   "temperature_k"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sheet_rejects_non_finite(field, bad):
+    kwargs = dict(chemical_potential_ev=0.2, relaxation_time_s=1e-12,
+                  temperature_k=300.0)
+    kwargs[field] = bad
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        GrapheneSheet(**kwargs)
+
+
 def test_sheet_temperature_default():
     assert GrapheneSheet(0.2, 1e-12).temperature_k == 300.0
 

@@ -48,6 +48,28 @@ def test_stack_invariants():
         DielectricLayer(0.5)
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(relative_permittivity=math.nan),
+    dict(relative_permittivity=math.inf),
+    dict(relative_permittivity=2.0, thickness_m=math.nan),
+    dict(relative_permittivity=2.0, thickness_m=math.inf),
+])
+def test_layer_rejects_non_finite(kwargs):
+    with pytest.raises(ValueError, match="must be finite"):
+        DielectricLayer(**kwargs)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda stack, w: find_mode(stack, w),
+    lambda stack, w: dispersion_residual(stack, 1e5 + 1e4j, w),
+    lambda stack, w: quasi_static_wavevector(stack, w),
+], ids=["find_mode", "dispersion_residual", "quasi_static_wavevector"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_solver_entry_points_reject_non_finite_frequency(entry, bad):
+    with pytest.raises(ValueError, match="angular_frequency must be finite"):
+        entry(graphene_on_substrate(SHEET_02, 3.8), bad)
+
+
 def test_preset_layouts():
     g = preset_stack("G", SHEET_02)
     assert len(g.layers) == 2 and g.sheets[0] is SHEET_02
