@@ -12,8 +12,9 @@ from . import scenario as _scenario
 from .modesolver import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE
 from .stacks import (H1G_FILM_THICKNESS_M, H2G_FILM_THICKNESS_M,
                      HIM_PERMITTIVITY, LIM_PERMITTIVITY)
-from .sweep import (ConfigError, SweepSpec, UnknownColumnError, emit_csv,
-                    emit_plotdata, parse_config, run_sweep)
+from .sweep import (_SCHEMAS, _STR_KEYS, ConfigError, SweepSpec,
+                    UnknownColumnError, emit_csv, emit_plotdata, parse_config,
+                    run_sweep)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,57 +47,20 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--config", required=True, help="configuration file path")
     _add_common(sweep)
 
-    cond = sub.add_parser("conductivity", help="sheet conductivity sweep")
-    cond.add_argument("--variable", default="frequency_thz",
-                      choices=("chemical_potential_ev", "relaxation_time_ps",
-                               "frequency_thz", "temperature_k"))
-    cond.add_argument("--grid", required=True,
-                      help="grid values, 'a b c' or start:stop:count")
-    cond.add_argument("--chemical-potential-ev", type=float)
-    cond.add_argument("--relaxation-time-ps", type=float)
-    cond.add_argument("--frequency-thz", type=float)
-    cond.add_argument("--temperature-k", type=float)
-    _add_common(cond)
-
-    disp = sub.add_parser("dispersion", help="mode trace over frequency")
-    disp.add_argument("--grid", required=True, help="frequency grid in THz")
-    disp.add_argument("--preset", choices=("G", "H1G", "H2G"))
-    disp.add_argument("--substrate-permittivity", type=float)
-    disp.add_argument("--superstrate-permittivity", type=float)
-    disp.add_argument("--chemical-potential-ev", type=float, required=True)
-    disp.add_argument("--relaxation-time-ps", type=float, required=True)
-    disp.add_argument("--temperature-k", type=float)
-    _add_common(disp)
-
-    stack = sub.add_parser("stack", help="stack metrics over chemical potential")
-    stack.add_argument("--grid", required=True, help="chemical potential grid in eV")
-    stack.add_argument("--preset", required=True, choices=("G", "H1G", "H2G"))
-    stack.add_argument("--frequency-thz", type=float, required=True)
-    stack.add_argument("--relaxation-time-ps", type=float, required=True)
-    stack.add_argument("--temperature-k", type=float)
-    _add_common(stack)
-
-    ant = sub.add_parser("antenna", help="dipole resonance sweep")
-    ant.add_argument("--variable", default="length_um",
-                     choices=("length_um", "chemical_potential_ev",
-                              "relaxation_time_ps"))
-    ant.add_argument("--grid", required=True)
-    ant.add_argument("--length-um", type=float)
-    ant.add_argument("--width-um", type=float, required=True)
-    ant.add_argument("--gap-um", type=float, required=True)
-    ant.add_argument("--substrate-permittivity", type=float, required=True)
-    ant.add_argument("--chemical-potential-ev", type=float)
-    ant.add_argument("--relaxation-time-ps", type=float)
-    ant.add_argument("--temperature-k", type=float)
-    ant.add_argument("--end-correction", type=float)
-    _add_common(ant)
-
-    scen = sub.add_parser("scenario", help="footprint feasibility sweep")
-    scen.add_argument("--grid", required=True, help="resonant length grid in um")
-    scen.add_argument("--scenario", required=True, help="WNSN, SDM or WNoC")
-    scen.add_argument("--width-um", type=float, required=True)
-    scen.add_argument("--budget-fraction", type=float)
-    _add_common(scen)
+    # one direct subcommand per sweep target, its flags taken from the
+    # target's [fixed] keys
+    for target, schema in _SCHEMAS.items():
+        direct = sub.add_parser(target, help=schema["help"])
+        variables = schema["variables"]
+        if len(variables) > 1:
+            direct.add_argument("--variable", default=variables[0],
+                                choices=variables)
+        direct.add_argument("--grid", required=True,
+                            help="grid values, 'a b c' or start:stop:count")
+        for key in schema["fixed"]:
+            direct.add_argument("--" + key.replace("_", "-"),
+                                type=str if key in _STR_KEYS else float)
+        _add_common(direct)
 
     presets = sub.add_parser("presets",
                              help="print stack presets and scenario constants")
@@ -106,36 +70,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_FLAG_TO_KEY = {
-    "chemical_potential_ev": "chemical_potential_ev",
-    "relaxation_time_ps": "relaxation_time_ps",
-    "frequency_thz": "frequency_thz",
-    "temperature_k": "temperature_k",
-    "preset": "preset",
-    "substrate_permittivity": "substrate_permittivity",
-    "superstrate_permittivity": "superstrate_permittivity",
-    "length_um": "length_um",
-    "width_um": "width_um",
-    "gap_um": "gap_um",
-    "end_correction": "end_correction",
-    "scenario": "scenario",
-    "budget_fraction": "budget_fraction",
-}
-
-
 def _spec_from_args(args) -> SweepSpec:
     # route direct subcommands through the same config text validator so
     # CLI and config files cannot drift apart
-    lines = ["[sweep]", f"target = {args.command}"]
-    variable = getattr(args, "variable", None)
-    if variable is None:
-        variable = {"dispersion": "frequency_thz", "stack": "chemical_potential_ev",
-                    "scenario": "length_um"}[args.command]
-    lines.append(f"variable = {variable}")
-    lines.append(f"grid = {args.grid}")
-    lines.append("[fixed]")
-    for attr, key in _FLAG_TO_KEY.items():
-        value = getattr(args, attr, None)
+    schema = _SCHEMAS[args.command]
+    lines = ["[sweep]", f"target = {args.command}",
+             f"variable = {getattr(args, 'variable', schema['variables'][0])}",
+             f"grid = {args.grid}", "[fixed]"]
+    for key in schema["fixed"]:
+        value = getattr(args, key)
         if value is not None:
             lines.append(f"{key} = {value}")
     lines.append("[output]")

@@ -72,10 +72,19 @@ def intraband_conductivity(sheet: GrapheneSheet, angular_frequency: float,
 
     At w = 0 this reduces to the purely real DC value A * tau.
     """
+    if not math.isfinite(angular_frequency):
+        raise ValueError("angular_frequency must be finite")
     if angular_frequency < 0.0:
         raise ValueError("angular_frequency must be >= 0")
     weight = drude_weight(sheet, constants)
     return weight * 1j / (angular_frequency + 1j / sheet.relaxation_time_s)
+
+
+def _check_invertible(sigma: complex) -> None:
+    """Raise DegenerateConductivityError if 1/sigma is not meaningful."""
+    if abs(sigma) < _MIN_CONDUCTIVITY_S:
+        raise DegenerateConductivityError(
+            f"|sigma| = {abs(sigma):.3e} S is below {_MIN_CONDUCTIVITY_S:.0e} S")
 
 
 def surface_impedance(sheet: GrapheneSheet, angular_frequency: float,
@@ -83,9 +92,7 @@ def surface_impedance(sheet: GrapheneSheet, angular_frequency: float,
     """Sheet impedance Z(w) in ohm per square, the reciprocal of the sheet
     conductivity: Z(w) * sigma(w) = 1."""
     sigma = intraband_conductivity(sheet, angular_frequency, constants)
-    if abs(sigma) < _MIN_CONDUCTIVITY_S:
-        raise DegenerateConductivityError(
-            f"|sigma| = {abs(sigma):.3e} S is below {_MIN_CONDUCTIVITY_S:.0e} S")
+    _check_invertible(sigma)
     return 1.0 / sigma
 
 

@@ -28,7 +28,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .conductivity import intraband_conductivity
+from .conductivity import _check_invertible, intraband_conductivity
 from .constants import C0, EPS0
 from .stacks import LayeredStack
 
@@ -231,6 +231,7 @@ def residual_scale(stack: LayeredStack, wavevector: complex,
                    angular_frequency: float) -> float:
     """Magnitude of the largest term of the mode condition at (q, w); the
     reference scale against which |dispersion_residual| is judged."""
+    _check_angular_frequency(angular_frequency)
     k0 = angular_frequency / C0
     sheet_terms = _sheet_terms(stack, angular_frequency)
     ref = stack.top_sheet_interface
@@ -252,6 +253,7 @@ def quasi_static_wavevector(stack: LayeredStack,
     _check_angular_frequency(angular_frequency)
     sheet = stack.sheets[stack.top_sheet_interface]
     sigma = intraband_conductivity(sheet, angular_frequency)
+    _check_invertible(sigma)
     eps_sum = (stack.layers[0].relative_permittivity
                + stack.layers[-1].relative_permittivity)
     return 1j * eps_sum * angular_frequency * EPS0 / sigma
@@ -446,8 +448,8 @@ def trace_dispersion(stack: LayeredStack, frequencies_hz,
     """Solve the stack across a frequency grid with continuation.
 
     The first point starts from the default seeds; each later point starts
-    from the last converged root.  Failures are recorded per point and do
-    not abort the trace.
+    from the last converged root.  Solver errors and invalid points
+    (ValueError) are recorded as failed points and do not abort the trace.
     """
     freqs = [float(f) for f in frequencies_hz]
     if not freqs:
@@ -465,7 +467,7 @@ def trace_dispersion(stack: LayeredStack, frequencies_hz,
                                  tolerance=tolerance, max_iterations=max_iterations)
             guess_index = solution.wavevector / solution.k0
             points.append(TracePoint(f, solution, "ok"))
-        except ModeSolverError as err:
+        except (ModeSolverError, ValueError) as err:
             points.append(TracePoint(f, None, f"failed:{err}"))
     return points
 
@@ -479,16 +481,16 @@ def stack_metrics_sweep(stack: LayeredStack, frequency_hz: float,
 
     Every sheet of the stack is retuned to each grid value; rows report the
     effective index, the propagation length per guided wavelength and the
-    half-wavelength resonant length.  Solver failures are recorded in-row.
+    half-wavelength resonant length.  Solver errors and invalid rows
+    (ValueError) are recorded as failed rows.
     """
     omega = 2.0 * math.pi * frequency_hz
     rows: list[StackMetricsRow] = []
     for ef in chemical_potentials_ev:
-        swept = stack.with_chemical_potential(float(ef))
         try:
-            mode = find_mode(swept, omega, tolerance=tolerance,
-                             max_iterations=max_iterations)
-        except ModeSolverError as err:
+            mode = find_mode(stack.with_chemical_potential(float(ef)), omega,
+                             tolerance=tolerance, max_iterations=max_iterations)
+        except (ModeSolverError, ValueError) as err:
             rows.append(StackMetricsRow(float(ef), None, None, None,
                                         f"failed:{err}"))
             continue

@@ -65,6 +65,8 @@ def fits_footprint(resonant_length_m: float, width_m: float,
     if not 0.0 < budget_fraction <= 1.0:
         raise ValueError("budget_fraction must lie in (0, 1]")
     footprint = resonant_length_m * width_m
+    if footprint == 0.0:
+        raise ValueError("antenna footprint underflows to 0 m2")
     budget = budget_fraction * scenario.node_size_m2[1]
     margin = math.sqrt(budget / footprint)
     notes = (f"tx range {scenario.tx_range_m[0]:g}-{scenario.tx_range_m[1]:g} m; "

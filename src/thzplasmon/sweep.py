@@ -18,10 +18,12 @@ chosen so regression fixtures diff cleanly:
     format = csv                    # or plot
 
 Unknown sections or keys are errors, not warnings.  Sweeps never abort on a
-per-row solver failure: the row is kept with status "failed:<reason>" and
-empty numeric cells.  Emitted files are byte-identical across reruns; all
-numeric cells use full round-trip scientific notation and every column
-header carries a unit.
+row failure, whether the solver fails or an input is invalid (a negative
+chemical potential, a zero frequency, a dipole shorter than its gap): the
+row is kept with status "failed:<reason>" and empty numeric cells, and an
+invalid fixed sheet or stack fails every row.  Emitted files are
+byte-identical across reruns; all numeric cells use full round-trip
+scientific notation and every column header carries a unit.
 """
 from __future__ import annotations
 
@@ -112,10 +114,13 @@ _VAR_META = {
 # keys kept as text; everything else in [fixed] parses as a float
 _STR_KEYS = {"preset", "scenario"}
 
+# Per target: a one-line summary, the variables it sweeps (the first is the
+# command line's default) and its [fixed] keys as key -> (required, default).
 _SCHEMAS: dict[str, dict] = {
     "conductivity": {
-        "variables": {"chemical_potential_ev", "relaxation_time_ps",
-                      "frequency_thz", "temperature_k"},
+        "help": "sheet conductivity sweep",
+        "variables": ("frequency_thz", "chemical_potential_ev",
+                      "relaxation_time_ps", "temperature_k"),
         "fixed": {
             "chemical_potential_ev": (True, None),
             "relaxation_time_ps": (True, None),
@@ -124,7 +129,8 @@ _SCHEMAS: dict[str, dict] = {
         },
     },
     "dispersion": {
-        "variables": {"frequency_thz"},
+        "help": "mode trace over frequency",
+        "variables": ("frequency_thz",),
         "fixed": {
             "chemical_potential_ev": (True, None),
             "relaxation_time_ps": (True, None),
@@ -135,7 +141,8 @@ _SCHEMAS: dict[str, dict] = {
         },
     },
     "stack": {
-        "variables": {"chemical_potential_ev"},
+        "help": "stack metrics over chemical potential",
+        "variables": ("chemical_potential_ev",),
         "fixed": {
             "preset": (True, None),
             "frequency_thz": (True, None),
@@ -144,7 +151,8 @@ _SCHEMAS: dict[str, dict] = {
         },
     },
     "antenna": {
-        "variables": {"length_um", "chemical_potential_ev", "relaxation_time_ps"},
+        "help": "dipole resonance sweep",
+        "variables": ("length_um", "chemical_potential_ev", "relaxation_time_ps"),
         "fixed": {
             "length_um": (True, None),
             "width_um": (True, None),
@@ -157,7 +165,8 @@ _SCHEMAS: dict[str, dict] = {
         },
     },
     "scenario": {
-        "variables": {"length_um"},
+        "help": "footprint feasibility sweep",
+        "variables": ("length_um",),
         "fixed": {
             "width_um": (True, None),
             "scenario": (True, None),
@@ -352,155 +361,141 @@ def parse_config(text: str) -> SweepSpec:
 # ---------------------------------------------------------------------------
 # sweep execution
 
-def _clean_reason(err: Exception) -> str:
-    text = str(err).replace(",", ";").replace("\n", " ")
-    return f"failed:{text}"
+# A target is its value columns plus its outcomes: one per grid value, either
+# the numeric cells of an ok row or the "failed:<reason>" status of a failed
+# one.  run_sweep alone turns outcomes into rows.
+
+def _outcome(fn, *args):
+    """fn(*args), or the failed status of the row error it raises."""
+    try:
+        return fn(*args)
+    except (ValueError, _modesolver.ModeSolverError,
+            _antenna.NoResonanceInBandError) as err:
+        return f"failed:{err}"
 
 
-def _make_sheet(params: dict, ef=None, tau_ps=None) -> GrapheneSheet:
-    ef = params["chemical_potential_ev"] if ef is None else ef
-    tau_ps = params["relaxation_time_ps"] if tau_ps is None else tau_ps
-    return GrapheneSheet(float(ef), float(tau_ps) * 1e-12,
+def _make_sheet(params: dict) -> GrapheneSheet:
+    return GrapheneSheet(float(params["chemical_potential_ev"]),
+                         float(params["relaxation_time_ps"]) * 1e-12,
                          float(params.get("temperature_k", DEFAULT_TEMPERATURE_K)))
 
 
-def _variable_column(variable: str) -> Column:
-    name, unit = _VAR_META[variable]
-    return Column(name, unit)
+def _each_row(cells):
+    """Outcomes of a target whose cells(params, tolerance, max_iterations)
+    evaluates one grid value."""
+    def outcomes(spec: SweepSpec, tolerance: float, max_iterations: int):
+        return [_outcome(cells, {**spec.fixed, spec.variable: value},
+                         tolerance, max_iterations) for value in spec.grid]
+    return outcomes
 
 
-def _run_conductivity(spec: SweepSpec) -> ResultTable:
-    columns = [_variable_column(spec.variable), Column("sigma_real", "S"),
-               Column("sigma_imag", "S"), Column("sigma_abs", "S"),
-               Column("sigma_neg_imag", "S")]
-    rows, statuses = [], []
-    params = dict(spec.fixed)
-    for value in spec.grid:
-        params[spec.variable] = value
-        omega = 2.0 * math.pi * float(params["frequency_thz"]) * 1e12
-        try:
-            sigma = intraband_conductivity(_make_sheet(params), omega)
-        except ValueError as err:
-            rows.append([value, None, None, None, None])
-            statuses.append(_clean_reason(err))
-            continue
-        rows.append([value, sigma.real, sigma.imag, abs(sigma), -sigma.imag])
-        statuses.append("ok")
-    return ResultTable(columns, rows, statuses)
+def _conductivity_cells(params, tolerance, max_iterations):
+    omega = 2.0 * math.pi * float(params["frequency_thz"]) * 1e12
+    sigma = intraband_conductivity(_make_sheet(params), omega)
+    return [sigma.real, sigma.imag, abs(sigma), -sigma.imag]
 
 
-def _dispersion_stack(spec: SweepSpec, sheet: GrapheneSheet):
-    if "preset" in spec.fixed:
-        return preset_stack(str(spec.fixed["preset"]), sheet)
-    return graphene_on_substrate(
-        sheet, float(spec.fixed["substrate_permittivity"]),
-        float(spec.fixed.get("superstrate_permittivity", 1.0)))
+def _antenna_cells(params, tolerance, max_iterations):
+    dipole = _antenna.DipoleGeometry(
+        width_m=float(params["width_um"]) * 1e-6,
+        total_length_m=float(params["length_um"]) * 1e-6,
+        gap_m=float(params["gap_um"]) * 1e-6,
+        substrate_permittivity=float(params["substrate_permittivity"]),
+        end_correction=float(params.get("end_correction", 1.0)))
+    pred = _antenna.resonance_frequency(
+        dipole, _make_sheet(params),
+        tolerance=tolerance, max_iterations=max_iterations)
+    return [pred.resonance_frequency_hz / 1e12, pred.metal_reference_hz / 1e12,
+            pred.miniaturization_factor, pred.efficiency_proxy]
 
 
-def _run_dispersion(spec: SweepSpec, tolerance: float, max_iterations: int) -> ResultTable:
-    columns = [Column("frequency", "THz"), Column("q_real", "rad/m"),
-               Column("q_imag", "rad/m"), Column("n_eff", "1"),
-               Column("lambda_spp", "m"), Column("propagation_length", "m"),
-               Column("normalized_lp", "1"), Column("resonant_length", "m"),
-               Column("residual", "1")]
+def _scenario_cells(params, tolerance, max_iterations):
+    report = _scenario.fits_footprint(
+        params["length_um"] * 1e-6, float(params["width_um"]) * 1e-6,
+        _scenario.scenario_by_name(str(params["scenario"])),
+        float(params.get("budget_fraction", 1.0)))
+    return [report.footprint_m2, 1.0 if report.fits else 0.0, report.margin]
+
+
+def _dispersion_outcomes(spec: SweepSpec, tolerance: float, max_iterations: int):
     sheet = _make_sheet(spec.fixed)
-    stack = _dispersion_stack(spec, sheet)
+    if "preset" in spec.fixed:
+        stack = preset_stack(str(spec.fixed["preset"]), sheet)
+    else:
+        stack = graphene_on_substrate(
+            sheet, float(spec.fixed["substrate_permittivity"]),
+            float(spec.fixed.get("superstrate_permittivity", 1.0)))
     points = _modesolver.trace_dispersion(
         stack, [f * 1e12 for f in spec.grid],
         tolerance=tolerance, max_iterations=max_iterations)
-    rows, statuses = [], []
-    for value, point in zip(spec.grid, points):
-        if point.solution is None:
-            rows.append([value] + [None] * 8)
-            statuses.append(point.status.replace(",", ";"))
-            continue
+    results = []
+    for point in points:
         mode = point.solution
-        rows.append([
-            value, mode.wavevector.real, mode.wavevector.imag,
-            mode.effective_index, mode.guided_wavelength_m,
-            mode.propagation_length_m, mode.normalized_propagation_length,
-            mode.guided_wavelength_m / 2.0, mode.residual,
-        ])
-        statuses.append("ok")
-    return ResultTable(columns, rows, statuses)
+        results.append(point.status if mode is None else [
+            mode.wavevector.real, mode.wavevector.imag, mode.effective_index,
+            mode.guided_wavelength_m, mode.propagation_length_m,
+            mode.normalized_propagation_length, mode.guided_wavelength_m / 2.0,
+            mode.residual])
+    return results
 
 
-def _run_stack(spec: SweepSpec, tolerance: float, max_iterations: int) -> ResultTable:
-    columns = [Column("chemical_potential", "eV"), Column("n_eff", "1"),
-               Column("normalized_lp", "1"), Column("resonant_length", "m")]
-    sheet = _make_sheet(spec.fixed, ef=0.0)
+def _stack_outcomes(spec: SweepSpec, tolerance: float, max_iterations: int):
+    # stack_metrics_sweep retunes the sheet to each grid value
+    sheet = _make_sheet({**spec.fixed, "chemical_potential_ev": 0.0})
     stack = preset_stack(str(spec.fixed["preset"]), sheet)
-    metrics = _modesolver.stack_metrics_sweep(
+    rows = _modesolver.stack_metrics_sweep(
         stack, float(spec.fixed["frequency_thz"]) * 1e12, spec.grid,
         tolerance=tolerance, max_iterations=max_iterations)
-    rows, statuses = [], []
-    for row in metrics:
-        rows.append([row.chemical_potential_ev, row.effective_index,
-                     row.normalized_propagation_length, row.resonant_length_m])
-        statuses.append(row.status.replace(",", ";"))
-    return ResultTable(columns, rows, statuses)
+    return [[row.effective_index, row.normalized_propagation_length,
+             row.resonant_length_m] if row.status == "ok" else row.status
+            for row in rows]
 
 
-def _run_antenna(spec: SweepSpec, tolerance: float, max_iterations: int) -> ResultTable:
-    columns = [_variable_column(spec.variable), Column("f_res", "THz"),
-               Column("f_metal", "THz"), Column("miniaturization", "1"),
-               Column("efficiency_proxy", "1")]
-    rows, statuses = [], []
-    params = dict(spec.fixed)
-    for value in spec.grid:
-        params[spec.variable] = value
-        try:
-            dipole = _antenna.DipoleGeometry(
-                width_m=float(params["width_um"]) * 1e-6,
-                total_length_m=float(params["length_um"]) * 1e-6,
-                gap_m=float(params["gap_um"]) * 1e-6,
-                substrate_permittivity=float(params["substrate_permittivity"]),
-                end_correction=float(params.get("end_correction", 1.0)))
-            pred = _antenna.resonance_frequency(
-                dipole, _make_sheet(params),
-                tolerance=tolerance, max_iterations=max_iterations)
-        except (ValueError, _antenna.NoResonanceInBandError,
-                _modesolver.ModeSolverError) as err:
-            rows.append([value, None, None, None, None])
-            statuses.append(_clean_reason(err))
-            continue
-        rows.append([value, pred.resonance_frequency_hz / 1e12,
-                     pred.metal_reference_hz / 1e12,
-                     pred.miniaturization_factor, pred.efficiency_proxy])
-        statuses.append("ok")
-    return ResultTable(columns, rows, statuses)
+def _columns(headers: str) -> tuple[Column, ...]:
+    """Columns from space-separated "name(unit)" headers."""
+    return tuple(Column(*header[:-1].split("(")) for header in headers.split())
 
 
-def _run_scenario(spec: SweepSpec) -> ResultTable:
-    columns = [Column("length", "um"), Column("footprint", "m2"),
-               Column("fits", "1"), Column("margin", "1")]
-    requirements = _scenario.scenario_by_name(str(spec.fixed["scenario"]))
-    width_m = float(spec.fixed["width_um"]) * 1e-6
-    budget = float(spec.fixed.get("budget_fraction", 1.0))
-    rows, statuses = [], []
-    for value in spec.grid:
-        report = _scenario.fits_footprint(value * 1e-6, width_m, requirements, budget)
-        rows.append([value, report.footprint_m2,
-                     1.0 if report.fits else 0.0, report.margin])
-        statuses.append("ok")
-    return ResultTable(columns, rows, statuses)
+# target -> (value columns after the swept variable's column, outcomes)
+_RUNNERS = {
+    "conductivity": (_columns("sigma_real(S) sigma_imag(S) sigma_abs(S) "
+                              "sigma_neg_imag(S)"),
+                     _each_row(_conductivity_cells)),
+    "dispersion": (_columns("q_real(rad/m) q_imag(rad/m) n_eff(1) lambda_spp(m) "
+                            "propagation_length(m) normalized_lp(1) "
+                            "resonant_length(m) residual(1)"),
+                   _dispersion_outcomes),
+    "stack": (_columns("n_eff(1) normalized_lp(1) resonant_length(m)"),
+              _stack_outcomes),
+    "antenna": (_columns("f_res(THz) f_metal(THz) miniaturization(1) "
+                         "efficiency_proxy(1)"),
+                _each_row(_antenna_cells)),
+    "scenario": (_columns("footprint(m2) fits(1) margin(1)"),
+                 _each_row(_scenario_cells)),
+}
 
 
 def run_sweep(spec: SweepSpec, *, tolerance: float = DEFAULT_TOLERANCE,
               max_iterations: int = DEFAULT_MAX_ITERATIONS) -> ResultTable:
     """Execute a validated sweep.  Deterministic: identical specs produce
     identical tables (and therefore byte-identical emitted files)."""
-    if spec.target == "conductivity":
-        return _run_conductivity(spec)
-    if spec.target == "dispersion":
-        return _run_dispersion(spec, tolerance, max_iterations)
-    if spec.target == "stack":
-        return _run_stack(spec, tolerance, max_iterations)
-    if spec.target == "antenna":
-        return _run_antenna(spec, tolerance, max_iterations)
-    if spec.target == "scenario":
-        return _run_scenario(spec)
-    raise ConfigError(f"unknown target {spec.target!r}")
+    if spec.target not in _RUNNERS:
+        raise ConfigError(f"unknown target {spec.target!r}")
+    value_columns, outcomes = _RUNNERS[spec.target]
+    results = _outcome(outcomes, spec, tolerance, max_iterations)
+    if isinstance(results, str):
+        # a setup error (the fixed sheet or stack) fails every row
+        results = [results] * len(spec.grid)
+    rows, statuses = [], []
+    for value, result in zip(spec.grid, results):
+        if isinstance(result, str):
+            rows.append([value] + [None] * len(value_columns))
+            statuses.append(result.replace(",", ";").replace("\n", " "))
+        else:
+            rows.append([value, *result])
+            statuses.append("ok")
+    return ResultTable([Column(*_VAR_META[spec.variable]), *value_columns],
+                       rows, statuses)
 
 
 # ---------------------------------------------------------------------------

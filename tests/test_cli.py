@@ -1,3 +1,11 @@
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from thzplasmon import parse_result_csv
 from thzplasmon.cli import main
 
@@ -140,3 +148,176 @@ def test_shipped_configs_run(tmp_path):
         code = main(["sweep", "--config", str(name), "--out", str(out), "--quiet"])
         assert code == 0, name
         assert parse_result_csv(out.read_text()).all_ok, name
+
+
+# --- row contract: invalid inputs are failed rows, never tracebacks ---------
+
+@pytest.mark.parametrize("argv, failed_rows", [
+    (["scenario", "--grid", "-1 5", "--scenario", "SDM", "--width-um", "8"],
+     [0]),
+    (["scenario", "--grid", "1 5", "--scenario", "SDM", "--width-um", "8",
+      "--budget-fraction", "0"], [0, 1]),
+    (["dispersion", "--grid", "0 1", "--preset", "G",
+      "--chemical-potential-ev", "0.2", "--relaxation-time-ps", "1"], [0]),
+    (["dispersion", "--grid", "1 2", "--preset", "G",
+      "--chemical-potential-ev", "-0.2", "--relaxation-time-ps", "1"], [0, 1]),
+    (["dispersion", "--grid", "1 2", "--substrate-permittivity", "0.5",
+      "--chemical-potential-ev", "0.2", "--relaxation-time-ps", "1"], [0, 1]),
+    (["stack", "--grid", "-0.1 0.2", "--preset", "G", "--frequency-thz", "4",
+      "--relaxation-time-ps", "0.6"], [0]),
+    (["stack", "--grid", "0.1 0.2", "--preset", "G", "--frequency-thz", "0",
+      "--relaxation-time-ps", "0.6"], [0, 1]),
+    (["stack", "--grid", "0.1 0.2", "--preset", "G", "--frequency-thz", "4",
+      "--relaxation-time-ps", "0"], [0, 1]),
+    # tau = 1e-312 s: sigma = 0, which the quasi-static seed cannot invert
+    (["dispersion", "--grid", "1", "--preset", "G",
+      "--chemical-potential-ev", "0.2", "--relaxation-time-ps", "1e-300"], [0]),
+    (["antenna", "--grid", "20", "--width-um", "8", "--gap-um", "3",
+      "--substrate-permittivity", "3.8", "--chemical-potential-ev", "0.2",
+      "--relaxation-time-ps", "1e-300"], [0]),
+    (["stack", "--grid", "0.2", "--preset", "G", "--frequency-thz", "1e-300",
+      "--relaxation-time-ps", "1e-300", "--temperature-k", "1e-300"], [0]),
+], ids=["scenario-negative-length", "scenario-zero-budget",
+        "dispersion-zero-frequency", "dispersion-negative-potential",
+        "dispersion-substrate-below-vacuum", "stack-negative-potential",
+        "stack-zero-frequency", "stack-zero-relaxation-time",
+        "dispersion-degenerate-sheet", "antenna-degenerate-sheet",
+        "stack-degenerate-sheet"])
+def test_invalid_input_is_failed_row(capsys, argv, failed_rows):
+    assert main(argv + ["--quiet"]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    table = parse_result_csv(captured.out)
+    assert len(table.rows) == len(argv[argv.index("--grid") + 1].split())
+    for i, status in enumerate(table.statuses):
+        if i in failed_rows:
+            assert status.startswith("failed:"), status
+            assert table.rows[i][1:] == [None] * (len(table.columns) - 1)
+        else:
+            assert status == "ok"
+
+
+def test_missing_required_flag_is_config_error(capsys):
+    assert main(["antenna", "--grid", "15 25", "--gap-um", "3",
+                 "--substrate-permittivity", "3.8",
+                 "--chemical-potential-ev", "0.2",
+                 "--relaxation-time-ps", "1"]) == 1
+    assert ("config error: missing required key 'width_um'"
+            in capsys.readouterr().err)
+
+
+# --- output identity ----------------------------------------------------------
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+DATA_DIR = Path(__file__).resolve().parent / "data"
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CONFIG_DIR.glob("*.cfg")))
+def test_shipped_config_csv_matches_reference(tmp_path, name):
+    # the shipped configs' output is pinned byte for byte; a reference
+    # changes only with an intended change of the physics or the format
+    out = tmp_path / f"{name}.csv"
+    assert main(["sweep", "--config", str(CONFIG_DIR / f"{name}.cfg"),
+                 "--out", str(out), "--quiet"]) == 0
+    assert out.read_bytes() == (DATA_DIR / f"{name}.csv").read_bytes()
+
+
+PARITY = {
+    "conductivity": (
+        ["--variable", "chemical_potential_ev", "--grid", "0.2:1.0:5",
+         "--relaxation-time-ps", "1", "--frequency-thz", "2",
+         "--temperature-k", "77"],
+        "variable = chemical_potential_ev\ngrid = 0.2:1.0:5\n[fixed]\n"
+        "relaxation_time_ps = 1\nfrequency_thz = 2\ntemperature_k = 77\n"),
+    "dispersion": (
+        ["--grid", "0.5 1 2", "--substrate-permittivity", "3.8",
+         "--superstrate-permittivity", "1.5", "--chemical-potential-ev", "0.4",
+         "--relaxation-time-ps", "1"],
+        "variable = frequency_thz\ngrid = 0.5 1 2\n[fixed]\n"
+        "substrate_permittivity = 3.8\nsuperstrate_permittivity = 1.5\n"
+        "chemical_potential_ev = 0.4\nrelaxation_time_ps = 1\n"),
+    "stack": (
+        ["--grid", "0.2 0.5", "--preset", "H1G", "--frequency-thz", "4",
+         "--relaxation-time-ps", "0.6"],
+        "variable = chemical_potential_ev\ngrid = 0.2 0.5\n[fixed]\n"
+        "preset = H1G\nfrequency_thz = 4\nrelaxation_time_ps = 0.6\n"),
+    "antenna": (
+        ["--variable", "relaxation_time_ps", "--grid", "0.5 1", "--length-um",
+         "20", "--width-um", "8", "--gap-um", "3", "--substrate-permittivity",
+         "3.8", "--chemical-potential-ev", "0.2", "--end-correction", "0.9"],
+        "variable = relaxation_time_ps\ngrid = 0.5 1\n[fixed]\nlength_um = 20\n"
+        "width_um = 8\ngap_um = 3\nsubstrate_permittivity = 3.8\n"
+        "chemical_potential_ev = 0.2\nend_correction = 0.9\n"),
+    "scenario": (
+        ["--grid", "1 50 500", "--scenario", "WNoC", "--width-um", "8",
+         "--budget-fraction", "0.5"],
+        "variable = length_um\ngrid = 1 50 500\n[fixed]\nscenario = WNoC\n"
+        "width_um = 8\nbudget_fraction = 0.5\n"),
+}
+
+
+@pytest.mark.parametrize("target", sorted(PARITY))
+def test_direct_subcommand_matches_config(tmp_path, target):
+    flags, body = PARITY[target]
+    config = tmp_path / "run.cfg"
+    config.write_text(f"[sweep]\ntarget = {target}\n{body}")
+    direct, swept = tmp_path / "direct.csv", tmp_path / "sweep.csv"
+    code = main([target, *flags, "--out", str(direct), "--quiet"])
+    assert main(["sweep", "--config", str(config), "--out", str(swept),
+                 "--quiet"]) == code
+    assert direct.read_bytes() == swept.read_bytes()
+    assert len(parse_result_csv(direct.read_text()).rows) > 1
+
+
+# --- fuzzed direct subcommands -----------------------------------------------
+
+POOL = ("-1", "0", "1e-300", "1e-9", "0.2", "1", "3.8", "12", "1e6", "1e300")
+TEXT_VALUES = {"preset": ("G", "H1G", "H2G"), "scenario": ("WNSN", "SDM", "WNoC")}
+# (variables, required [fixed] keys, optional [fixed] keys) per subcommand
+DIRECT = {
+    "conductivity": (("frequency_thz", "chemical_potential_ev",
+                      "relaxation_time_ps", "temperature_k"),
+                     ("chemical_potential_ev", "relaxation_time_ps",
+                      "frequency_thz"), ("temperature_k",)),
+    "dispersion": (("frequency_thz",),
+                   ("chemical_potential_ev", "relaxation_time_ps"),
+                   ("temperature_k", "preset", "substrate_permittivity",
+                    "superstrate_permittivity")),
+    "stack": (("chemical_potential_ev",),
+              ("preset", "frequency_thz", "relaxation_time_ps"),
+              ("temperature_k",)),
+    "antenna": (("length_um", "chemical_potential_ev", "relaxation_time_ps"),
+                ("length_um", "width_um", "gap_um", "substrate_permittivity",
+                 "chemical_potential_ev", "relaxation_time_ps"),
+                ("temperature_k", "end_correction")),
+    "scenario": (("length_um",), ("width_um", "scenario"), ("budget_fraction",)),
+}
+
+
+@st.composite
+def direct_argv(draw):
+    target = draw(st.sampled_from(sorted(DIRECT)))
+    variables, required, optional = DIRECT[target]
+    grid = draw(st.lists(st.sampled_from(POOL), min_size=1, max_size=3))
+    argv = [target, f"--grid={' '.join(grid)}", "--quiet"]
+    variable = draw(st.sampled_from(variables))
+    if len(variables) > 1:
+        argv.append(f"--variable={variable}")
+    for key in required + optional:
+        if key == variable or (key in optional and not draw(st.booleans())):
+            continue
+        value = draw(st.sampled_from(TEXT_VALUES.get(key, POOL)))
+        argv.append(f"--{key.replace('_', '-')}={value}")
+    return argv, len(grid)
+
+
+@given(direct_argv())
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_direct_subcommands_never_raise(case):
+    argv, points = case
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    if code != 1:
+        assert len(parse_result_csv(out.getvalue()).rows) == points, argv

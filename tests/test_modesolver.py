@@ -6,7 +6,8 @@ import pytest
 
 import oracles
 from thzplasmon import (BranchCutProximityError, CODATA, ConvergenceError,
-                        DielectricLayer, GrapheneSheet, LayeredStack,
+                        DegenerateConductivityError, DielectricLayer,
+                        GrapheneSheet, LayeredStack,
                         NonBoundModeError, dispersion_residual, find_mode,
                         free_standing_sheet, graphene_on_substrate,
                         intraband_conductivity, preset_stack,
@@ -63,7 +64,10 @@ def test_layer_rejects_non_finite(kwargs):
     lambda stack, w: find_mode(stack, w),
     lambda stack, w: dispersion_residual(stack, 1e5 + 1e4j, w),
     lambda stack, w: quasi_static_wavevector(stack, w),
-], ids=["find_mode", "dispersion_residual", "quasi_static_wavevector"])
+    lambda stack, w: residual_scale(stack, 1e5 + 1e4j, w),
+    lambda stack, w: intraband_conductivity(SHEET_02, w),
+], ids=["find_mode", "dispersion_residual", "quasi_static_wavevector",
+        "residual_scale", "intraband_conductivity"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_solver_entry_points_reject_non_finite_frequency(entry, bad):
     with pytest.raises(ValueError, match="angular_frequency must be finite"):
@@ -378,6 +382,24 @@ def test_trace_records_failures_per_point():
     assert all(not p.ok and p.status.startswith("failed:") for p in points)
 
 
+def test_trace_records_invalid_point_and_continues():
+    # f = 0 is no valid frequency; the trace fails that point only
+    points = trace_dispersion(preset_stack("G", SHEET_02), [0.0, 1e12])
+    assert points[0].status == "failed:angular_frequency must be > 0"
+    assert points[1].ok
+    assert points[1].solution == find_mode(preset_stack("G", SHEET_02),
+                                           OMEGA_1THZ)
+
+
+def test_quasi_static_seed_rejects_degenerate_sheet():
+    # 1/tau overflows at tau = 1e-312 s, so sigma = 0 exactly
+    stack = graphene_on_substrate(GrapheneSheet(0.2, 1e-312), 3.8)
+    with pytest.raises(DegenerateConductivityError):
+        quasi_static_wavevector(stack, OMEGA_1THZ)
+    points = trace_dispersion(stack, [1e12])
+    assert points[0].status.startswith("failed:|sigma| = 0.000e+00 S")
+
+
 # --- stack metrics -----------------------------------------------------------
 
 def test_stack_metrics_orderings_at_matched_parameters():
@@ -400,3 +422,12 @@ def test_stack_metrics_rows_record_failures():
     assert len(rows) == 2
     assert all(row.status.startswith("failed:") for row in rows)
     assert all(row.effective_index is None for row in rows)
+
+
+def test_stack_metrics_rows_record_invalid_chemical_potential():
+    stack = preset_stack("G", GrapheneSheet(0.2, 0.6e-12))
+    rows = stack_metrics_sweep(stack, 4e12, (-0.1, 0.2))
+    assert rows[0].status == "failed:chemical_potential_ev must be >= 0"
+    assert rows[0].effective_index is None
+    assert rows[1].status == "ok"
+    assert rows[1].effective_index > 1.0

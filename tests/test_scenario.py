@@ -77,6 +77,12 @@ def test_budget_fraction_validation():
         fits_footprint(-1e-6, 1e-6, scenario)
 
 
+def test_underflowing_footprint_rejected():
+    # both sides positive, but their product is 0 m2
+    with pytest.raises(ValueError, match="underflows"):
+        fits_footprint(1e-306, 1e-306, scenario_by_name("WNSN"))
+
+
 def test_budget_fraction_shrinks_margin():
     scenario = scenario_by_name("WNoC")
     full = fits_footprint(100e-6, 8e-6, scenario, budget_fraction=1.0)
