@@ -13,8 +13,8 @@ from .modesolver import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE
 from .stacks import (H1G_FILM_THICKNESS_M, H2G_FILM_THICKNESS_M,
                      HIM_PERMITTIVITY, LIM_PERMITTIVITY)
 from .sweep import (_SCHEMAS, _STR_KEYS, ConfigError, SweepSpec,
-                    UnknownColumnError, emit_csv, emit_plotdata, parse_config,
-                    run_sweep)
+                    UnknownColumnError, _build_spec, emit_csv, emit_plotdata,
+                    parse_config, run_sweep)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,26 +71,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _spec_from_args(args) -> SweepSpec:
-    # route direct subcommands through the same config text validator so
-    # CLI and config files cannot drift apart
+    # validate the flags as the sections of a config document, one value per
+    # key (stripped, as the config parser strips), so CLI and config files
+    # cannot drift apart and no flag value can set another key
     schema = _SCHEMAS[args.command]
-    lines = ["[sweep]", f"target = {args.command}",
-             f"variable = {getattr(args, 'variable', schema['variables'][0])}",
-             f"grid = {args.grid}", "[fixed]"]
-    for key in schema["fixed"]:
-        value = getattr(args, key)
-        if value is not None:
-            lines.append(f"{key} = {value}")
-    lines.append("[output]")
-    if args.out:
-        lines.append(f"path = {args.out}")
-    if args.format:
-        lines.append(f"format = {args.format}")
-    if args.plot_x:
-        lines.append(f"plot_x = {args.plot_x}")
-    if args.plot_y:
-        lines.append(f"plot_y = {args.plot_y}")
-    return parse_config("\n".join(lines) + "\n")
+    sections = {
+        "sweep": {"target": args.command,
+                  "variable": getattr(args, "variable", schema["variables"][0]),
+                  "grid": args.grid},
+        "fixed": {key: getattr(args, key) for key in schema["fixed"]
+                  if getattr(args, key) is not None},
+        "output": {key: value for key, value in (
+            ("path", args.out), ("format", args.format),
+            ("plot_x", args.plot_x), ("plot_y", args.plot_y)) if value},
+    }
+    return _build_spec({name: {key: (str(value).strip(), None)
+                               for key, value in keys.items()}
+                        for name, keys in sections.items()})
 
 
 def _emit(spec: SweepSpec, table, args) -> None:

@@ -39,9 +39,5 @@ class PhysicalConstants:
 
 CODATA = PhysicalConstants()
 
-E_CHARGE = CODATA.electron_charge
-HBAR = CODATA.reduced_planck
-K_BOLTZMANN = CODATA.boltzmann
 EPS0 = CODATA.vacuum_permittivity
 C0 = CODATA.light_speed
-ETA0 = CODATA.free_space_impedance

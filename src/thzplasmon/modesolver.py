@@ -14,7 +14,10 @@ For a single sheet between two half-spaces this reduces exactly to
 
 i.e. the classical thin-sheet plasmon condition normalized by k0.  Layer
 propagation uses decaying exponentials only (phase factors exp(-2 k d k0)
-with |.| <= 1), so thick layers cannot overflow.
+with |.| <= 1), so thick layers cannot overflow.  One recursion walks up
+from the bottom cladding; the upper half is walked as its mirror (looking up
+is looking down in the flipped stack, admittance negated), which is exact in
+IEEE arithmetic because negation commutes with rounding.
 
 Root finding runs on the pole-free bilinear numerator of D rather than on D
 itself: when a sheet sits near a node of the tangential electric field
@@ -135,32 +138,34 @@ def _transverse_decay(x_sq: complex, eps: float) -> complex:
     return k
 
 
-def _sheet_terms(stack: LayeredStack, angular_frequency: float) -> dict[int, complex]:
-    # i sigma k0 / (w eps0) = i sigma / (eps0 c0), dimensionless
-    return {
-        i: 1j * intraband_conductivity(sheet, angular_frequency) / (EPS0 * C0)
-        for i, sheet in stack.sheets.items()
-    }
-
-
-def _admittance_pairs(stack: LayeredStack, x: complex, angular_frequency: float,
-                      sheet_terms: dict[int, complex], ref: int):
-    """Homogeneous (numerator, denominator) pairs of the looking-down
-    admittance just below interface ``ref`` and the looking-up admittance
-    just above it.  Pairs are renormalized each step by their largest
-    modulus to avoid over/underflow; ratios are unchanged."""
-    layers = stack.layers
-    n = len(layers)
+def _mode_problem(stack: LayeredStack, angular_frequency: float):
+    """The mode condition at one frequency: (k0, the top sheet's term, the
+    walk from the bottom cladding, the walk from the top cladding).  A walk
+    is a cladding permittivity and its (sheet term or None, layer) steps
+    toward the top sheet, the reference interface."""
+    _check_angular_frequency(angular_frequency)
     k0 = angular_frequency / C0
-    x_sq = x * x
+    # i sigma k0 / (w eps0) = i sigma / (eps0 c0), dimensionless
+    terms = {i: 1j * intraband_conductivity(sheet, angular_frequency) / (EPS0 * C0)
+             for i, sheet in stack.sheets.items()}
+    layers = stack.layers
+    ref = stack.top_sheet_interface
+    bottom = (layers[-1].relative_permittivity,
+              [(terms.get(i), layers[i]) for i in range(len(layers) - 2, ref, -1)])
+    top = (layers[0].relative_permittivity,
+           [(terms.get(i), layers[i + 1]) for i in range(ref)])
+    return k0, terms[ref], bottom, top
 
-    eps_bot = layers[-1].relative_permittivity
-    a, b = complex(eps_bot), _transverse_decay(x_sq, eps_bot)
-    for i in range(n - 2, ref, -1):
-        term = sheet_terms.get(i)
+
+def _walk(walk, x_sq: complex, k0: float):
+    """Homogeneous (numerator, denominator) pair of the looking-down
+    admittance at the end of a walk.  The pair is renormalized each step by
+    its largest modulus to avoid over/underflow; the ratio is unchanged."""
+    eps_clad, steps = walk
+    a, b = complex(eps_clad), _transverse_decay(x_sq, eps_clad)
+    for term, layer in steps:
         if term is not None:
             a = a + term * b
-        layer = layers[i]
         eps_i = layer.relative_permittivity
         k_i = _transverse_decay(x_sq, eps_i)
         p = a * k_i - eps_i * b
@@ -170,40 +175,22 @@ def _admittance_pairs(stack: LayeredStack, x: complex, angular_frequency: float,
         m = max(abs(a), abs(b))
         if m > 0.0:
             a, b = a / m, b / m
-    below = (a, b)
-
-    eps_top = layers[0].relative_permittivity
-    a, b = complex(-eps_top), _transverse_decay(x_sq, eps_top)
-    for i in range(0, ref):
-        term = sheet_terms.get(i)
-        if term is not None:
-            a = a - term * b
-        layer = layers[i + 1]
-        eps_i = layer.relative_permittivity
-        k_i = _transverse_decay(x_sq, eps_i)
-        p = a * k_i - eps_i * b
-        s = a * k_i + eps_i * b
-        t = cmath.exp(-2.0 * k_i * k0 * layer.thickness_m)
-        a, b = eps_i * (s * t + p), k_i * (s * t - p)
-        m = max(abs(a), abs(b))
-        if m > 0.0:
-            a, b = a / m, b / m
-    above = (a, b)
-    return below, above
+    return a, b
 
 
-def _mode_function(stack: LayeredStack, x: complex, angular_frequency: float,
-                   sheet_terms: dict[int, complex], ref: int):
-    """Pole-free bilinear form of the mode condition and its term scale."""
-    (ab, bb), (at, bt) = _admittance_pairs(stack, x, angular_frequency,
-                                           sheet_terms, ref)
-    term = sheet_terms.get(ref, 0j)
-    below = ab * bt
-    above = at * bb
-    sheet = term * bb * bt
+def _mode_function(x: complex, problem):
+    """Pole-free bilinear form of the mode condition, its term scale and
+    the denominator it was multiplied by."""
+    k0, term, bottom, top = problem
+    x_sq = x * x
+    a_bottom, b_bottom = _walk(bottom, x_sq, k0)
+    a_top, b_top = _walk(top, x_sq, k0)
+    below = a_bottom * b_top
+    above = -a_top * b_bottom    # the top walk's admittance is negated
+    sheet = term * b_bottom * b_top
     value = below - above + sheet
     scale = max(abs(below), abs(above), abs(sheet))
-    return value, scale, bb * bt
+    return value, scale, b_bottom * b_top
 
 
 def dispersion_residual(stack: LayeredStack, wavevector: complex,
@@ -213,37 +200,25 @@ def dispersion_residual(stack: LayeredStack, wavevector: complex,
     Dimensionless: the two-half-space case evaluates to
     eps1/k1 + eps2/k2 + i sigma/(eps0 c0) with k_i = sqrt((q/k0)^2 - eps_i).
     """
-    _check_angular_frequency(angular_frequency)
-    k0 = angular_frequency / C0
-    x = wavevector / k0
+    problem = _mode_problem(stack, angular_frequency)
+    x = wavevector / problem[0]
     x_sq = x * x
     for layer in stack.layers:
         if abs(x_sq - layer.relative_permittivity) < _BRANCH_CUT_GUARD:
             raise BranchCutProximityError(
                 f"q too close to the eps_r = {layer.relative_permittivity} branch point")
-    sheet_terms = _sheet_terms(stack, angular_frequency)
-    ref = stack.top_sheet_interface
-    value, _, denom = _mode_function(stack, x, angular_frequency, sheet_terms, ref)
+    value, _, denom = _mode_function(x, problem)
     return value / denom
 
 
 def residual_scale(stack: LayeredStack, wavevector: complex,
                    angular_frequency: float) -> float:
     """Magnitude of the largest term of the mode condition at (q, w); the
-    reference scale against which |dispersion_residual| is judged."""
-    _check_angular_frequency(angular_frequency)
-    k0 = angular_frequency / C0
-    sheet_terms = _sheet_terms(stack, angular_frequency)
-    ref = stack.top_sheet_interface
-    (ab, bb), (at, bt) = _admittance_pairs(stack, wavevector / k0,
-                                           angular_frequency, sheet_terms, ref)
-    term = sheet_terms.get(ref, 0j)
-    candidates = [abs(term)]
-    if bb != 0.0:
-        candidates.append(abs(ab / bb))
-    if bt != 0.0:
-        candidates.append(abs(at / bt))
-    return max(candidates)
+    reference scale against which |dispersion_residual| is judged.  Infinite
+    at a pole of D."""
+    problem = _mode_problem(stack, angular_frequency)
+    _, scale, denom = _mode_function(wavevector / problem[0], problem)
+    return scale / abs(denom) if denom != 0.0 else math.inf
 
 
 def quasi_static_wavevector(stack: LayeredStack,
@@ -379,17 +354,14 @@ def find_mode(stack: LayeredStack, angular_frequency: float,
     of all converged bound roots, the one with smallest Re q is returned.
     With a guess, only that seed is iterated (continuation use).
     """
-    _check_angular_frequency(angular_frequency)
-    k0 = angular_frequency / C0
-    sheet_terms = _sheet_terms(stack, angular_frequency)
-    ref = stack.top_sheet_interface
+    problem = _mode_problem(stack, angular_frequency)
+    k0 = problem[0]
 
     def fn(x: complex) -> complex:
-        return _mode_function(stack, x, angular_frequency, sheet_terms, ref)[0]
+        return _mode_function(x, problem)[0]
 
     def fn_rel(x: complex) -> float:
-        value, scale, _ = _mode_function(stack, x, angular_frequency,
-                                         sheet_terms, ref)
+        value, scale, _ = _mode_function(x, problem)
         return abs(value) / scale if scale > 0.0 else math.inf
 
     n_clad = stack.max_cladding_index

@@ -18,12 +18,12 @@ chosen so regression fixtures diff cleanly:
     format = csv                    # or plot
 
 Unknown sections or keys are errors, not warnings.  Sweeps never abort on a
-row failure, whether the solver fails or an input is invalid (a negative
-chemical potential, a zero frequency, a dipole shorter than its gap): the
-row is kept with status "failed:<reason>" and empty numeric cells, and an
-invalid fixed sheet or stack fails every row.  Emitted files are
-byte-identical across reruns; all numeric cells use full round-trip
-scientific notation and every column header carries a unit.
+row failure, whether the solver fails, an input is invalid (a negative
+chemical potential, a zero frequency, a dipole shorter than its gap) or a
+result is not finite: the row is kept with status "failed:<reason>" and
+empty numeric cells, and an invalid fixed sheet or stack fails every row.
+Emitted files are byte-identical across reruns; all numeric cells use full
+round-trip scientific notation and every column header carries a unit.
 """
 from __future__ import annotations
 
@@ -251,7 +251,8 @@ def _parse_grid(raw: str, line: int | None) -> tuple[float, ...]:
     return values
 
 
-def _build_spec(sections: dict[str, dict[str, tuple[str, int]]]) -> SweepSpec:
+def _build_spec(sections: dict[str, dict[str, tuple[str, int | None]]]
+                ) -> SweepSpec:
     if "sweep" not in sections:
         raise ConfigError("missing [sweep] section")
     sweep = dict(sections["sweep"])
@@ -488,6 +489,13 @@ def run_sweep(spec: SweepSpec, *, tolerance: float = DEFAULT_TOLERANCE,
         results = [results] * len(spec.grid)
     rows, statuses = [], []
     for value, result in zip(spec.grid, results):
+        if not isinstance(result, str):
+            # an overflowed or undefined cell fails its row rather than
+            # passing as "ok"
+            bad = [col.name for col, cell in zip(value_columns, result)
+                   if not math.isfinite(cell)]
+            if bad:
+                result = f"failed:non-finite {bad[0]}"
         if isinstance(result, str):
             rows.append([value] + [None] * len(value_columns))
             statuses.append(result.replace(",", ";").replace("\n", " "))

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import math
 from pathlib import Path
 
 import pytest
@@ -177,12 +178,19 @@ def test_shipped_configs_run(tmp_path):
       "--relaxation-time-ps", "1e-300"], [0]),
     (["stack", "--grid", "0.2", "--preset", "G", "--frequency-thz", "1e-300",
       "--relaxation-time-ps", "1e-300", "--temperature-k", "1e-300"], [0]),
+    # the Drude weight overflows, so every sigma cell would be nan
+    (["conductivity", "--grid", "1", "--chemical-potential-ev", "1e300",
+      "--relaxation-time-ps", "1"], [0]),
+    # the footprint overflows to inf
+    (["scenario", "--grid", "1e300", "--width-um", "1e300", "--scenario", "SDM"],
+     [0]),
 ], ids=["scenario-negative-length", "scenario-zero-budget",
         "dispersion-zero-frequency", "dispersion-negative-potential",
         "dispersion-substrate-below-vacuum", "stack-negative-potential",
         "stack-zero-frequency", "stack-zero-relaxation-time",
         "dispersion-degenerate-sheet", "antenna-degenerate-sheet",
-        "stack-degenerate-sheet"])
+        "stack-degenerate-sheet", "conductivity-overflowing-cells",
+        "scenario-overflowing-footprint"])
 def test_invalid_input_is_failed_row(capsys, argv, failed_rows):
     assert main(argv + ["--quiet"]) == 2
     captured = capsys.readouterr()
@@ -204,6 +212,22 @@ def test_missing_required_flag_is_config_error(capsys):
                  "--relaxation-time-ps", "1"]) == 1
     assert ("config error: missing required key 'width_um'"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["scenario", "--grid", "100", "--width-um", "8",
+      "--scenario", "WNoC\nbudget_fraction = 0.01"], "unknown scenario"),
+    (["stack", "--grid", "0.2", "--preset", "G\nfrequency_thz = 9",
+      "--relaxation-time-ps", "0.6"], "missing required key 'frequency_thz'"),
+], ids=["scenario-sets-budget", "preset-sets-frequency"])
+def test_flag_value_cannot_set_another_key(capsys, argv, message):
+    # a newline in a flag value stays inside that value
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("thzplasmon: config error: ") \
+        and message in captured.err
+    assert "line " not in captured.err
 
 
 # --- output identity ----------------------------------------------------------
@@ -320,4 +344,8 @@ def test_direct_subcommands_never_raise(case):
         code = main(argv)
     assert code in (0, 1, 2), (argv, err.getvalue())
     if code != 1:
-        assert len(parse_result_csv(out.getvalue()).rows) == points, argv
+        table = parse_result_csv(out.getvalue())
+        assert len(table.rows) == points, argv
+        for row, status in zip(table.rows, table.statuses):
+            if status == "ok":
+                assert all(math.isfinite(cell) for cell in row), (argv, row)

@@ -106,6 +106,27 @@ def test_residual_matches_two_half_space_formula():
     assert abs(dispersion_residual(stack, q, OMEGA_1THZ) - expected) < 1e-12 * abs(expected)
 
 
+@pytest.mark.parametrize("x, frequency_hz", [
+    (3.1 + 0.2j, 1e12), (1.2 + 0.05j, 3e12), (40.0 + 4.0j, 0.5e12)])
+def test_residual_scale_is_largest_two_half_space_term(x, frequency_hz):
+    # the largest of the three terms of 1/k1 + 3.8/k2 + i sigma/(eps0 c0)
+    omega = 2.0 * math.pi * frequency_hz
+    stack = graphene_on_substrate(SHEET_02, 3.8)
+    sigma = intraband_conductivity(SHEET_02, omega)
+    k1 = cmath.sqrt(x * x - 1.0)
+    k2 = cmath.sqrt(x * x - 3.8)
+    expected = max(abs(1.0 / k1), abs(3.8 / k2), abs(1j * sigma / (EPS0 * C0)))
+    assert residual_scale(stack, x * omega / C0, omega) \
+        == pytest.approx(expected, rel=1e-12)
+
+
+def test_residual_scale_is_infinite_at_a_pole():
+    # q = k0 makes the vacuum side's decay constant k1, the denominator of
+    # its admittance 1/k1, exactly 0
+    stack = graphene_on_substrate(SHEET_02, 3.8)
+    assert residual_scale(stack, OMEGA_1THZ / C0, OMEGA_1THZ) == math.inf
+
+
 def test_residual_nonzero_off_mode():
     stack = graphene_on_substrate(SHEET_02, 3.8)
     q = 5.0 * OMEGA_1THZ / C0
