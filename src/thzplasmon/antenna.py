@@ -152,6 +152,22 @@ def _secant_root(gap, lo: float, hi: float, points, f_a: float | None = None,
     return f, g, False
 
 
+def _edge_status(gap, f_hz: float) -> tuple[float | None, str]:
+    """g at one frequency and "ok", or None and why no bound mode exists."""
+    try:
+        return gap(f_hz), "ok"
+    except ModeSolverError as err:
+        return None, str(err)
+
+
+def _no_resonance(lo: float, hi: float, low_status: str,
+                  high_status: str) -> NoResonanceInBandError:
+    return NoResonanceInBandError(
+        f"no half-wavelength resonance in [{lo:.3e}, {hi:.3e}] Hz "
+        f"(low edge {lo:.3e} Hz: {low_status}; "
+        f"high edge {hi:.3e} Hz: {high_status})")
+
+
 def _scan_bracket(gap, lo: float, hi: float, scan_points: int):
     """First sign change g1 < 0 <= g2 of a log-spaced band scan, as two
     (f, g) pairs.  Band edges where no bound mode exists are reported in the
@@ -159,23 +175,12 @@ def _scan_bracket(gap, lo: float, hi: float, scan_points: int):
     ratio = (hi / lo) ** (1.0 / (scan_points - 1))
     grid = [lo * ratio**i for i in range(scan_points)]
     grid[-1] = hi
-    values: list[float | None] = []
-    statuses: list[str] = []
-    for f in grid:
-        try:
-            values.append(gap(f))
-            statuses.append("ok")
-        except ModeSolverError as err:
-            values.append(None)
-            statuses.append(str(err))
+    values, statuses = zip(*(_edge_status(gap, f) for f in grid))
     for i in range(scan_points - 1):
         g1, g2 = values[i], values[i + 1]
         if g1 is not None and g2 is not None and g1 < 0.0 <= g2:
             return (grid[i], g1), (grid[i + 1], g2)
-    edges = (f"low edge {grid[0]:.3e} Hz: {statuses[0]}; "
-             f"high edge {grid[-1]:.3e} Hz: {statuses[-1]}")
-    raise NoResonanceInBandError(
-        f"no half-wavelength resonance in [{lo:.3e}, {hi:.3e}] Hz ({edges})")
+    raise _no_resonance(lo, hi, statuses[0], statuses[-1])
 
 
 def resonance_frequency(dipole: DipoleGeometry, sheet: GrapheneSheet, *,
@@ -195,14 +200,17 @@ def resonance_frequency(dipole: DipoleGeometry, sheet: GrapheneSheet, *,
     bracket-safeguarded secant on log(g + pi) against log f, a nearly
     straight line of slope about 2; every further solve is continued from
     the nearest root found so far.  A 20 um dipole on quartz at 0.2 eV and
-    1 ps takes 5 solves and 50 mode-function evaluations, against 1643 for a
+    1 ps takes 5 solves and 45 mode-function evaluations, against 1643 for a
     full band scan followed by Brent's method.
 
-    When the fast path fails (a solve raises, a step would leave the band
-    or the steps run out), a ``scan_points`` log-spaced band scan brackets
-    the first sign change and the same secant refines it.  Band edges where
-    no bound mode exists are reported in the error when no bracket is found;
-    the returned root satisfies |g| < 1e-9.
+    When the fast path stops at the top of the band with g(hi) < 0, the
+    dipole is too short: the error is raised at once, after one solve at the
+    low edge for its status.  When the fast path fails otherwise (a solve
+    raises, a step would leave the band or the steps run out), a
+    ``scan_points`` log-spaced band scan brackets the first sign change and
+    the same secant refines it.  Band edges where no bound mode exists are
+    reported in the error when no bracket is found; the returned root
+    satisfies |g| < 1e-9.
     """
     lo, hi = band_hz
     if not 0.0 < lo < hi:
@@ -237,8 +245,13 @@ def resonance_frequency(dipole: DipoleGeometry, sheet: GrapheneSheet, *,
         f_res, g_res, converged = _secant_root(gap, lo, hi,
                                                [(f_seed, gap(f_seed))])
     except ModeSolverError:
-        converged = False
+        f_res, converged = None, False
     if not converged:
+        if f_res == hi and g_res < 0.0:
+            # g increases with f: the resonance lies above the band, where
+            # no scan can bracket it; the scan's first point would see this
+            # cache
+            raise _no_resonance(lo, hi, _edge_status(gap, lo)[1], "ok")
         low, high = _scan_bracket(gap, lo, hi, scan_points)
         # start from the end nearer the root; the other end fixes the slope
         points = sorted((low, high), key=lambda point: -abs(point[1]))

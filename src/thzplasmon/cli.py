@@ -6,6 +6,7 @@ or configuration errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import scenario as _scenario
@@ -38,35 +39,51 @@ def _add_common(parser):
                         help="suppress the summary line on stderr")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _add_sweep(parser):
+    parser.add_argument("--config", required=True, help="configuration file path")
+    _add_common(parser)
+
+
+def _add_direct(schema, parser):
+    # a direct subcommand's flags are its sweep target's [fixed] keys
+    variables = schema["variables"]
+    if len(variables) > 1:
+        parser.add_argument("--variable", default=variables[0], choices=variables)
+    parser.add_argument("--grid", required=True,
+                        help="grid values, 'a b c' or start:stop:count")
+    for key in schema["fixed"]:
+        parser.add_argument("--" + key.replace("_", "-"),
+                            type=str if key in _STR_KEYS else float)
+    _add_common(parser)
+
+
+def _add_presets(parser):
+    parser.add_argument("--csv", help="also write the scenario table as CSV")
+    parser.add_argument("--quiet", action="store_true")
+
+
+# subcommand: (help line, adds its arguments)
+_COMMANDS = {
+    "sweep": ("run a sweep from a config file", _add_sweep),
+    **{target: (schema["help"], functools.partial(_add_direct, schema))
+       for target, schema in _SCHEMAS.items()},
+    "presets": ("print stack presets and scenario constants", _add_presets),
+}
+
+
+def _build_parser(argv) -> argparse.ArgumentParser:
     parser = _Parser(prog="thzplasmon",
                      description="Graphene plasmonic terahertz antenna toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sweep = sub.add_parser("sweep", help="run a sweep from a config file")
-    sweep.add_argument("--config", required=True, help="configuration file path")
-    _add_common(sweep)
-
-    # one direct subcommand per sweep target, its flags taken from the
-    # target's [fixed] keys
-    for target, schema in _SCHEMAS.items():
-        direct = sub.add_parser(target, help=schema["help"])
-        variables = schema["variables"]
-        if len(variables) > 1:
-            direct.add_argument("--variable", default=variables[0],
-                                choices=variables)
-        direct.add_argument("--grid", required=True,
-                            help="grid values, 'a b c' or start:stop:count")
-        for key in schema["fixed"]:
-            direct.add_argument("--" + key.replace("_", "-"),
-                                type=str if key in _STR_KEYS else float)
-        _add_common(direct)
-
-    presets = sub.add_parser("presets",
-                             help="print stack presets and scenario constants")
-    presets.add_argument("--csv", help="also write the scenario table as CSV")
-    presets.add_argument("--quiet", action="store_true")
-
+    # argparse dispatches on the first positional argument, and the top
+    # level has no option that takes a value, so the first command name in
+    # argv is the invoked one; only it gets its arguments, the others show
+    # only in --help and in the invalid-choice error
+    invoked = next((arg for arg in argv if arg in _COMMANDS), None)
+    for name, (help_line, add_arguments) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_line)
+        if name == invoked:
+            add_arguments(command)
     return parser
 
 
@@ -131,7 +148,9 @@ def _print_presets(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

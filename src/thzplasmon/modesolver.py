@@ -12,12 +12,15 @@ For a single sheet between two half-spaces this reduces exactly to
     D(x) = eps1 / k1 + eps2 / k2 + i sigma / (eps0 c0),
     k_i = sqrt(x^2 - eps_i),  Re k_i >= 0,
 
-i.e. the classical thin-sheet plasmon condition normalized by k0.  Layer
-propagation uses decaying exponentials only (phase factors exp(-2 k d k0)
-with |.| <= 1), so thick layers cannot overflow.  One recursion walks up
-from the bottom cladding; the upper half is walked as its mirror (looking up
-is looking down in the flipped stack, admittance negated), which is exact in
-IEEE arithmetic because negation commutes with rounding.
+i.e. the classical thin-sheet plasmon condition normalized by k0.  The
+principal square root (cmath.sqrt) is the decaying branch: Re k_i >= 0
+always, and Re k_i > 0 for Re x above the cladding index and Im x > 0
+unless x^2 overflows.  Layer propagation uses decaying exponentials only
+(phase factors exp(-2 k d k0) with |.| <= 1), so thick layers cannot
+overflow.  One recursion walks up from the bottom cladding; the upper half
+is walked as its mirror (looking up is looking down in the flipped stack,
+admittance negated), which is exact in IEEE arithmetic because negation
+commutes with rounding.
 
 Root finding runs on the pole-free bilinear numerator of D rather than on D
 itself: when a sheet sits near a node of the tangential electric field
@@ -130,51 +133,56 @@ def _check_angular_frequency(angular_frequency: float) -> None:
         raise ValueError("angular_frequency must be > 0")
 
 
-def _transverse_decay(x_sq: complex, eps: float) -> complex:
-    # branch Re k >= 0: decaying solutions in the claddings
-    k = cmath.sqrt(x_sq - eps)
-    if k.real < 0.0:
-        k = -k
-    return k
-
-
 def _mode_problem(stack: LayeredStack, angular_frequency: float):
     """The mode condition at one frequency: (k0, the top sheet's term, the
     walk from the bottom cladding, the walk from the top cladding).  A walk
-    is a cladding permittivity and its (sheet term or None, layer) steps
-    toward the top sheet, the reference interface."""
+    is a cladding permittivity, the complex start of the numerator and the
+    (sheet term or None, eps_i, d_i) steps toward the top sheet, the
+    reference interface."""
     _check_angular_frequency(angular_frequency)
     k0 = angular_frequency / C0
     # i sigma k0 / (w eps0) = i sigma / (eps0 c0), dimensionless
     terms = {i: 1j * intraband_conductivity(sheet, angular_frequency) / (EPS0 * C0)
              for i, sheet in stack.sheets.items()}
     layers = stack.layers
+
+    def walk(cladding, steps):
+        eps = cladding.relative_permittivity
+        return eps, complex(eps), tuple(
+            (terms.get(i), layer.relative_permittivity, layer.thickness_m)
+            for i, layer in steps)
+
     ref = stack.top_sheet_interface
-    bottom = (layers[-1].relative_permittivity,
-              [(terms.get(i), layers[i]) for i in range(len(layers) - 2, ref, -1)])
-    top = (layers[0].relative_permittivity,
-           [(terms.get(i), layers[i + 1]) for i in range(ref)])
+    bottom = walk(layers[-1],
+                  ((i, layers[i]) for i in range(len(layers) - 2, ref, -1)))
+    top = walk(layers[0], ((i, layers[i + 1]) for i in range(ref)))
     return k0, terms[ref], bottom, top
 
 
-def _walk(walk, x_sq: complex, k0: float):
+def _walk(walk, x_sq: complex, k0: float, sqrt=cmath.sqrt, exp=cmath.exp):
     """Homogeneous (numerator, denominator) pair of the looking-down
     admittance at the end of a walk.  The pair is renormalized each step by
-    its largest modulus to avoid over/underflow; the ratio is unchanged."""
-    eps_clad, steps = walk
-    a, b = complex(eps_clad), _transverse_decay(x_sq, eps_clad)
-    for term, layer in steps:
+    its largest modulus to avoid over/underflow; the ratio is unchanged.
+    The principal square root is the decaying branch (Re k >= 0).  sqrt and
+    exp are bound once, as defaults, because this loop is the hot path."""
+    eps_clad, a, steps = walk
+    b = sqrt(x_sq - eps_clad)
+    for term, eps_i, d_i in steps:
         if term is not None:
             a = a + term * b
-        eps_i = layer.relative_permittivity
-        k_i = _transverse_decay(x_sq, eps_i)
-        p = a * k_i - eps_i * b
-        s = a * k_i + eps_i * b
-        t = cmath.exp(-2.0 * k_i * k0 * layer.thickness_m)
-        a, b = eps_i * (s + p * t), k_i * (s - p * t)
-        m = max(abs(a), abs(b))
+        k_i = sqrt(x_sq - eps_i)
+        ak = a * k_i
+        eb = eps_i * b
+        pt = (ak - eb) * exp(-2.0 * k_i * k0 * d_i)
+        s = ak + eb
+        a = eps_i * (s + pt)
+        b = k_i * (s - pt)
+        aa = abs(a)
+        bb = abs(b)
+        m = bb if bb > aa else aa    # max(aa, bb), NaN and ties included
         if m > 0.0:
-            a, b = a / m, b / m
+            a = a / m
+            b = b / m
     return a, b
 
 
@@ -188,9 +196,14 @@ def _mode_function(x: complex, problem):
     below = a_bottom * b_top
     above = -a_top * b_bottom    # the top walk's admittance is negated
     sheet = term * b_bottom * b_top
-    value = below - above + sheet
-    scale = max(abs(below), abs(above), abs(sheet))
-    return value, scale, b_bottom * b_top
+    scale = abs(below)
+    m = abs(above)
+    if m > scale:
+        scale = m
+    m = abs(sheet)
+    if m > scale:
+        scale = m
+    return below - above + sheet, scale, b_bottom * b_top
 
 
 def dispersion_residual(stack: LayeredStack, wavevector: complex,
@@ -240,29 +253,29 @@ def _muller_polish(fn, seed: complex, tolerance: float, max_iterations: int):
     Returns the refined root or None.  The derivative-free start tolerates
     seeds next to branch cuts, where Newton from a poor seed would jump.
     """
-    xs = [seed * (1.0 + 1e-3), seed * (1.0 - 1e-3 + 1e-3j), seed]
+    x0, x1, x2 = seed * (1.0 + 1e-3), seed * (1.0 - 1e-3 + 1e-3j), seed
     try:
-        fs = [fn(x) for x in xs]
+        f0, f1, f2 = fn(x0), fn(x1), fn(x2)
     except (OverflowError, ZeroDivisionError):
         return None
-    if not all(cmath.isfinite(f) for f in fs):
+    if not (cmath.isfinite(f0) and cmath.isfinite(f1) and cmath.isfinite(f2)):
         return None
     scale0 = abs(seed)
     for _ in range(max_iterations):
-        dx10 = xs[1] - xs[0]
-        dx21 = xs[2] - xs[1]
+        dx10 = x1 - x0
+        dx21 = x2 - x1
         if dx10 == 0 or dx21 == 0:
             break
         q = dx21 / dx10
-        a = q * fs[2] - q * (1.0 + q) * fs[1] + q * q * fs[0]
-        b = (2.0 * q + 1.0) * fs[2] - (1.0 + q) ** 2 * fs[1] + q * q * fs[0]
-        c = (1.0 + q) * fs[2]
+        a = q * f2 - q * (1.0 + q) * f1 + q * q * f0
+        b = (2.0 * q + 1.0) * f2 - (1.0 + q) ** 2 * f1 + q * q * f0
+        c = (1.0 + q) * f2
         disc = cmath.sqrt(b * b - 4.0 * a * c)
         den = b + disc if abs(b + disc) >= abs(b - disc) else b - disc
         if den == 0:
-            x_new = xs[2] * (1.0 + 1e-6)
+            x_new = x2 * (1.0 + 1e-6)
         else:
-            x_new = xs[2] - dx21 * (2.0 * c / den)
+            x_new = x2 - dx21 * (2.0 * c / den)
         if not cmath.isfinite(x_new) or abs(x_new) > 1e6 * (scale0 + 1.0):
             return None
         try:
@@ -271,21 +284,21 @@ def _muller_polish(fn, seed: complex, tolerance: float, max_iterations: int):
             return None
         if not cmath.isfinite(f_new):
             # back off toward the last good point
-            x_new = 0.5 * (x_new + xs[2])
+            x_new = 0.5 * (x_new + x2)
             try:
                 f_new = fn(x_new)
             except (OverflowError, ZeroDivisionError):
                 return None
             if not cmath.isfinite(f_new):
                 return None
-        xs = [xs[1], xs[2], x_new]
-        fs = [fs[1], fs[2], f_new]
-        if abs(xs[2] - xs[1]) < tolerance * abs(xs[2]):
+        x0, x1, x2 = x1, x2, x_new
+        f0, f1, f2 = f1, f2, f_new
+        if abs(x2 - x1) < tolerance * abs(x2):
             break
     else:
         return None
-    # Newton polish with central differences
-    x = xs[2]
+    # Newton polish with central differences; the first step reuses f2
+    x, f_x = x2, f2
     for _ in range(10):
         h = 1e-7 * abs(x)
         if h == 0.0:
@@ -294,9 +307,10 @@ def _muller_polish(fn, seed: complex, tolerance: float, max_iterations: int):
             deriv = (fn(x + h) - fn(x - h)) / (2.0 * h)
             if deriv == 0:
                 break
-            step = fn(x) / deriv
+            step = (fn(x) if f_x is None else f_x) / deriv
         except (OverflowError, ZeroDivisionError):
             break
+        f_x = None
         if not cmath.isfinite(step):
             break
         x = x - step
@@ -315,7 +329,7 @@ def _classify_root(stack: LayeredStack, x: complex) -> str | None:
         return f"not bound: Im q = {x.imag:.3g} k0 is not positive"
     x_sq = x * x
     for layer in (stack.layers[0], stack.layers[-1]):
-        if _transverse_decay(x_sq, layer.relative_permittivity).real <= 0.0:
+        if cmath.sqrt(x_sq - layer.relative_permittivity).real <= 0.0:
             return "leaky: no decay into a cladding"
     return None
 

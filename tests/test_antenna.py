@@ -172,6 +172,32 @@ def test_no_resonance_message_names_band_edges(length_m):
     assert message.endswith("; high edge 1.000e+13 Hz: ok)")
 
 
+# messages of the band scan, recorded before too-short dipoles skipped it
+_LOW_NOT_BOUND = ("no half-wavelength resonance in [1.000e+11, 1.000e+13] Hz "
+                  "(low edge 1.000e+11 Hz: not bound: Re q = {} k0 does not "
+                  "exceed the cladding index {}; high edge 1.000e+13 Hz: ok)")
+_LOW_OK = ("no half-wavelength resonance in [1.000e+11, 1.000e+13] Hz "
+           "(low edge 1.000e+11 Hz: ok; high edge 1.000e+13 Hz: ok)")
+
+
+@pytest.mark.parametrize("eps, ef, tau_ps, message", [
+    (1.0, 0.2, 1.0, _LOW_NOT_BOUND.format("0.98503", "1")),
+    (1.0, 0.6, 0.1, _LOW_NOT_BOUND.format("0.663406", "1")),
+    (1.0, 0.4, 2.0, _LOW_OK),
+    (3.8, 0.2, 1.0, _LOW_NOT_BOUND.format("1.90996", "1.94936")),
+    (3.8, 0.6, 0.1, _LOW_NOT_BOUND.format("0.237033", "1.94936")),
+    (3.8, 0.4, 2.0, _LOW_OK),
+    (3.8, 0.8, 1.0, _LOW_NOT_BOUND.format("1.94741", "1.94936")),
+    (11.9, 0.6, 0.1, _LOW_NOT_BOUND.format("0.401177", "3.44964")),
+    (11.9, 0.4, 2.0, _LOW_OK),
+])
+def test_too_short_dipole_message_unchanged(eps, ef, tau_ps, message):
+    dipole = DipoleGeometry(0.05e-6, 0.2e-6, 0.02e-6, eps, 1.5)
+    with pytest.raises(NoResonanceInBandError) as info:
+        resonance_frequency(dipole, GrapheneSheet(ef, tau_ps * 1e-12))
+    assert str(info.value) == message
+
+
 def test_resonance_fallback_scan_returns_oracle_root(monkeypatch):
     calls = []
     real_find_mode = antenna.find_mode

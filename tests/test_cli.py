@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import math
 from pathlib import Path
 
@@ -349,3 +350,45 @@ def test_direct_subcommands_never_raise(case):
         for row, status in zip(table.rows, table.statuses):
             if status == "ok":
                 assert all(math.isfinite(cell) for cell in row), (argv, row)
+
+
+# --- help and usage texts ----------------------------------------------------
+
+CLI_TEXTS = DATA_DIR / "cli_texts.json"
+TEXT_CASES = (
+    [["--help"]]
+    + [[command, "--help"] for command in ("sweep", "conductivity", "dispersion",
+                                           "stack", "antenna", "scenario",
+                                           "presets")]
+    + [[], ["frobnicate"], ["-1"], ["frobnicate", "sweep"], ["sweep"],
+       ["sweep", "--config"], ["--quiet", "sweep", "--config", "absent.cfg"],
+       ["sweep", "--config", "absent.cfg", "--format", "xml"],
+       ["sweep", "--config", "absent.cfg", "--max-iter", "1.5"],
+       ["conductivity"], ["conductivity", "--grid", "1", "--bogus"],
+       ["antenna", "--grid", "1", "--variable", "nope"],
+       ["stack", "--grid", "1", "--frequency-thz", "x"],
+       ["scenario", "--grid"], ["presets", "--bogus"],
+       ["presets", "--csv"], ["dispersion", "-h", "--grid", "1"]])
+
+
+def cli_text(argv) -> dict:
+    """Exit code, stdout and stderr of one in-process run, 80 columns wide."""
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("COLUMNS", "80")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+    return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+@pytest.mark.parametrize("argv", TEXT_CASES,
+                         ids=lambda argv: " ".join(argv) or "(no arguments)")
+def test_help_and_usage_texts_unchanged(argv):
+    # tests/data/cli_texts.json was written by this module's __main__
+    assert cli_text(argv) == json.loads(CLI_TEXTS.read_text())[" ".join(argv)]
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python tests/test_cli.py rewrites the reference
+    CLI_TEXTS.write_text(json.dumps({" ".join(argv): cli_text(argv)
+                                     for argv in TEXT_CASES}, indent=1) + "\n")

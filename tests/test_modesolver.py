@@ -1,18 +1,25 @@
 import cmath
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from thzplasmon import modesolver
 from thzplasmon import (BranchCutProximityError, CODATA, ConvergenceError,
                         DegenerateConductivityError, DielectricLayer,
-                        GrapheneSheet, LayeredStack,
-                        NonBoundModeError, dispersion_residual, find_mode,
+                        DipoleGeometry, GrapheneSheet, LayeredStack,
+                        ModeSolverError, NonBoundModeError,
+                        dispersion_residual, find_mode,
                         free_standing_sheet, graphene_on_substrate,
                         intraband_conductivity, preset_stack,
                         quasi_static_wavevector, residual_scale,
-                        stack_metrics_sweep, trace_dispersion)
+                        resonance_frequency, stack_metrics_sweep,
+                        trace_dispersion)
 
 C0 = CODATA.light_speed
 EPS0 = CODATA.vacuum_permittivity
@@ -252,6 +259,35 @@ def test_find_mode_reports_nonbound_distinctly():
         find_mode(stack, omega, (1.0052 + 0.003j) * k0)
 
 
+# below 1e150 no square overflows; Im x reaches down to the subnormals
+_IMAG = st.one_of(st.floats(0.0, 1e150, exclude_min=True),
+                  st.floats(5e-324, 2.2250738585072014e-308))
+
+
+@settings(max_examples=300, deadline=None)
+@given(eps=st.floats(1.0, 1e150), excess=st.floats(0.0, 1e150, exclude_min=True),
+       ulps=st.integers(0, 4), imag=_IMAG)
+def test_principal_root_decays_above_the_cladding_index(eps, excess, ulps, imag):
+    # Re x > sqrt(eps) and Im x > 0 give Im(x^2 - eps) > 0, so the principal
+    # square root is the decaying branch, Re k > 0
+    n = math.sqrt(eps)
+    real = n + excess
+    if ulps:
+        real = n
+        for _ in range(ulps):
+            real = math.nextafter(real, math.inf)
+    x = complex(real, imag)
+    assert cmath.sqrt(x * x - eps).real > 0.0
+
+
+def test_leaky_branch_fires_where_the_square_overflows():
+    # found by the property above over the whole float range: x^2 overflows
+    # to -inf + 5.4e154j and its principal root is 0 + inf j
+    stack = graphene_on_substrate(SHEET_02, 3.8)
+    x = complex(2.0, 1.3407807929942597e154)
+    assert modesolver._classify_root(stack, x) == "leaky: no decay into a cladding"
+
+
 def test_find_mode_convergence_error():
     stack = graphene_on_substrate(SHEET_02, 3.8)
     with pytest.raises(ConvergenceError):
@@ -452,3 +488,64 @@ def test_stack_metrics_rows_record_invalid_chemical_potential():
     assert rows[0].effective_index is None
     assert rows[1].status == "ok"
     assert rows[1].effective_index > 1.0
+
+
+# --- bit identity ------------------------------------------------------------
+
+SOLVER_BITS = Path(__file__).parent / "data" / "solver_bits.json"
+
+
+def _hex(z: complex) -> str:
+    return f"{z.real.hex()} {z.imag.hex()}"
+
+
+def solver_bits() -> dict:
+    """float.hex of cold roots (or the error of a solve that raises),
+    off-mode residuals and scales, a dispersion trace and three resonances.
+    A kernel rewrite that claims the same IEEE operations must reproduce
+    every bit."""
+    bits = {}
+    for name in ("G", "H1G", "H2G"):
+        for flipped in (False, True):
+            for ef in (0.05, 0.1, 0.4, 0.8):
+                stack = preset_stack(name, GrapheneSheet(ef, 0.6e-12))
+                if flipped:
+                    stack = stack.reversed()
+                label = f"{name}{' reversed' if flipped else ''} {ef} eV"
+                for f_thz in (0.5, 1.5, 3.0, 6.0):
+                    key = f"find_mode {label} {f_thz} THz"
+                    try:
+                        mode = find_mode(stack, 2.0 * math.pi * f_thz * 1e12)
+                        bits[key] = [_hex(mode.wavevector), mode.residual.hex()]
+                    except ModeSolverError as err:
+                        bits[key] = f"{type(err).__name__}: {err}"
+                omega = 2.0 * math.pi * 2e12
+                for x in (1.2 + 0.05j, 2.5 + 0.3j, 30.0 + 3.0j, 80.0 + 1.0j):
+                    q = x * omega / C0
+                    key = f"residual {label} 2 THz x={x}"
+                    bits[key] = [_hex(dispersion_residual(stack, q, omega)),
+                                 residual_scale(stack, q, omega).hex()]
+    trace = trace_dispersion(preset_stack("H2G", GrapheneSheet(0.8, 1e-12)),
+                             [1.5e12 + i * 0.15e12 for i in range(30)])
+    for point in trace:
+        bits[f"trace H2G 0.8 eV {point.frequency_hz / 1e12:.2f} THz"] = (
+            _hex(point.solution.wavevector) if point.ok else point.status)
+    for dipole, sheet in (
+            (DipoleGeometry(8e-6, 20e-6, 3e-6, 3.8), GrapheneSheet(0.2, 1e-12)),
+            (DipoleGeometry(2e-6, 5e-6, 1e-6, 3.8), GrapheneSheet(0.6, 0.5e-12)),
+            (DipoleGeometry(4e-6, 12e-6, 2e-6, 11.9, 1.3),
+             GrapheneSheet(0.4, 0.3e-12))):
+        result = resonance_frequency(dipole, sheet)
+        bits[f"resonance {dipole} {sheet}"] = [
+            result.resonance_frequency_hz.hex(), _hex(result.mode.wavevector)]
+    return bits
+
+
+def test_solver_outputs_bit_identical_to_reference():
+    # tests/data/solver_bits.json was written by this module's __main__
+    assert solver_bits() == json.loads(SOLVER_BITS.read_text())
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python tests/test_modesolver.py rewrites the reference
+    SOLVER_BITS.write_text(json.dumps(solver_bits(), indent=1) + "\n")

@@ -7,10 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 import scipy.constants as sc
 
 import thzplasmon
-from thzplasmon import CODATA, DipoleGeometry, GrapheneSheet, resonance_frequency
+from thzplasmon import (CODATA, DipoleGeometry, GrapheneSheet,
+                        NoResonanceInBandError, find_mode, preset_stack,
+                        resonance_frequency)
 from thzplasmon import modesolver
 
 SRC = str(Path(thzplasmon.__file__).resolve().parent.parent)
@@ -36,9 +39,9 @@ def test_constants_equal_scipy_bit_for_bit():
     assert CODATA.free_space_impedance == math.sqrt(sc.mu_0 / sc.epsilon_0)
 
 
-def test_resonance_evaluation_budget():
-    dipole = DipoleGeometry(8e-6, 20e-6, 3e-6, 3.8)
-    sheet = GrapheneSheet(0.2, 1e-12)
+def _count_evals(call) -> int:
+    """Mode-function evaluations made by call(), counted at the module
+    attribute that perfbench/tracing.py patches."""
     original = modesolver._mode_function
     evals = 0
 
@@ -49,8 +52,46 @@ def test_resonance_evaluation_budget():
 
     modesolver._mode_function = counted
     try:
-        resonance_frequency(dipole, sheet)
+        call()
     finally:
         modesolver._mode_function = original
+    return evals
+
+
+def test_resonance_evaluation_budget():
+    dipole = DipoleGeometry(8e-6, 20e-6, 3e-6, 3.8)
+    sheet = GrapheneSheet(0.2, 1e-12)
+    evals = _count_evals(lambda: resonance_frequency(dipole, sheet))
     # a band scan refined by Brent's method took 1643
     assert 0 < evals <= 150
+
+
+@pytest.mark.parametrize("preset, expected", [
+    ("G", 10), ("H1G", 1203), ("H2G", 1293)])
+def test_cold_solve_evaluation_count(preset, expected):
+    # exact and deterministic: every evaluation must pass through
+    # modesolver._mode_function (before the Newton polish reused the last
+    # Muller value: 11, 1205, 1294)
+    stack = preset_stack(preset, GrapheneSheet(0.4, 1e-12))
+    assert _count_evals(lambda: find_mode(stack, 2.0 * math.pi * 2e12)) == expected
+
+
+def test_resonance_evaluation_count():
+    dipole = DipoleGeometry(8e-6, 20e-6, 3e-6, 3.8)
+    sheet = GrapheneSheet(0.2, 1e-12)
+    # 50 before the Newton polish reused the last Muller value
+    assert _count_evals(lambda: resonance_frequency(dipole, sheet)) == 45
+
+
+def test_too_short_dipole_evaluation_count():
+    too_short = DipoleGeometry(0.05e-6, 0.2e-6, 0.05e-6, 3.8)
+    sheet = GrapheneSheet(0.2, 1e-12)
+
+    def call():
+        with pytest.raises(NoResonanceInBandError):
+            resonance_frequency(too_short, sheet)
+
+    # the cold solve at the top of the band (8), then the low edge's status:
+    # a continued solve (19) and a cold one (167) that both raise; the
+    # 48-point band scan took 1 644
+    assert _count_evals(call) == 194
