@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .conductivity import GrapheneSheet
-from .constants import C0
+from .constants import C0, _check_range
 from .modesolver import (DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE,
                          ModeSolution, ModeSolverError, find_mode,
                          quasi_static_wavevector)
@@ -42,18 +42,14 @@ class DipoleGeometry:
     end_correction: float = 1.0
 
     def __post_init__(self):
-        for name in ("width_m", "total_length_m", "gap_m",
-                     "substrate_permittivity", "end_correction"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.width_m <= 0.0:
-            raise ValueError("width_m must be > 0")
+        _check_range("width_m", self.width_m, 0.0)
+        _check_range("total_length_m", self.total_length_m)
+        _check_range("gap_m", self.gap_m)
         if not 0.0 < self.gap_m < self.total_length_m:
             raise ValueError("gap_m must satisfy 0 < gap < total_length")
-        if self.substrate_permittivity < 1.0:
-            raise ValueError("substrate_permittivity must be >= 1")
-        if not 0.5 <= self.end_correction <= 1.5:
-            raise ValueError("end_correction must lie in [0.5, 1.5]")
+        _check_range("substrate_permittivity", self.substrate_permittivity, 1.0,
+                     ends="[)")
+        _check_range("end_correction", self.end_correction, 0.5, 1.5, "[]")
 
 
 @dataclass(frozen=True)
@@ -65,10 +61,8 @@ class ResonancePrediction:
     efficiency_proxy: float
 
     def __post_init__(self):
-        if self.resonance_frequency_hz <= 0.0:
-            raise ValueError("resonance_frequency_hz must be > 0")
-        if self.miniaturization_factor <= 0.0:
-            raise ValueError("miniaturization_factor must be > 0")
+        _check_range("resonance_frequency_hz", self.resonance_frequency_hz, 0.0)
+        _check_range("miniaturization_factor", self.miniaturization_factor, 0.0)
 
 
 def resonant_length(stack: LayeredStack, frequency_hz: float, *,
@@ -84,8 +78,9 @@ def metal_dipole_resonance(total_length_m: float,
                            substrate_permittivity: float) -> float:
     """Half-wave resonance (Hz) of a perfect-conductor dipole of the same
     length, with the half-space average eps_eff = (eps_r + 1) / 2."""
-    if total_length_m <= 0.0:
-        raise ValueError("total_length_m must be > 0")
+    _check_range("total_length_m", total_length_m, 0.0)
+    _check_range("substrate_permittivity", substrate_permittivity, 1.0,
+                 ends="[)")
     eps_eff = 0.5 * (substrate_permittivity + 1.0)
     return C0 / (2.0 * total_length_m * math.sqrt(eps_eff))
 
@@ -213,6 +208,7 @@ def resonance_frequency(dipole: DipoleGeometry, sheet: GrapheneSheet, *,
     satisfies |g| < 1e-9.
     """
     lo, hi = band_hz
+    _check_range("band_hz", hi)
     if not 0.0 < lo < hi:
         raise ValueError("band_hz must satisfy 0 < lo < hi")
     stack = graphene_on_substrate(sheet, dipole.substrate_permittivity)

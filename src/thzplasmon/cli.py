@@ -90,7 +90,8 @@ def _build_parser(argv) -> argparse.ArgumentParser:
 def _spec_from_args(args) -> SweepSpec:
     # validate the flags as the sections of a config document, one value per
     # key (stripped, as the config parser strips), so CLI and config files
-    # cannot drift apart and no flag value can set another key
+    # cannot drift apart and no flag value can set another key; the output
+    # flags need no section, _emit reads them from args
     schema = _SCHEMAS[args.command]
     sections = {
         "sweep": {"target": args.command,
@@ -98,9 +99,6 @@ def _spec_from_args(args) -> SweepSpec:
                   "grid": args.grid},
         "fixed": {key: getattr(args, key) for key in schema["fixed"]
                   if getattr(args, key) is not None},
-        "output": {key: value for key, value in (
-            ("path", args.out), ("format", args.format),
-            ("plot_x", args.plot_x), ("plot_y", args.plot_y)) if value},
     }
     return _build_spec({name: {key: (str(value).strip(), None)
                                for key, value in keys.items()}

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import CODATA, PhysicalConstants
+from .constants import CODATA, PhysicalConstants, _check_range
 
 DEFAULT_TEMPERATURE_K = 300.0
 
@@ -36,15 +36,10 @@ class GrapheneSheet:
     temperature_k: float = DEFAULT_TEMPERATURE_K
 
     def __post_init__(self):
-        for name in ("chemical_potential_ev", "relaxation_time_s", "temperature_k"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.temperature_k <= 0.0:
-            raise ValueError("temperature_k must be > 0")
-        if self.chemical_potential_ev < 0.0:
-            raise ValueError("chemical_potential_ev must be >= 0")
-        if self.relaxation_time_s <= 0.0:
-            raise ValueError("relaxation_time_s must be > 0")
+        _check_range("temperature_k", self.temperature_k, 0.0)
+        _check_range("chemical_potential_ev", self.chemical_potential_ev, 0.0,
+                     ends="[)")
+        _check_range("relaxation_time_s", self.relaxation_time_s, 0.0)
 
     def with_chemical_potential(self, chemical_potential_ev: float) -> "GrapheneSheet":
         return GrapheneSheet(chemical_potential_ev, self.relaxation_time_s,
@@ -57,10 +52,12 @@ def drude_weight(sheet: GrapheneSheet,
 
     The thermal factor is evaluated as ln(2 cosh x) = x + log1p(exp(-2x)),
     which is exact at x = 0 and never overflows for large chemical potential.
+    A temperature so small that kB T underflows to 0 J is rejected.
     """
     e = constants.electron_charge
     hbar = constants.reduced_planck
     kbt = constants.boltzmann * sheet.temperature_k
+    _check_range("boltzmann * temperature_k", kbt, 0.0)
     x = sheet.chemical_potential_ev * e / (2.0 * kbt)
     ln_term = x + math.log1p(math.exp(-2.0 * x))
     return (2.0 * e * e / (math.pi * hbar)) * (kbt / hbar) * ln_term
@@ -72,10 +69,7 @@ def intraband_conductivity(sheet: GrapheneSheet, angular_frequency: float,
 
     At w = 0 this reduces to the purely real DC value A * tau.
     """
-    if not math.isfinite(angular_frequency):
-        raise ValueError("angular_frequency must be finite")
-    if angular_frequency < 0.0:
-        raise ValueError("angular_frequency must be >= 0")
+    _check_range("angular_frequency", angular_frequency, 0.0, ends="[)")
     weight = drude_weight(sheet, constants)
     return weight * 1j / (angular_frequency + 1j / sheet.relaxation_time_s)
 
@@ -104,6 +98,6 @@ def chemical_potential_from_bias(voltage_delta_v: float,
     the proportionality constant is device-specific and has no physical
     default, so it is a required input.
     """
-    if sensitivity_ev_per_sqrt_v <= 0.0:
-        raise ValueError("sensitivity_ev_per_sqrt_v must be > 0")
+    _check_range("sensitivity_ev_per_sqrt_v", sensitivity_ev_per_sqrt_v, 0.0)
+    _check_range("voltage_delta_v", voltage_delta_v)
     return sensitivity_ev_per_sqrt_v * math.sqrt(abs(voltage_delta_v))

@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 from .conductivity import _check_invertible, intraband_conductivity
-from .constants import C0, EPS0
+from .constants import C0, EPS0, _check_range
 from .stacks import LayeredStack
 
 DEFAULT_TOLERANCE = 1e-12      # relative step |dq|/|q| at convergence
@@ -43,6 +43,7 @@ DEFAULT_MAX_ITERATIONS = 100
 RESIDUAL_GATE = 1e-10          # |D| relative to its largest term, at a root
 
 _BRANCH_CUT_GUARD = 1e-12     # |x^2 - eps| below this flags branch-cut proximity
+_SCAN_IMAG_FRAC = 1e-4        # seed scans run along Im x = this * Re x
 
 
 class ModeSolverError(RuntimeError):
@@ -74,9 +75,8 @@ class ModeSolution:
     residual: float
 
     def __post_init__(self):
-        if self.angular_frequency <= 0.0:
-            raise ValueError("angular_frequency must be > 0")
-        if self.wavevector.imag <= 0.0:
+        _check_range("angular_frequency", self.angular_frequency, 0.0)
+        if not self.wavevector.imag > 0.0:
             raise ValueError("wavevector must have Im q > 0 (decaying mode)")
 
     @property
@@ -126,20 +126,13 @@ class StackMetricsRow:
     status: str
 
 
-def _check_angular_frequency(angular_frequency: float) -> None:
-    if not math.isfinite(angular_frequency):
-        raise ValueError("angular_frequency must be finite")
-    if angular_frequency <= 0.0:
-        raise ValueError("angular_frequency must be > 0")
-
-
 def _mode_problem(stack: LayeredStack, angular_frequency: float):
     """The mode condition at one frequency: (k0, the top sheet's term, the
     walk from the bottom cladding, the walk from the top cladding).  A walk
     is a cladding permittivity, the complex start of the numerator and the
     (sheet term or None, eps_i, d_i) steps toward the top sheet, the
     reference interface."""
-    _check_angular_frequency(angular_frequency)
+    _check_range("angular_frequency", angular_frequency, 0.0)
     k0 = angular_frequency / C0
     # i sigma k0 / (w eps0) = i sigma / (eps0 c0), dimensionless
     terms = {i: 1j * intraband_conductivity(sheet, angular_frequency) / (EPS0 * C0)
@@ -238,7 +231,7 @@ def quasi_static_wavevector(stack: LayeredStack,
                             angular_frequency: float) -> complex:
     """Closed-form large-q estimate of the plasmon wavevector (rad/m), used
     as the default root-finder seed:  q0 = i (eps_top + eps_bot) w eps0 / sigma."""
-    _check_angular_frequency(angular_frequency)
+    _check_range("angular_frequency", angular_frequency, 0.0)
     sheet = stack.sheets[stack.top_sheet_interface]
     sigma = intraband_conductivity(sheet, angular_frequency)
     _check_invertible(sigma)
@@ -334,16 +327,16 @@ def _classify_root(stack: LayeredStack, x: complex) -> str | None:
     return None
 
 
-def _scan_seeds(fn_rel, lo: float, hi: float, count: int,
-                imag_frac: float = 1e-4) -> list[complex]:
-    """Local minima of the relative mode function along a near-real segment."""
-    if hi <= lo or count < 3:
+def _scan_seeds(fn_rel, lo: float, hi: float, count: int) -> list[complex]:
+    """Local minima of the relative mode function along a near-real segment
+    (Im x = _SCAN_IMAG_FRAC Re x)."""
+    if hi <= lo:
         return []
     step = (hi - lo) / (count - 1)
     pts = [lo + i * step for i in range(count)]
     vals = []
     for p in pts:
-        z = complex(p, imag_frac * p)
+        z = complex(p, _SCAN_IMAG_FRAC * p)
         try:
             vals.append(fn_rel(z))
         except (OverflowError, ZeroDivisionError):
@@ -351,7 +344,7 @@ def _scan_seeds(fn_rel, lo: float, hi: float, count: int,
     seeds = []
     for i in range(1, count - 1):
         if vals[i] < vals[i - 1] and vals[i] < vals[i + 1] and math.isfinite(vals[i]):
-            seeds.append((vals[i], complex(pts[i], imag_frac * pts[i])))
+            seeds.append((vals[i], complex(pts[i], _SCAN_IMAG_FRAC * pts[i])))
     seeds.sort(key=lambda item: item[0])
     return [z for _, z in seeds[:6]]
 
@@ -440,7 +433,7 @@ def trace_dispersion(stack: LayeredStack, frequencies_hz,
     freqs = [float(f) for f in frequencies_hz]
     if not freqs:
         raise ValueError("frequency grid must not be empty")
-    if any(f2 <= f1 for f1, f2 in zip(freqs, freqs[1:])):
+    if not all(f2 > f1 for f1, f2 in zip(freqs, freqs[1:])):
         raise ValueError("frequency grid must be strictly increasing")
     points: list[TracePoint] = []
     guess_index: complex | None = None  # previous root as effective index

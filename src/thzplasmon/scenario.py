@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import C0
+from .constants import C0, _check_range
 
 
 @dataclass(frozen=True)
@@ -26,6 +26,7 @@ class ScenarioRequirements:
     def __post_init__(self):
         for label in ("node_size_m2", "tx_range_m", "data_rate_bps"):
             lo, hi = getattr(self, label)
+            _check_range(label, hi)
             if not 0.0 < lo <= hi:
                 raise ValueError(f"{label} must be a positive (min, max) range")
 
@@ -60,10 +61,9 @@ def fits_footprint(resonant_length_m: float, width_m: float,
                    budget_fraction: float = 1.0) -> FeasibilityReport:
     """Check a resonant-length x width rectangle against the scenario's
     node-size budget.  fits is equivalent to margin >= 1."""
-    if resonant_length_m <= 0.0 or width_m <= 0.0:
-        raise ValueError("antenna dimensions must be > 0")
-    if not 0.0 < budget_fraction <= 1.0:
-        raise ValueError("budget_fraction must lie in (0, 1]")
+    _check_range("antenna dimensions", resonant_length_m, 0.0)
+    _check_range("antenna dimensions", width_m, 0.0)
+    _check_range("budget_fraction", budget_fraction, 0.0, 1.0, "(]")
     footprint = resonant_length_m * width_m
     if footprint == 0.0:
         raise ValueError("antenna footprint underflows to 0 m2")
@@ -79,8 +79,7 @@ def sdm_cell_size(frequency_hz: float) -> float:
     """Metamaterial unit-cell scale at the operating frequency: a tenth of
     the free-space wavelength.  An embedded controller antenna should not
     exceed this length."""
-    if frequency_hz <= 0.0:
-        raise ValueError("frequency_hz must be > 0")
+    _check_range("frequency_hz", frequency_hz, 0.0)
     return C0 / frequency_hz / 10.0
 
 

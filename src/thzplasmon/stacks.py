@@ -18,6 +18,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .conductivity import GrapheneSheet
+from .constants import _check_range
 
 LIM_PERMITTIVITY = 3.8     # quartz-like low-index material
 HIM_PERMITTIVITY = 11.9    # silicon-like high-index material
@@ -36,14 +37,10 @@ class DielectricLayer:
     thickness_m: float | None = None
 
     def __post_init__(self):
-        if not math.isfinite(self.relative_permittivity):
-            raise ValueError("relative_permittivity must be finite")
-        if self.thickness_m is not None and not math.isfinite(self.thickness_m):
-            raise ValueError("thickness_m must be finite (or None for a cladding)")
-        if self.relative_permittivity < 1.0:
-            raise ValueError("relative_permittivity must be >= 1")
-        if self.thickness_m is not None and self.thickness_m <= 0.0:
-            raise ValueError("thickness_m must be > 0 (or None for a cladding)")
+        _check_range("relative_permittivity", self.relative_permittivity, 1.0,
+                     ends="[)")
+        if self.thickness_m is not None:
+            _check_range("thickness_m", self.thickness_m, 0.0)
 
     @property
     def is_semi_infinite(self) -> bool:

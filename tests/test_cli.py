@@ -185,13 +185,28 @@ def test_shipped_configs_run(tmp_path):
     # the footprint overflows to inf
     (["scenario", "--grid", "1e300", "--width-um", "1e300", "--scenario", "SDM"],
      [0]),
+    # T = 1e-320 K: k_B T underflows to 0 J, which the Drude weight divides by
+    (["stack", "--grid", "0.2", "--preset", "H1G", "--frequency-thz", "4",
+      "--relaxation-time-ps", "1", "--temperature-k", "1e-320"], [0]),
+    (["dispersion", "--grid", "1 2", "--preset", "G",
+      "--chemical-potential-ev", "0.2", "--relaxation-time-ps", "1",
+      "--temperature-k", "1e-320"], [0, 1]),
+    (["antenna", "--grid", "20", "--width-um", "8", "--gap-um", "3",
+      "--substrate-permittivity", "3.8", "--chemical-potential-ev", "0.2",
+      "--relaxation-time-ps", "1", "--temperature-k", "1e-320"], [0]),
+    (["conductivity", "--variable", "chemical_potential_ev", "--grid", "0.2",
+      "--relaxation-time-ps", "1", "--frequency-thz", "1",
+      "--temperature-k", "1e-320"], [0]),
 ], ids=["scenario-negative-length", "scenario-zero-budget",
         "dispersion-zero-frequency", "dispersion-negative-potential",
         "dispersion-substrate-below-vacuum", "stack-negative-potential",
         "stack-zero-frequency", "stack-zero-relaxation-time",
         "dispersion-degenerate-sheet", "antenna-degenerate-sheet",
         "stack-degenerate-sheet", "conductivity-overflowing-cells",
-        "scenario-overflowing-footprint"])
+        "scenario-overflowing-footprint", "stack-underflowing-thermal-energy",
+        "dispersion-underflowing-thermal-energy",
+        "antenna-underflowing-thermal-energy",
+        "conductivity-underflowing-thermal-energy"])
 def test_invalid_input_is_failed_row(capsys, argv, failed_rows):
     assert main(argv + ["--quiet"]) == 2
     captured = capsys.readouterr()
@@ -296,7 +311,7 @@ def test_direct_subcommand_matches_config(tmp_path, target):
 
 # --- fuzzed direct subcommands -----------------------------------------------
 
-POOL = ("-1", "0", "1e-300", "1e-9", "0.2", "1", "3.8", "12", "1e6", "1e300")
+POOL = ("-1", "0", "1e-320", "1e-300", "1e-9", "0.2", "1", "3.8", "12", "1e6", "1e300")
 TEXT_VALUES = {"preset": ("G", "H1G", "H2G"), "scenario": ("WNSN", "SDM", "WNoC")}
 # (variables, required [fixed] keys, optional [fixed] keys) per subcommand
 DIRECT = {
@@ -368,7 +383,32 @@ TEXT_CASES = (
        ["antenna", "--grid", "1", "--variable", "nope"],
        ["stack", "--grid", "1", "--frequency-thz", "x"],
        ["scenario", "--grid"], ["presets", "--bogus"],
-       ["presets", "--csv"], ["dispersion", "-h", "--grid", "1"]])
+       ["presets", "--csv"], ["dispersion", "-h", "--grid", "1"]]
+    # one failed row per validation message a flag value can reach
+    + [["conductivity", "--grid", grid, "--chemical-potential-ev", ef,
+        "--relaxation-time-ps", tau, "--temperature-k", temperature]
+       for grid, ef, tau, temperature in (("1", "-0.1", "1", "300"),
+                                          ("1", "0.2", "0", "300"),
+                                          ("1", "0.2", "1", "0"),
+                                          ("-1", "0.2", "1", "300"),
+                                          ("1e300", "0.2", "1", "300"))]
+    + [["stack", "--grid", "0.2", "--preset", "G", "--frequency-thz", frequency,
+        "--relaxation-time-ps", "1"] for frequency in ("0", "1e300")]
+    + [["dispersion", "--grid", "-1", "--preset", "G",
+        "--chemical-potential-ev", "0.2", "--relaxation-time-ps", "1"],
+       ["dispersion", "--grid", "1", "--substrate-permittivity", "0.5",
+        "--chemical-potential-ev", "0.2", "--relaxation-time-ps", "1"]]
+    + [["antenna", "--grid", length, "--width-um", width, "--gap-um", gap,
+        "--substrate-permittivity", substrate, "--end-correction", alpha,
+        "--chemical-potential-ev", "0.2", "--relaxation-time-ps", "1"]
+       for length, width, gap, substrate, alpha in (
+           ("20", "0", "3", "3.8", "1"), ("3", "8", "3", "3.8", "1"),
+           ("20", "8", "0", "3.8", "1"), ("20", "8", "3", "0.5", "1"),
+           ("20", "8", "3", "3.8", "3"))]
+    + [["scenario", "--grid", length, "--width-um", width, "--scenario", "SDM",
+        "--budget-fraction", budget]
+       for length, width, budget in (("-1", "8", "1"), ("1", "0", "1"),
+                                     ("1", "8", "0"), ("1e-300", "1e-300", "1"))])
 
 
 def cli_text(argv) -> dict:
