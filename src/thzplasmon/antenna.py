@@ -23,6 +23,7 @@ DEFAULT_BAND_HZ = (0.1e12, 10e12)
 _RESONANCE_GATE = 1e-9  # |Re q * alpha L - pi| at the returned frequency
 _QS_SLOPE = 2.0         # d log Re q / d log f of the quasi-static plasmon
 _SECANT_STEPS = 40      # refinement steps before the band scan takes over
+_SCAN_POINTS = 48       # log-spaced points of that band scan
 _STEP_ULPS = 4.0        # a step this many ulp of f or shorter ends the search
 
 
@@ -163,15 +164,15 @@ def _no_resonance(lo: float, hi: float, low_status: str,
         f"high edge {hi:.3e} Hz: {high_status})")
 
 
-def _scan_bracket(gap, lo: float, hi: float, scan_points: int):
+def _scan_bracket(gap, lo: float, hi: float):
     """First sign change g1 < 0 <= g2 of a log-spaced band scan, as two
     (f, g) pairs.  Band edges where no bound mode exists are reported in the
     error when no bracket is found."""
-    ratio = (hi / lo) ** (1.0 / (scan_points - 1))
-    grid = [lo * ratio**i for i in range(scan_points)]
+    ratio = (hi / lo) ** (1.0 / (_SCAN_POINTS - 1))
+    grid = [lo * ratio**i for i in range(_SCAN_POINTS)]
     grid[-1] = hi
     values, statuses = zip(*(_edge_status(gap, f) for f in grid))
-    for i in range(scan_points - 1):
+    for i in range(_SCAN_POINTS - 1):
         g1, g2 = values[i], values[i + 1]
         if g1 is not None and g2 is not None and g1 < 0.0 <= g2:
             return (grid[i], g1), (grid[i + 1], g2)
@@ -180,7 +181,6 @@ def _scan_bracket(gap, lo: float, hi: float, scan_points: int):
 
 def resonance_frequency(dipole: DipoleGeometry, sheet: GrapheneSheet, *,
                         band_hz: tuple[float, float] = DEFAULT_BAND_HZ,
-                        scan_points: int = 48,
                         tolerance: float = DEFAULT_TOLERANCE,
                         max_iterations: int = DEFAULT_MAX_ITERATIONS
                         ) -> ResonancePrediction:
@@ -202,7 +202,7 @@ def resonance_frequency(dipole: DipoleGeometry, sheet: GrapheneSheet, *,
     dipole is too short: the error is raised at once, after one solve at the
     low edge for its status.  When the fast path fails otherwise (a solve
     raises, a step would leave the band or the steps run out), a
-    ``scan_points`` log-spaced band scan brackets the first sign change and
+    48-point log-spaced band scan brackets the first sign change and
     the same secant refines it.  Band edges where no bound mode exists are
     reported in the error when no bracket is found; the returned root
     satisfies |g| < 1e-9.
@@ -248,7 +248,7 @@ def resonance_frequency(dipole: DipoleGeometry, sheet: GrapheneSheet, *,
             # no scan can bracket it; the scan's first point would see this
             # cache
             raise _no_resonance(lo, hi, _edge_status(gap, lo)[1], "ok")
-        low, high = _scan_bracket(gap, lo, hi, scan_points)
+        low, high = _scan_bracket(gap, lo, hi)
         # start from the end nearer the root; the other end fixes the slope
         points = sorted((low, high), key=lambda point: -abs(point[1]))
         f_res, g_res, converged = _secant_root(gap, lo, hi, points,

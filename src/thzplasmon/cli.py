@@ -13,7 +13,7 @@ from . import scenario as _scenario
 from .modesolver import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE
 from .stacks import (H1G_FILM_THICKNESS_M, H2G_FILM_THICKNESS_M,
                      HIM_PERMITTIVITY, LIM_PERMITTIVITY)
-from .sweep import (_SCHEMAS, _STR_KEYS, ConfigError, SweepSpec,
+from .sweep import (_STR_KEYS, _TARGETS, ConfigError, SweepSpec,
                     UnknownColumnError, _build_spec, emit_csv, emit_plotdata,
                     parse_config, run_sweep)
 
@@ -66,7 +66,7 @@ def _add_presets(parser):
 _COMMANDS = {
     "sweep": ("run a sweep from a config file", _add_sweep),
     **{target: (schema["help"], functools.partial(_add_direct, schema))
-       for target, schema in _SCHEMAS.items()},
+       for target, schema in _TARGETS.items()},
     "presets": ("print stack presets and scenario constants", _add_presets),
 }
 
@@ -92,7 +92,7 @@ def _spec_from_args(args) -> SweepSpec:
     # key (stripped, as the config parser strips), so CLI and config files
     # cannot drift apart and no flag value can set another key; the output
     # flags need no section, _emit reads them from args
-    schema = _SCHEMAS[args.command]
+    schema = _TARGETS[args.command]
     sections = {
         "sweep": {"target": args.command,
                   "variable": getattr(args, "variable", schema["variables"][0]),
@@ -139,7 +139,11 @@ def _print_presets(args) -> int:
                   f"tx range {s.tx_range_m[0]:g}-{s.tx_range_m[1]:g} m, "
                   f"data rate {s.data_rate_bps[0]:g}-{s.data_rate_bps[1]:g} bit/s\n")
     if args.csv:
-        _scenario.write_scenarios_csv(args.csv)
+        try:
+            _scenario.write_scenarios_csv(args.csv)
+        except OSError as err:
+            sys.stderr.write(f"thzplasmon: {err}\n")
+            return 1
         if not args.quiet:
             sys.stderr.write(f"scenario table written to {args.csv}\n")
     return 0
@@ -162,7 +166,7 @@ def main(argv=None) -> int:
             try:
                 with open(args.config, "r", encoding="utf-8") as handle:
                     text = handle.read()
-            except OSError as err:
+            except (OSError, UnicodeDecodeError) as err:
                 sys.stderr.write(f"thzplasmon: cannot read config: {err}\n")
                 return 1
             spec = parse_config(text)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import CODATA, PhysicalConstants, _check_range
+from .constants import CODATA, _check_range
 
 DEFAULT_TEMPERATURE_K = 300.0
 
@@ -46,31 +46,30 @@ class GrapheneSheet:
                              self.temperature_k)
 
 
-def drude_weight(sheet: GrapheneSheet,
-                 constants: PhysicalConstants = CODATA) -> float:
+def drude_weight(sheet: GrapheneSheet) -> float:
     """Drude weight A (S rad/s) of the intraband conductivity.
 
     The thermal factor is evaluated as ln(2 cosh x) = x + log1p(exp(-2x)),
     which is exact at x = 0 and never overflows for large chemical potential.
     A temperature so small that kB T underflows to 0 J is rejected.
     """
-    e = constants.electron_charge
-    hbar = constants.reduced_planck
-    kbt = constants.boltzmann * sheet.temperature_k
+    e = CODATA.electron_charge
+    hbar = CODATA.reduced_planck
+    kbt = CODATA.boltzmann * sheet.temperature_k
     _check_range("boltzmann * temperature_k", kbt, 0.0)
     x = sheet.chemical_potential_ev * e / (2.0 * kbt)
     ln_term = x + math.log1p(math.exp(-2.0 * x))
     return (2.0 * e * e / (math.pi * hbar)) * (kbt / hbar) * ln_term
 
 
-def intraband_conductivity(sheet: GrapheneSheet, angular_frequency: float,
-                           constants: PhysicalConstants = CODATA) -> complex:
+def intraband_conductivity(sheet: GrapheneSheet,
+                           angular_frequency: float) -> complex:
     """Sheet conductivity sigma(w) in siemens (per square).
 
     At w = 0 this reduces to the purely real DC value A * tau.
     """
     _check_range("angular_frequency", angular_frequency, 0.0, ends="[)")
-    weight = drude_weight(sheet, constants)
+    weight = drude_weight(sheet)
     return weight * 1j / (angular_frequency + 1j / sheet.relaxation_time_s)
 
 
@@ -81,11 +80,10 @@ def _check_invertible(sigma: complex) -> None:
             f"|sigma| = {abs(sigma):.3e} S is below {_MIN_CONDUCTIVITY_S:.0e} S")
 
 
-def surface_impedance(sheet: GrapheneSheet, angular_frequency: float,
-                      constants: PhysicalConstants = CODATA) -> complex:
+def surface_impedance(sheet: GrapheneSheet, angular_frequency: float) -> complex:
     """Sheet impedance Z(w) in ohm per square, the reciprocal of the sheet
     conductivity: Z(w) * sigma(w) = 1."""
-    sigma = intraband_conductivity(sheet, angular_frequency, constants)
+    sigma = intraband_conductivity(sheet, angular_frequency)
     _check_invertible(sigma)
     return 1.0 / sigma
 

@@ -48,9 +48,10 @@ class PhysicalConstants:
         for name in ("electron_charge", "reduced_planck", "boltzmann",
                      "vacuum_permittivity", "light_speed", "free_space_impedance"):
             _check_range(name, getattr(self, name), 0.0)
-        # eta0 = 1/(eps0 c0) up to the rounding of the tabulated constants
-        alt = 1.0 / (self.vacuum_permittivity * self.light_speed)
-        if not abs(self.free_space_impedance - alt) <= 1e-12 * self.free_space_impedance:
+        # eta0 eps0 c0 = 1 up to the rounding of the tabulated constants; a
+        # product that under- or overflows fails the test, it never divides
+        unity = self.free_space_impedance * self.vacuum_permittivity * self.light_speed
+        if not abs(unity - 1.0) <= 1e-12:
             raise ValueError("free_space_impedance inconsistent with eps0 and c0")
 
 

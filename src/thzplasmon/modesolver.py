@@ -76,8 +76,9 @@ class ModeSolution:
 
     def __post_init__(self):
         _check_range("angular_frequency", self.angular_frequency, 0.0)
-        if not self.wavevector.imag > 0.0:
-            raise ValueError("wavevector must have Im q > 0 (decaying mode)")
+        _check_range("Re wavevector", self.wavevector.real)
+        _check_range("Im wavevector", self.wavevector.imag, 0.0)
+        _check_range("residual", self.residual, 0.0, ends="[)")
 
     @property
     def frequency_hz(self) -> float:
@@ -390,10 +391,9 @@ def find_mode(stack: LayeredStack, angular_frequency: float,
 
     # a single sheet between two half-spaces has exactly one bound TM root,
     # so the first bound hit is the fundamental and the search can stop
-    single_root = len(stack.layers) == 2 and initial_guess is None
+    single_root = len(stack.layers) == 2
     bound: list[tuple[complex, float]] = []
     unbound_reason: str | None = None
-    converged_any = False
     for seed in seeds:
         root = _muller_polish(fn, seed, tolerance, max_iterations)
         if root is None:
@@ -401,7 +401,6 @@ def find_mode(stack: LayeredStack, angular_frequency: float,
         rel = fn_rel(root)
         if not rel < RESIDUAL_GATE:
             continue
-        converged_any = True
         reason = _classify_root(stack, root)
         if reason is not None:
             unbound_reason = reason
@@ -412,7 +411,7 @@ def find_mode(stack: LayeredStack, angular_frequency: float,
                 break
 
     if not bound:
-        if converged_any and unbound_reason is not None:
+        if unbound_reason is not None:
             raise NonBoundModeError(unbound_reason)
         raise ConvergenceError(
             f"no root of the mode condition converged within {max_iterations} "

@@ -95,6 +95,15 @@ def scenarios_csv() -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_text(path, text: str, what: str) -> None:
+    """Write text to path as UTF-8 with its linefeeds kept; an OSError says
+    what could not be written where."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    except OSError as err:
+        raise OSError(f"cannot write {what} to {path}: {err}") from err
+
+
 def write_scenarios_csv(path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(scenarios_csv())
+    _write_text(path, scenarios_csv(), "scenario table")

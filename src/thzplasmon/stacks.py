@@ -55,7 +55,6 @@ class DielectricLayer:
 class LayeredStack:
     layers: tuple[DielectricLayer, ...]
     sheets: Mapping[int, GrapheneSheet]
-    preset: str = "custom"
 
     def __post_init__(self):
         layers = tuple(self.layers)
@@ -76,10 +75,6 @@ class LayeredStack:
         object.__setattr__(self, "sheets", MappingProxyType(sheets))
 
     @property
-    def num_interfaces(self) -> int:
-        return len(self.layers) - 1
-
-    @property
     def max_cladding_index(self) -> float:
         return max(self.layers[0].refractive_index, self.layers[-1].refractive_index)
 
@@ -96,14 +91,14 @@ class LayeredStack:
         potential (relaxation time and temperature unchanged)."""
         sheets = {i: s.with_chemical_potential(chemical_potential_ev)
                   for i, s in self.sheets.items()}
-        return LayeredStack(self.layers, sheets, self.preset)
+        return LayeredStack(self.layers, sheets)
 
     def reversed(self) -> "LayeredStack":
         """Stack flipped top-to-bottom; the guided-mode problem is invariant
         under this flip."""
         n = len(self.layers)
         sheets = {n - 2 - i: s for i, s in self.sheets.items()}
-        return LayeredStack(tuple(reversed(self.layers)), sheets, "custom")
+        return LayeredStack(tuple(reversed(self.layers)), sheets)
 
 
 def graphene_on_substrate(sheet: GrapheneSheet, substrate_permittivity: float,
@@ -134,13 +129,13 @@ def preset_stack(name: str, sheet: GrapheneSheet, *,
     vacuum = DielectricLayer(1.0)
     lim = DielectricLayer(lim_permittivity)
     if name == "G":
-        return LayeredStack((vacuum, lim), {0: sheet}, "G")
+        return LayeredStack((vacuum, lim), {0: sheet})
     if name == "H1G":
         d = H1G_FILM_THICKNESS_M if film_thickness_m is None else film_thickness_m
         return LayeredStack((vacuum, DielectricLayer(him_permittivity, d), lim),
-                            {0: sheet}, "H1G")
+                            {0: sheet})
     if name == "H2G":
         d = H2G_FILM_THICKNESS_M if film_thickness_m is None else film_thickness_m
         film = DielectricLayer(him_permittivity, d)
-        return LayeredStack((vacuum, film, film, lim), {1: sheet}, "H2G")
+        return LayeredStack((vacuum, film, film, lim), {1: sheet})
     raise ValueError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")

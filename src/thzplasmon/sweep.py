@@ -37,7 +37,6 @@ from .conductivity import DEFAULT_TEMPERATURE_K, GrapheneSheet, intraband_conduc
 from .modesolver import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE
 from .stacks import PRESET_NAMES, graphene_on_substrate, preset_stack
 
-TARGETS = ("conductivity", "dispersion", "stack", "antenna", "scenario")
 FORMATS = ("csv", "plot")
 
 
@@ -113,67 +112,6 @@ _VAR_META = {
 
 # keys kept as text; everything else in [fixed] parses as a float
 _STR_KEYS = {"preset", "scenario"}
-
-# Per target: a one-line summary, the variables it sweeps (the first is the
-# command line's default) and its [fixed] keys as key -> (required, default).
-_SCHEMAS: dict[str, dict] = {
-    "conductivity": {
-        "help": "sheet conductivity sweep",
-        "variables": ("frequency_thz", "chemical_potential_ev",
-                      "relaxation_time_ps", "temperature_k"),
-        "fixed": {
-            "chemical_potential_ev": (True, None),
-            "relaxation_time_ps": (True, None),
-            "frequency_thz": (True, None),
-            "temperature_k": (False, DEFAULT_TEMPERATURE_K),
-        },
-    },
-    "dispersion": {
-        "help": "mode trace over frequency",
-        "variables": ("frequency_thz",),
-        "fixed": {
-            "chemical_potential_ev": (True, None),
-            "relaxation_time_ps": (True, None),
-            "temperature_k": (False, DEFAULT_TEMPERATURE_K),
-            "preset": (False, None),
-            "substrate_permittivity": (False, None),
-            "superstrate_permittivity": (False, None),
-        },
-    },
-    "stack": {
-        "help": "stack metrics over chemical potential",
-        "variables": ("chemical_potential_ev",),
-        "fixed": {
-            "preset": (True, None),
-            "frequency_thz": (True, None),
-            "relaxation_time_ps": (True, None),
-            "temperature_k": (False, DEFAULT_TEMPERATURE_K),
-        },
-    },
-    "antenna": {
-        "help": "dipole resonance sweep",
-        "variables": ("length_um", "chemical_potential_ev", "relaxation_time_ps"),
-        "fixed": {
-            "length_um": (True, None),
-            "width_um": (True, None),
-            "gap_um": (True, None),
-            "substrate_permittivity": (True, None),
-            "chemical_potential_ev": (True, None),
-            "relaxation_time_ps": (True, None),
-            "temperature_k": (False, DEFAULT_TEMPERATURE_K),
-            "end_correction": (False, 1.0),
-        },
-    },
-    "scenario": {
-        "help": "footprint feasibility sweep",
-        "variables": ("length_um",),
-        "fixed": {
-            "width_um": (True, None),
-            "scenario": (True, None),
-            "budget_fraction": (False, 1.0),
-        },
-    },
-}
 
 _SECTIONS = ("sweep", "fixed", "output")
 
@@ -267,10 +205,10 @@ def _build_spec(sections: dict[str, dict[str, tuple[str, int | None]]]
         return mapping.pop(key)
 
     target_raw, target_line = take(sweep, "target", required=True)
-    if target_raw not in _SCHEMAS:
-        raise ConfigError(f"target: expected one of {TARGETS}, got {target_raw!r}",
-                          target_line)
-    schema = _SCHEMAS[target_raw]
+    if target_raw not in _TARGETS:
+        raise ConfigError(f"target: expected one of {tuple(_TARGETS)}, "
+                          f"got {target_raw!r}", target_line)
+    schema = _TARGETS[target_raw]
 
     variable_raw, variable_line = take(sweep, "variable", required=True)
     if variable_raw not in schema["variables"]:
@@ -457,22 +395,80 @@ def _columns(headers: str) -> tuple[Column, ...]:
     return tuple(Column(*header[:-1].split("(")) for header in headers.split())
 
 
-# target -> (value columns after the swept variable's column, outcomes)
-_RUNNERS = {
-    "conductivity": (_columns("sigma_real(S) sigma_imag(S) sigma_abs(S) "
-                              "sigma_neg_imag(S)"),
-                     _each_row(_conductivity_cells)),
-    "dispersion": (_columns("q_real(rad/m) q_imag(rad/m) n_eff(1) lambda_spp(m) "
+# Per target: a one-line summary, the variables it sweeps (the first is the
+# command line's default), its [fixed] keys as key -> (required, default),
+# its value columns after the swept variable's column, and its outcomes.
+_TARGETS: dict[str, dict] = {
+    "conductivity": {
+        "help": "sheet conductivity sweep",
+        "variables": ("frequency_thz", "chemical_potential_ev",
+                      "relaxation_time_ps", "temperature_k"),
+        "fixed": {
+            "chemical_potential_ev": (True, None),
+            "relaxation_time_ps": (True, None),
+            "frequency_thz": (True, None),
+            "temperature_k": (False, DEFAULT_TEMPERATURE_K),
+        },
+        "columns": _columns("sigma_real(S) sigma_imag(S) sigma_abs(S) "
+                            "sigma_neg_imag(S)"),
+        "outcomes": _each_row(_conductivity_cells),
+    },
+    "dispersion": {
+        "help": "mode trace over frequency",
+        "variables": ("frequency_thz",),
+        "fixed": {
+            "chemical_potential_ev": (True, None),
+            "relaxation_time_ps": (True, None),
+            "temperature_k": (False, DEFAULT_TEMPERATURE_K),
+            "preset": (False, None),
+            "substrate_permittivity": (False, None),
+            "superstrate_permittivity": (False, None),
+        },
+        "columns": _columns("q_real(rad/m) q_imag(rad/m) n_eff(1) lambda_spp(m) "
                             "propagation_length(m) normalized_lp(1) "
                             "resonant_length(m) residual(1)"),
-                   _dispersion_outcomes),
-    "stack": (_columns("n_eff(1) normalized_lp(1) resonant_length(m)"),
-              _stack_outcomes),
-    "antenna": (_columns("f_res(THz) f_metal(THz) miniaturization(1) "
-                         "efficiency_proxy(1)"),
-                _each_row(_antenna_cells)),
-    "scenario": (_columns("footprint(m2) fits(1) margin(1)"),
-                 _each_row(_scenario_cells)),
+        "outcomes": _dispersion_outcomes,
+    },
+    "stack": {
+        "help": "stack metrics over chemical potential",
+        "variables": ("chemical_potential_ev",),
+        "fixed": {
+            "preset": (True, None),
+            "frequency_thz": (True, None),
+            "relaxation_time_ps": (True, None),
+            "temperature_k": (False, DEFAULT_TEMPERATURE_K),
+        },
+        "columns": _columns("n_eff(1) normalized_lp(1) resonant_length(m)"),
+        "outcomes": _stack_outcomes,
+    },
+    "antenna": {
+        "help": "dipole resonance sweep",
+        "variables": ("length_um", "chemical_potential_ev", "relaxation_time_ps"),
+        "fixed": {
+            "length_um": (True, None),
+            "width_um": (True, None),
+            "gap_um": (True, None),
+            "substrate_permittivity": (True, None),
+            "chemical_potential_ev": (True, None),
+            "relaxation_time_ps": (True, None),
+            "temperature_k": (False, DEFAULT_TEMPERATURE_K),
+            "end_correction": (False, 1.0),
+        },
+        "columns": _columns("f_res(THz) f_metal(THz) miniaturization(1) "
+                            "efficiency_proxy(1)"),
+        "outcomes": _each_row(_antenna_cells),
+    },
+    "scenario": {
+        "help": "footprint feasibility sweep",
+        "variables": ("length_um",),
+        "fixed": {
+            "width_um": (True, None),
+            "scenario": (True, None),
+            "budget_fraction": (False, 1.0),
+        },
+        "columns": _columns("footprint(m2) fits(1) margin(1)"),
+        "outcomes": _each_row(_scenario_cells),
+    },
 }
 
 
@@ -480,10 +476,11 @@ def run_sweep(spec: SweepSpec, *, tolerance: float = DEFAULT_TOLERANCE,
               max_iterations: int = DEFAULT_MAX_ITERATIONS) -> ResultTable:
     """Execute a validated sweep.  Deterministic: identical specs produce
     identical tables (and therefore byte-identical emitted files)."""
-    if spec.target not in _RUNNERS:
+    if spec.target not in _TARGETS:
         raise ConfigError(f"unknown target {spec.target!r}")
-    value_columns, outcomes = _RUNNERS[spec.target]
-    results = _outcome(outcomes, spec, tolerance, max_iterations)
+    target = _TARGETS[spec.target]
+    value_columns = target["columns"]
+    results = _outcome(target["outcomes"], spec, tolerance, max_iterations)
     if isinstance(results, str):
         # a setup error (the fixed sheet or stack) fails every row
         results = [results] * len(spec.grid)
@@ -527,11 +524,7 @@ def emit_csv(table: ResultTable, path=None) -> str:
                               + [_format_cell(status)]))
     text = "\n".join(lines) + "\n"
     if path is not None:
-        try:
-            with open(path, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
-        except OSError as err:
-            raise OSError(f"cannot write CSV to {path}: {err}") from err
+        _scenario._write_text(path, text, "CSV")
     return text
 
 
@@ -595,9 +588,5 @@ def emit_plotdata(table: ResultTable, x: str, y_columns, path=None) -> str:
         blocks.append("\n".join(lines))
     text = "\n\n".join(blocks) + "\n"
     if path is not None:
-        try:
-            with open(path, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
-        except OSError as err:
-            raise OSError(f"cannot write plot data to {path}: {err}") from err
+        _scenario._write_text(path, text, "plot data")
     return text

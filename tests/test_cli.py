@@ -53,6 +53,30 @@ def test_missing_config_file_exit_code(tmp_path):
     assert main(["sweep", "--config", str(tmp_path / "absent.cfg")]) == 1
 
 
+def test_non_utf8_config_is_read_error(tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_bytes(CONFIG.encode() + b"# caf\xe9\n")
+    assert main(["sweep", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("thzplasmon: cannot read config: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["presets", "--csv"],
+    ["sweep", "--config", "CONFIG", "--out"],
+    ["sweep", "--config", "CONFIG", "--format", "plot", "--out"],
+])
+def test_unwritable_output_path_is_one_error_line(tmp_path, capsys, argv):
+    config = tmp_path / "run.cfg"
+    config.write_text(CONFIG)
+    argv = [str(config) if arg == "CONFIG" else arg for arg in argv]
+    assert main(argv + [str(tmp_path / "absent" / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("thzplasmon: cannot write ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_usage_error_exit_code():
     assert main(["sweep"]) == 1
     assert main(["frobnicate"]) == 1

@@ -34,6 +34,13 @@ def test_constants_reject_nonpositive():
         PhysicalConstants(free_space_impedance=1.0)
 
 
+def test_constants_consistency_check_never_divides():
+    # eps0 * c0 underflows to 0 after every field passed the > 0 rule
+    with pytest.raises(ValueError, match="inconsistent"):
+        PhysicalConstants(vacuum_permittivity=1e-200, light_speed=1e-200,
+                          free_space_impedance=1.0)
+
+
 # --- sheet validation --------------------------------------------------------
 
 @pytest.mark.parametrize("kwargs", [

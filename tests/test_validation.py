@@ -16,6 +16,11 @@ MODE = ModeSolution(2e12 * math.pi, 1e5 + 1e3j, 0.0)
 
 ENTRY_POINTS = {
     "ModeSolution": lambda bad: ModeSolution(bad, 1 + 1j, 0.0),
+    "ModeSolution.wavevector.real":
+        lambda bad: ModeSolution(1.0, complex(bad, 1.0), 0.0),
+    "ModeSolution.wavevector.imag":
+        lambda bad: ModeSolution(1.0, complex(1.0, bad), 0.0),
+    "ModeSolution.residual": lambda bad: ModeSolution(1.0, 1 + 1j, bad),
     "ResonancePrediction": lambda bad: ResonancePrediction(bad, MODE, 1e12,
                                                            1.0, 0.5),
     "PhysicalConstants.electron_charge":
@@ -47,3 +52,12 @@ def test_nan_in_trace_grid_is_rejected():
     stack = graphene_on_substrate(SHEET, 3.8)
     with pytest.raises(ValueError, match="strictly increasing"):
         trace_dispersion(stack, [2e12, math.nan, 1e12])
+
+
+@pytest.mark.parametrize("wavevector, residual, message", [
+    (1 + 1j, -1.0, "residual must be >= 0"),
+    (1 + 0j, 0.0, "Im wavevector must be > 0"),
+])
+def test_mode_solution_out_of_range_is_rejected(wavevector, residual, message):
+    with pytest.raises(ValueError, match=message):
+        ModeSolution(1.0, wavevector, residual)
