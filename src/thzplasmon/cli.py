@@ -13,9 +13,9 @@ from . import scenario as _scenario
 from .modesolver import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE
 from .stacks import (H1G_FILM_THICKNESS_M, H2G_FILM_THICKNESS_M,
                      HIM_PERMITTIVITY, LIM_PERMITTIVITY)
-from .sweep import (_STR_KEYS, _TARGETS, ConfigError, SweepSpec,
-                    UnknownColumnError, _build_spec, emit_csv, emit_plotdata,
-                    parse_config, run_sweep)
+from .sweep import (_TARGETS, _TEXT_KEYS, FORMATS, ConfigError, SweepSpec,
+                    UnknownColumnError, _build_spec, _with_output, emit_csv,
+                    emit_plotdata, parse_config, run_sweep)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -27,8 +27,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(parser):
     parser.add_argument("--out", help="output file path (default: stdout)")
-    parser.add_argument("--format", choices=("csv", "plot"), default=None,
-                        help="output format (default csv)")
+    parser.add_argument("--format", choices=FORMATS,
+                        help=f"output format (default {FORMATS[0]})")
     parser.add_argument("--plot-x", help="x column for plot output")
     parser.add_argument("--plot-y", help="comma-separated y columns for plot output")
     parser.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
@@ -53,7 +53,7 @@ def _add_direct(schema, parser):
                         help="grid values, 'a b c' or start:stop:count")
     for key in schema["fixed"]:
         parser.add_argument("--" + key.replace("_", "-"),
-                            type=str if key in _STR_KEYS else float)
+                            type=str if key in _TEXT_KEYS else float)
     _add_common(parser)
 
 
@@ -105,21 +105,16 @@ def _spec_from_args(args) -> SweepSpec:
                         for name, keys in sections.items()})
 
 
-def _emit(spec: SweepSpec, table, args) -> None:
-    fmt = args.format or spec.output_format
-    path = args.out or spec.output_path
-    if fmt == "plot":
-        x = args.plot_x or spec.plot_x or table.columns[0].name
-        if args.plot_y:
-            ys = tuple(args.plot_y.replace(",", " ").split())
-        elif spec.plot_y:
-            ys = spec.plot_y
-        else:
-            ys = tuple(col.name for col in table.columns[1:])
-        text = emit_plotdata(table, x, ys, path)
+def _emit(spec: SweepSpec, table) -> None:
+    # plot output defaults to the swept variable against every value column
+    if spec.output_format == FORMATS[0]:
+        text = emit_csv(table, spec.output_path)
     else:
-        text = emit_csv(table, path)
-    if path is None:
+        text = emit_plotdata(
+            table, spec.plot_x or table.columns[0].name,
+            spec.plot_y or tuple(col.name for col in table.columns[1:]),
+            spec.output_path)
+    if spec.output_path is None:
         sys.stdout.write(text)
 
 
@@ -172,13 +167,18 @@ def main(argv=None) -> int:
             spec = parse_config(text)
         else:
             spec = _spec_from_args(args)
+        # an output flag given overrides the config's [output] key
+        flags = {"path": args.out, "format": args.format,
+                 "plot_x": args.plot_x, "plot_y": args.plot_y}
+        spec = _with_output(spec, {key: (value, None)
+                                   for key, value in flags.items() if value})
     except ConfigError as err:
         sys.stderr.write(f"thzplasmon: config error: {err}\n")
         return 1
 
     table = run_sweep(spec, tolerance=args.tolerance, max_iterations=args.max_iter)
     try:
-        _emit(spec, table, args)
+        _emit(spec, table)
     except UnknownColumnError as err:
         sys.stderr.write(f"thzplasmon: unknown column: {err}\n")
         return 1

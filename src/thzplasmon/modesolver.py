@@ -71,12 +71,12 @@ class ModeSolution:
     """
 
     angular_frequency: float
-    wavevector: complex            # in-plane q, rad/m, Im q > 0
+    wavevector: complex            # in-plane q, rad/m, Re q > 0, Im q > 0
     residual: float
 
     def __post_init__(self):
         _check_range("angular_frequency", self.angular_frequency, 0.0)
-        _check_range("Re wavevector", self.wavevector.real)
+        _check_range("Re wavevector", self.wavevector.real, 0.0)
         _check_range("Im wavevector", self.wavevector.imag, 0.0)
         _check_range("residual", self.residual, 0.0, ends="[)")
 

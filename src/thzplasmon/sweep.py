@@ -28,7 +28,7 @@ round-trip scientific notation and every column header carries a unit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import antenna as _antenna
 from . import modesolver as _modesolver
@@ -37,13 +37,12 @@ from .conductivity import DEFAULT_TEMPERATURE_K, GrapheneSheet, intraband_conduc
 from .modesolver import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE
 from .stacks import PRESET_NAMES, graphene_on_substrate, preset_stack
 
-FORMATS = ("csv", "plot")
+FORMATS = ("csv", "plot")  # the first is the default
 
 
 class ConfigError(ValueError):
     def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        super().__init__(f"line {line}: {message}" if line is not None else message)
+        super().__init__(message if line is None else f"line {line}: {message}")
 
 
 class UnknownColumnError(KeyError):
@@ -94,9 +93,34 @@ class SweepSpec:
     grid: tuple[float, ...]
     fixed: dict[str, float | str]
     output_path: str | None = None
-    output_format: str = "csv"
+    output_format: str = FORMATS[0]
     plot_x: str | None = None
     plot_y: tuple[str, ...] | None = None
+
+    def __post_init__(self):
+        # every spec, parsed or built by hand, passes here, so both get the
+        # same defaults and the same errors for a missing key
+        schema = _schema(self.target, self.variable)
+        fixed = dict(self.fixed)
+        for key in schema["fixed"]:
+            if key in fixed or key == self.variable or key in schema.get("optional", ()):
+                continue
+            if key not in _DEFAULTS:
+                raise ConfigError(f"missing required key {key!r} "
+                                  f"for target {self.target!r}")
+            fixed[key] = _DEFAULTS[key]
+        if self.target == "dispersion":
+            # the stack is a preset, or a custom substrate under a superstrate
+            if ("preset" in fixed) == ("substrate_permittivity" in fixed):
+                raise ConfigError("dispersion needs exactly one of 'preset' "
+                                  "or 'substrate_permittivity'")
+            if "preset" in fixed and "superstrate_permittivity" in fixed:
+                raise ConfigError("superstrate_permittivity only applies "
+                                  "with substrate_permittivity")
+            if "substrate_permittivity" in fixed:
+                fixed.setdefault("superstrate_permittivity",
+                                 _DEFAULTS["superstrate_permittivity"])
+        object.__setattr__(self, "fixed", fixed)
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +134,24 @@ _VAR_META = {
     "length_um": ("length", "um"),
 }
 
-# keys kept as text; everything else in [fixed] parses as a float
-_STR_KEYS = {"preset", "scenario"}
+# the value an omitted [fixed] key takes (superstrate_permittivity only
+# under a custom substrate)
+_DEFAULTS = {
+    "temperature_k": DEFAULT_TEMPERATURE_K,
+    "end_correction": 1.0,
+    "budget_fraction": 1.0,
+    "superstrate_permittivity": 1.0,
+}
+
+
+def _check_preset(name: str) -> None:
+    if name not in PRESET_NAMES:
+        raise ValueError(f"preset: expected one of {PRESET_NAMES}, got {name!r}")
+
+
+# [fixed] keys kept as text, each with the check of its name; every other
+# [fixed] key parses as a float
+_TEXT_KEYS = {"preset": _check_preset, "scenario": _scenario.scenario_by_name}
 
 _SECTIONS = ("sweep", "fixed", "output")
 
@@ -189,34 +229,59 @@ def _parse_grid(raw: str, line: int | None) -> tuple[float, ...]:
     return values
 
 
+def _schema(target: str, variable: str, target_line: int | None = None,
+            variable_line: int | None = None) -> dict:
+    """The _TARGETS entry of target, which must sweep variable."""
+    if target not in _TARGETS:
+        raise ConfigError(f"target: expected one of {tuple(_TARGETS)}, "
+                          f"got {target!r}", target_line)
+    schema = _TARGETS[target]
+    if variable not in schema["variables"]:
+        raise ConfigError(
+            f"variable: target {target!r} sweeps one of "
+            f"{sorted(schema['variables'])}, got {variable!r}", variable_line)
+    return schema
+
+
+def _with_output(spec: SweepSpec, output: dict[str, tuple[str, int | None]]
+                 ) -> SweepSpec:
+    """spec with the settings of an [output] section (key -> (text, line));
+    an empty format, x column or y column list keeps the spec's."""
+    output = dict(output)
+    path = output.pop("path", None)
+    format_raw, format_line = output.pop("format", ("", None))
+    if format_raw and format_raw not in FORMATS:
+        raise ConfigError(f"format: expected one of {FORMATS}, got {format_raw!r}",
+                          format_line)
+    plot_x = output.pop("plot_x", ("", None))[0]
+    # the y columns are a comma- or space-separated list
+    plot_y = tuple(output.pop("plot_y", ("", None))[0].replace(",", " ").split())
+    for key, (_, line) in output.items():
+        raise ConfigError(f"unknown key {key!r} in [output]", line)
+    settings = {name: value for name, value in (
+        ("output_format", format_raw), ("plot_x", plot_x), ("plot_y", plot_y)) if value}
+    if path is not None:
+        settings["output_path"] = path[0]
+    return replace(spec, **settings) if settings else spec
+
+
 def _build_spec(sections: dict[str, dict[str, tuple[str, int | None]]]
                 ) -> SweepSpec:
     if "sweep" not in sections:
         raise ConfigError("missing [sweep] section")
     sweep = dict(sections["sweep"])
     fixed_raw = dict(sections.get("fixed", {}))
-    output = dict(sections.get("output", {}))
 
-    def take(mapping, key, required=False):
-        if key not in mapping:
-            if required:
-                raise ConfigError(f"missing required key {key!r}")
-            return None, None
-        return mapping.pop(key)
+    def take(key):
+        if key not in sweep:
+            raise ConfigError(f"missing required key {key!r}")
+        return sweep.pop(key)
 
-    target_raw, target_line = take(sweep, "target", required=True)
-    if target_raw not in _TARGETS:
-        raise ConfigError(f"target: expected one of {tuple(_TARGETS)}, "
-                          f"got {target_raw!r}", target_line)
-    schema = _TARGETS[target_raw]
+    target_raw, target_line = take("target")
+    variable_raw, variable_line = take("variable")
+    schema = _schema(target_raw, variable_raw, target_line, variable_line)
 
-    variable_raw, variable_line = take(sweep, "variable", required=True)
-    if variable_raw not in schema["variables"]:
-        raise ConfigError(
-            f"variable: target {target_raw!r} sweeps one of "
-            f"{sorted(schema['variables'])}, got {variable_raw!r}", variable_line)
-
-    grid_raw, grid_line = take(sweep, "grid", required=True)
+    grid_raw, grid_line = take("grid")
     grid = _parse_grid(grid_raw, grid_line)
     if target_raw == "dispersion" and len(grid) > 1 and grid[0] > grid[-1]:
         raise ConfigError("grid: dispersion traces need an increasing grid",
@@ -231,65 +296,22 @@ def _build_spec(sections: dict[str, dict[str, tuple[str, int | None]]]
             line)
 
     fixed: dict[str, float | str] = {}
-    for key, (required, default) in schema["fixed"].items():
-        if key == variable_raw:
-            continue
+    for key in schema["fixed"]:
         if key in fixed_raw:
             raw, line = fixed_raw.pop(key)
-            if key in _STR_KEYS:
-                fixed[key] = raw
-            else:
-                fixed[key] = _parse_float(raw, key, line)
-        elif required:
-            raise ConfigError(f"missing required key {key!r} for target {target_raw!r}")
-        elif default is not None:
-            fixed[key] = default
+            fixed[key] = raw if key in _TEXT_KEYS else _parse_float(raw, key, line)
     for key, (_, line) in fixed_raw.items():
         raise ConfigError(f"unknown key {key!r} in [fixed] for target {target_raw!r}",
                           line)
-
-    if target_raw == "dispersion":
-        has_preset = "preset" in fixed
-        has_custom = "substrate_permittivity" in fixed
-        if has_preset == has_custom:
-            raise ConfigError(
-                "dispersion needs exactly one of 'preset' or 'substrate_permittivity'")
-        if not has_custom and "superstrate_permittivity" in fixed:
-            raise ConfigError(
-                "superstrate_permittivity only applies with substrate_permittivity")
-        if has_custom:
-            fixed.setdefault("superstrate_permittivity", 1.0)
-    if "preset" in fixed and fixed["preset"] not in PRESET_NAMES:
-        raise ConfigError(f"preset: expected one of {PRESET_NAMES}, "
-                          f"got {fixed['preset']!r}")
-    if "scenario" in fixed:
-        try:
-            _scenario.scenario_by_name(str(fixed["scenario"]))
-        except ValueError as err:
-            raise ConfigError(str(err)) from None
-
-    path_raw, _ = take(output, "path")
-    format_raw, format_line = take(output, "format")
-    output_format = format_raw or "csv"
-    if output_format not in FORMATS:
-        raise ConfigError(f"format: expected one of {FORMATS}, got {format_raw!r}",
-                          format_line)
-    plot_x_raw, _ = take(output, "plot_x")
-    plot_y_raw, _ = take(output, "plot_y")
-    for key, (_, line) in output.items():
-        raise ConfigError(f"unknown key {key!r} in [output]", line)
-    plot_y = tuple(t for t in plot_y_raw.replace(",", " ").split()) if plot_y_raw else None
-
-    return SweepSpec(
-        target=target_raw,
-        variable=variable_raw,
-        grid=grid,
-        fixed=fixed,
-        output_path=path_raw,
-        output_format=output_format,
-        plot_x=plot_x_raw,
-        plot_y=plot_y,
-    )
+    spec = SweepSpec(target_raw, variable_raw, grid, fixed)
+    # a name is checked once the spec has every key it needs
+    for key, check in _TEXT_KEYS.items():
+        if key in fixed:
+            try:
+                check(fixed[key])
+            except ValueError as err:
+                raise ConfigError(str(err)) from None
+    return _with_output(spec, sections.get("output", {}))
 
 
 def parse_config(text: str) -> SweepSpec:
@@ -316,7 +338,7 @@ def _outcome(fn, *args):
 def _make_sheet(params: dict) -> GrapheneSheet:
     return GrapheneSheet(float(params["chemical_potential_ev"]),
                          float(params["relaxation_time_ps"]) * 1e-12,
-                         float(params.get("temperature_k", DEFAULT_TEMPERATURE_K)))
+                         float(params["temperature_k"]))
 
 
 def _each_row(cells):
@@ -340,7 +362,7 @@ def _antenna_cells(params, tolerance, max_iterations):
         total_length_m=float(params["length_um"]) * 1e-6,
         gap_m=float(params["gap_um"]) * 1e-6,
         substrate_permittivity=float(params["substrate_permittivity"]),
-        end_correction=float(params.get("end_correction", 1.0)))
+        end_correction=float(params["end_correction"]))
     pred = _antenna.resonance_frequency(
         dipole, _make_sheet(params),
         tolerance=tolerance, max_iterations=max_iterations)
@@ -352,7 +374,7 @@ def _scenario_cells(params, tolerance, max_iterations):
     report = _scenario.fits_footprint(
         params["length_um"] * 1e-6, float(params["width_um"]) * 1e-6,
         _scenario.scenario_by_name(str(params["scenario"])),
-        float(params.get("budget_fraction", 1.0)))
+        float(params["budget_fraction"]))
     return [report.footprint_m2, 1.0 if report.fits else 0.0, report.margin]
 
 
@@ -363,7 +385,7 @@ def _dispersion_outcomes(spec: SweepSpec, tolerance: float, max_iterations: int)
     else:
         stack = graphene_on_substrate(
             sheet, float(spec.fixed["substrate_permittivity"]),
-            float(spec.fixed.get("superstrate_permittivity", 1.0)))
+            float(spec.fixed["superstrate_permittivity"]))
     points = _modesolver.trace_dispersion(
         stack, [f * 1e12 for f in spec.grid],
         tolerance=tolerance, max_iterations=max_iterations)
@@ -390,83 +412,66 @@ def _stack_outcomes(spec: SweepSpec, tolerance: float, max_iterations: int):
             for row in rows]
 
 
-def _columns(headers: str) -> tuple[Column, ...]:
-    """Columns from space-separated "name(unit)" headers."""
-    return tuple(Column(*header[:-1].split("(")) for header in headers.split())
+def _columns(headers: list[str]) -> list[Column]:
+    """The columns of "name(unit)" headers."""
+    for header in headers:
+        if not header.endswith(")") or "(" not in header:
+            raise ValueError(f"header without unit annotation: {header!r}")
+    return [Column(*header[:-1].split("(", 1)) for header in headers]
 
 
 # Per target: a one-line summary, the variables it sweeps (the first is the
-# command line's default), its [fixed] keys as key -> (required, default),
-# its value columns after the swept variable's column, and its outcomes.
+# command line's default), its [fixed] keys in command-line flag order, the
+# keys it may omit though they have no default, its value columns after the
+# swept variable's column, and its outcomes.  A [fixed] key is required
+# unless _DEFAULTS or "optional" lists it.
 _TARGETS: dict[str, dict] = {
     "conductivity": {
         "help": "sheet conductivity sweep",
         "variables": ("frequency_thz", "chemical_potential_ev",
                       "relaxation_time_ps", "temperature_k"),
-        "fixed": {
-            "chemical_potential_ev": (True, None),
-            "relaxation_time_ps": (True, None),
-            "frequency_thz": (True, None),
-            "temperature_k": (False, DEFAULT_TEMPERATURE_K),
-        },
+        "fixed": ("chemical_potential_ev", "relaxation_time_ps",
+                  "frequency_thz", "temperature_k"),
         "columns": _columns("sigma_real(S) sigma_imag(S) sigma_abs(S) "
-                            "sigma_neg_imag(S)"),
+                            "sigma_neg_imag(S)".split()),
         "outcomes": _each_row(_conductivity_cells),
     },
     "dispersion": {
         "help": "mode trace over frequency",
         "variables": ("frequency_thz",),
-        "fixed": {
-            "chemical_potential_ev": (True, None),
-            "relaxation_time_ps": (True, None),
-            "temperature_k": (False, DEFAULT_TEMPERATURE_K),
-            "preset": (False, None),
-            "substrate_permittivity": (False, None),
-            "superstrate_permittivity": (False, None),
-        },
+        "fixed": ("chemical_potential_ev", "relaxation_time_ps",
+                  "temperature_k", "preset", "substrate_permittivity",
+                  "superstrate_permittivity"),
+        "optional": ("preset", "substrate_permittivity",
+                     "superstrate_permittivity"),
         "columns": _columns("q_real(rad/m) q_imag(rad/m) n_eff(1) lambda_spp(m) "
                             "propagation_length(m) normalized_lp(1) "
-                            "resonant_length(m) residual(1)"),
+                            "resonant_length(m) residual(1)".split()),
         "outcomes": _dispersion_outcomes,
     },
     "stack": {
         "help": "stack metrics over chemical potential",
         "variables": ("chemical_potential_ev",),
-        "fixed": {
-            "preset": (True, None),
-            "frequency_thz": (True, None),
-            "relaxation_time_ps": (True, None),
-            "temperature_k": (False, DEFAULT_TEMPERATURE_K),
-        },
-        "columns": _columns("n_eff(1) normalized_lp(1) resonant_length(m)"),
+        "fixed": ("preset", "frequency_thz", "relaxation_time_ps",
+                  "temperature_k"),
+        "columns": _columns("n_eff(1) normalized_lp(1) resonant_length(m)".split()),
         "outcomes": _stack_outcomes,
     },
     "antenna": {
         "help": "dipole resonance sweep",
         "variables": ("length_um", "chemical_potential_ev", "relaxation_time_ps"),
-        "fixed": {
-            "length_um": (True, None),
-            "width_um": (True, None),
-            "gap_um": (True, None),
-            "substrate_permittivity": (True, None),
-            "chemical_potential_ev": (True, None),
-            "relaxation_time_ps": (True, None),
-            "temperature_k": (False, DEFAULT_TEMPERATURE_K),
-            "end_correction": (False, 1.0),
-        },
+        "fixed": ("length_um", "width_um", "gap_um", "substrate_permittivity",
+                  "chemical_potential_ev", "relaxation_time_ps",
+                  "temperature_k", "end_correction"),
         "columns": _columns("f_res(THz) f_metal(THz) miniaturization(1) "
-                            "efficiency_proxy(1)"),
+                            "efficiency_proxy(1)".split()),
         "outcomes": _each_row(_antenna_cells),
     },
     "scenario": {
         "help": "footprint feasibility sweep",
         "variables": ("length_um",),
-        "fixed": {
-            "width_um": (True, None),
-            "scenario": (True, None),
-            "budget_fraction": (False, 1.0),
-        },
-        "columns": _columns("footprint(m2) fits(1) margin(1)"),
+        "fixed": ("width_um", "scenario", "budget_fraction"),
+        "columns": _columns("footprint(m2) fits(1) margin(1)".split()),
         "outcomes": _each_row(_scenario_cells),
     },
 }
@@ -476,8 +481,6 @@ def run_sweep(spec: SweepSpec, *, tolerance: float = DEFAULT_TOLERANCE,
               max_iterations: int = DEFAULT_MAX_ITERATIONS) -> ResultTable:
     """Execute a validated sweep.  Deterministic: identical specs produce
     identical tables (and therefore byte-identical emitted files)."""
-    if spec.target not in _TARGETS:
-        raise ConfigError(f"unknown target {spec.target!r}")
     target = _TARGETS[spec.target]
     value_columns = target["columns"]
     results = _outcome(target["outcomes"], spec, tolerance, max_iterations)
@@ -542,15 +545,10 @@ def parse_result_csv(text: str) -> ResultTable:
     lines = [line for line in text.split("\n") if line != ""]
     if not lines:
         raise ValueError("empty CSV")
-    columns = []
     headers = lines[0].split(",")
     if headers[-1] != "status(-)":
         raise ValueError("CSV missing trailing status column")
-    for header in headers[:-1]:
-        if not header.endswith(")") or "(" not in header:
-            raise ValueError(f"header without unit annotation: {header!r}")
-        name, _, unit = header[:-1].partition("(")
-        columns.append(Column(name, unit))
+    columns = _columns(headers[:-1])
     rows, statuses = [], []
     for line in lines[1:]:
         cells = line.split(",")

@@ -391,6 +391,96 @@ def test_direct_subcommands_never_raise(case):
                 assert all(math.isfinite(cell) for cell in row), (argv, row)
 
 
+# --- fuzzed config documents -------------------------------------------------
+
+# at most one fault per document, so that about half of them run
+FAULTS = ((None,) * 12
+          + tuple(f"{fault} in [{name}]"
+                  for fault in ("drop a line", "repeat a line", "unknown key")
+                  for name in ("sweep", "fixed", "output"))
+          + ("unknown variable", "unknown target", "malformed grid",
+             "extra section"))
+
+
+@st.composite
+def config_document(draw):
+    """A config document with its target, grid form, [fixed] keys, [output]
+    settings, section order and fault drawn; also its grid's point count
+    and whether it asks for plot output."""
+    fault = draw(st.sampled_from(FAULTS))
+    target = "bogus" if fault == "unknown target" else draw(st.sampled_from(sorted(DIRECT)))
+    variables, required, optional = DIRECT.get(target, (("frequency_thz",), (), ()))
+    variable = "bogus" if fault == "unknown variable" else draw(st.sampled_from(variables))
+    if fault == "malformed grid":
+        grid, points = draw(st.sampled_from(("", "1:2", "1:2:x", "1:2:0", "a b",
+                                             "1 2 1", "1:1:2"))), 0
+    elif draw(st.booleans()):
+        points = draw(st.integers(1, 3))
+        start, stop = draw(st.lists(st.sampled_from(POOL), min_size=2, max_size=2,
+                                    unique=True))
+        grid = f"{start}:{stop}:{points}"
+    else:
+        values = sorted(draw(st.lists(st.sampled_from(POOL), min_size=1, max_size=3,
+                                      unique=True)),
+                        key=float, reverse=draw(st.booleans()))
+        grid, points = draw(st.sampled_from((" ", ", "))).join(values), len(values)
+    sweep = [f"target = {target}", f"variable = {variable}", f"grid = {grid}"]
+    fixed = [f"{key} = {draw(st.sampled_from(TEXT_VALUES.get(key, POOL)))}"
+             for key in required + optional
+             if key != variable and (key in required or draw(st.booleans()))]
+    # the swept variable's column is its name without the unit suffix
+    column = variable.rpartition("_")[0]
+    output = [f"{key} = {draw(st.sampled_from(values))}"
+              for key, values in (("format", ("csv", "plot", "", "xml")),
+                                  ("plot_x", ("", column, "bogus")),
+                                  ("plot_y", ("", ",", f"{column}, bogus")),
+                                  ("path", ("OUT",)))
+              if draw(st.booleans())]
+    sections = {"sweep": sweep, "fixed": fixed, "output": output}
+    for name, lines in sections.items():
+        if fault == f"drop a line in [{name}]" and lines:
+            lines.pop(draw(st.integers(0, len(lines) - 1)))
+        elif fault == f"repeat a line in [{name}]" and lines:
+            lines.append(draw(st.sampled_from(lines)))
+        elif fault == f"unknown key in [{name}]":
+            lines.append("wavelength_nm = 5")
+    names = list(draw(st.permutations(sorted(sections))))
+    if fault == "extra section":
+        names.append(draw(st.sampled_from(("solver", "fixed"))))
+    text = "".join(f"[{name}]\n" + "".join(f"{line}\n" for line in sections.get(name, ()))
+                   for name in names)
+    return text, points, "format = plot" in output
+
+
+@given(config_document())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_config_documents_never_raise(tmp_path_factory, case):
+    text, points, plot = case
+    directory = tmp_path_factory.mktemp("doc")
+    out = directory / "out.txt"
+    config = directory / "run.cfg"
+    config.write_text(text.replace("OUT", str(out)))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["sweep", "--config", str(config), "--quiet"])
+    err = stderr.getvalue()
+    assert code in (0, 1, 2), (text, err)
+    assert err.count("\n") == (code == 1) and "Traceback" not in err, (text, err)
+    if code == 1:
+        return
+    emitted = out.read_text() if out.exists() else stdout.getvalue()
+    if plot:
+        # one line per grid value in every block, after its "# x= y=" line
+        for block in emitted.rstrip("\n").split("\n\n"):
+            assert block.count("\n") == points, (text, emitted)
+        return
+    table = parse_result_csv(emitted)
+    assert len(table.rows) == points, text
+    for row, status in zip(table.rows, table.statuses):
+        if status == "ok":
+            assert all(math.isfinite(cell) for cell in row), (text, row)
+
+
 # --- help and usage texts ----------------------------------------------------
 
 CLI_TEXTS = DATA_DIR / "cli_texts.json"
@@ -453,6 +543,11 @@ def test_help_and_usage_texts_unchanged(argv):
 
 
 if __name__ == "__main__":
-    # PYTHONPATH=src python tests/test_cli.py rewrites the reference
+    # PYTHONPATH=src python tests/test_cli.py rewrites the references: the
+    # help and usage texts and the CSV of every shipped config
     CLI_TEXTS.write_text(json.dumps({" ".join(argv): cli_text(argv)
                                      for argv in TEXT_CASES}, indent=1) + "\n")
+    for config in sorted(CONFIG_DIR.glob("*.cfg")):
+        if main(["sweep", "--config", str(config), "--quiet",
+                 "--out", str(DATA_DIR / f"{config.stem}.csv")]) != 0:
+            raise SystemExit(f"{config.name}: a row failed")

@@ -3,9 +3,9 @@ import re
 import numpy as np
 import pytest
 
-from thzplasmon import (Column, ConfigError, ResultTable, UnknownColumnError,
-                        emit_csv, emit_plotdata, parse_config,
-                        parse_result_csv, run_sweep)
+from thzplasmon import (Column, ConfigError, ResultTable, SweepSpec,
+                        UnknownColumnError, emit_csv, emit_plotdata,
+                        parse_config, parse_result_csv, run_sweep)
 
 MINIMAL_CONDUCTIVITY = """
 [sweep]
@@ -117,6 +117,43 @@ relaxation_time_ps = 1.0
         parse_config(both)
     ok = parse_config(base + "preset = G\n")
     assert ok.fixed["preset"] == "G"
+
+
+@pytest.mark.parametrize("target, variable, fixed, message", [
+    ("stack", "chemical_potential_ev", {},
+     "missing required key 'preset' for target 'stack'"),
+    ("conductivity", "bogus",
+     {"chemical_potential_ev": 0.2, "relaxation_time_ps": 1.0},
+     "variable: target 'conductivity' sweeps one of"),
+    ("bogus", "frequency_thz", {}, "target: expected one of"),
+])
+def test_hand_built_spec_errors_are_config_errors(target, variable, fixed,
+                                                  message):
+    with pytest.raises(ConfigError, match=message):
+        run_sweep(SweepSpec(target, variable, (1.0,), fixed))
+
+
+@pytest.mark.parametrize("target, variable, fixed, body", [
+    ("dispersion", "frequency_thz",
+     {"substrate_permittivity": 3.8, "chemical_potential_ev": 0.2,
+      "relaxation_time_ps": 1.0},
+     "substrate_permittivity = 3.8\nchemical_potential_ev = 0.2\n"
+     "relaxation_time_ps = 1.0\n"),
+    ("antenna", "length_um",
+     {"width_um": 8.0, "gap_um": 3.0, "substrate_permittivity": 3.8,
+      "chemical_potential_ev": 0.2, "relaxation_time_ps": 1.0},
+     "width_um = 8\ngap_um = 3\nsubstrate_permittivity = 3.8\n"
+     "chemical_potential_ev = 0.2\nrelaxation_time_ps = 1.0\n"),
+    ("scenario", "length_um", {"width_um": 8.0, "scenario": "WNoC"},
+     "width_um = 8\nscenario = WNoC\n"),
+])
+def test_hand_built_spec_takes_the_parsers_defaults(target, variable, fixed,
+                                                    body):
+    parsed = parse_config(f"[sweep]\ntarget = {target}\nvariable = {variable}\n"
+                          f"grid = 20\n[fixed]\n{body}")
+    spec = SweepSpec(target, variable, (20.0,), fixed)
+    assert spec.fixed == parsed.fixed and spec.fixed != fixed
+    assert run_sweep(spec) == run_sweep(parsed)
 
 
 def test_fig2_style_spec_parses():

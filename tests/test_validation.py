@@ -57,6 +57,8 @@ def test_nan_in_trace_grid_is_rejected():
 @pytest.mark.parametrize("wavevector, residual, message", [
     (1 + 1j, -1.0, "residual must be >= 0"),
     (1 + 0j, 0.0, "Im wavevector must be > 0"),
+    (complex(0.0, 1.0), 0.0, "Re wavevector must be > 0"),
+    (complex(-1.0, 1.0), 0.0, "Re wavevector must be > 0"),
 ])
 def test_mode_solution_out_of_range_is_rejected(wavevector, residual, message):
     with pytest.raises(ValueError, match=message):
