@@ -8,13 +8,14 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from dataclasses import replace
 
 from . import scenario as _scenario
 from .modesolver import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE
 from .stacks import (H1G_FILM_THICKNESS_M, H2G_FILM_THICKNESS_M,
                      HIM_PERMITTIVITY, LIM_PERMITTIVITY)
 from .sweep import (_TARGETS, _TEXT_KEYS, FORMATS, ConfigError, SweepSpec,
-                    UnknownColumnError, _build_spec, _with_output, emit_csv,
+                    UnknownColumnError, _grid, _output_settings, emit_csv,
                     emit_plotdata, parse_config, run_sweep)
 
 
@@ -88,21 +89,14 @@ def _build_parser(argv) -> argparse.ArgumentParser:
 
 
 def _spec_from_args(args) -> SweepSpec:
-    # validate the flags as the sections of a config document, one value per
-    # key (stripped, as the config parser strips), so CLI and config files
-    # cannot drift apart and no flag value can set another key; the output
-    # flags need no section, _emit reads them from args
+    # the flags are the spec's fields, text stripped as the config parser
+    # strips it, so CLI and config files cannot drift apart; main applies
+    # the output flags
     schema = _TARGETS[args.command]
-    sections = {
-        "sweep": {"target": args.command,
-                  "variable": getattr(args, "variable", schema["variables"][0]),
-                  "grid": args.grid},
-        "fixed": {key: getattr(args, key) for key in schema["fixed"]
-                  if getattr(args, key) is not None},
-    }
-    return _build_spec({name: {key: (str(value).strip(), None)
-                               for key, value in keys.items()}
-                        for name, keys in sections.items()})
+    fixed = {key: value.strip() if key in _TEXT_KEYS else value
+             for key in schema["fixed"] if (value := getattr(args, key)) is not None}
+    return SweepSpec(args.command, getattr(args, "variable", schema["variables"][0]),
+                     _grid(args.grid.strip()), fixed)
 
 
 def _emit(spec: SweepSpec, table) -> None:
@@ -170,8 +164,9 @@ def main(argv=None) -> int:
         # an output flag given overrides the config's [output] key
         flags = {"path": args.out, "format": args.format,
                  "plot_x": args.plot_x, "plot_y": args.plot_y}
-        spec = _with_output(spec, {key: (value, None)
-                                   for key, value in flags.items() if value})
+        settings = _output_settings({key: value for key, value in flags.items() if value})
+        if settings:
+            spec = replace(spec, **settings)
     except ConfigError as err:
         sys.stderr.write(f"thzplasmon: config error: {err}\n")
         return 1

@@ -4,9 +4,11 @@ The configuration format is a flat key-value document with section headers,
 chosen so regression fixtures diff cleanly:
 
     [sweep]
-    target = stack                  # conductivity|dispersion|stack|antenna|scenario
+    # conductivity | dispersion | stack | antenna | scenario
+    target = stack
     variable = chemical_potential_ev
-    grid = 0.2:1.0:9                # start:stop:count, or explicit values
+    # start:stop:count, or explicit values
+    grid = 0.2:1.0:9
 
     [fixed]
     preset = H1G
@@ -15,8 +17,10 @@ chosen so regression fixtures diff cleanly:
 
     [output]
     path = h1g.csv
-    format = csv                    # or plot
+    # csv or plot
+    format = csv
 
+A comment is a line of its own; after a value, "#" is part of the value.
 Unknown sections or keys are errors, not warnings.  Sweeps never abort on a
 row failure, whether the solver fails, an input is invalid (a negative
 chemical potential, a zero frequency, a dipole shorter than its gap) or a
@@ -28,7 +32,7 @@ round-trip scientific notation and every column header carries a unit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import antenna as _antenna
 from . import modesolver as _modesolver
@@ -41,8 +45,19 @@ FORMATS = ("csv", "plot")  # the first is the default
 
 
 class ConfigError(ValueError):
+    # the ([section], key) an error is about, if it is about one: the config
+    # parser puts that key's line in front of the message
+    _where = ("", "")
+
     def __init__(self, message: str, line: int | None = None):
         super().__init__(message if line is None else f"line {line}: {message}")
+
+
+def _fault(section: str, key: str, message: str) -> ConfigError:
+    """A ConfigError about the key of [section]."""
+    err = ConfigError(message)
+    err._where = (section, key)
+    return err
 
 
 class UnknownColumnError(KeyError):
@@ -98,10 +113,31 @@ class SweepSpec:
     plot_y: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        # every spec, parsed or built by hand, passes here, so both get the
-        # same defaults and the same errors for a missing key
+        # every spec, parsed or built by hand, passes here, and this is the
+        # one place that judges it: both get the same defaults, the same
+        # errors and the same floats
         schema = _schema(self.target, self.variable)
-        fixed = dict(self.fixed)
+        grid = tuple(_number(value, "grid value", "sweep", "grid")
+                     for value in self.grid)
+        if not grid:
+            raise _fault("sweep", "grid", "grid: must not be empty")
+        steps = list(zip(grid, grid[1:]))
+        if not (all(a < b for a, b in steps) or all(a > b for a, b in steps)):
+            raise _fault("sweep", "grid", "grid: values must be strictly monotone")
+        if self.target == "dispersion" and grid[0] > grid[-1]:
+            raise _fault("sweep", "grid",
+                         "grid: dispersion traces need an increasing grid")
+        if self.variable in self.fixed:
+            raise _fault("fixed", self.variable,
+                         f"{self.variable!r} is both the swept variable and a "
+                         "fixed parameter")
+        fixed = {key: str(self.fixed[key]) if key in _TEXT_KEYS
+                 else _number(self.fixed[key], key, "fixed", key)
+                 for key in schema["fixed"] if key in self.fixed}
+        for key in self.fixed:
+            if key not in fixed:
+                raise _fault("fixed", key, f"unknown key {key!r} in [fixed] "
+                                           f"for target {self.target!r}")
         for key in schema["fixed"]:
             if key in fixed or key == self.variable or key in schema.get("optional", ()):
                 continue
@@ -120,6 +156,17 @@ class SweepSpec:
             if "substrate_permittivity" in fixed:
                 fixed.setdefault("superstrate_permittivity",
                                  _DEFAULTS["superstrate_permittivity"])
+        # a name is checked once the spec has every key it needs
+        for key, check in _TEXT_KEYS.items():
+            if key in fixed:
+                try:
+                    check(fixed[key])
+                except ValueError as err:
+                    raise ConfigError(str(err)) from None
+        if self.output_format not in FORMATS:
+            raise _fault("output", "format", f"format: expected one of {FORMATS}, "
+                                             f"got {self.output_format!r}")
+        object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "fixed", fixed)
 
 
@@ -150,10 +197,12 @@ def _check_preset(name: str) -> None:
 
 
 # [fixed] keys kept as text, each with the check of its name; every other
-# [fixed] key parses as a float
+# [fixed] key is a float
 _TEXT_KEYS = {"preset": _check_preset, "scenario": _scenario.scenario_by_name}
 
 _SECTIONS = ("sweep", "fixed", "output")
+_SWEEP_KEYS = ("target", "variable", "grid")
+_OUTPUT_KEYS = ("path", "format", "plot_x", "plot_y")
 
 
 def _parse_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
@@ -187,131 +236,92 @@ def _parse_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
     return sections
 
 
-def _parse_float(raw: str, key: str, line: int | None) -> float:
+def _number(value, name: str, section: str, key: str) -> float:
+    """value as a finite float; an error starts with name and is about the
+    key of [section]."""
     try:
-        value = float(raw)
+        number = float(value)
+    except (TypeError, ValueError):
+        raise _fault(section, key, f"{name}: not a number: {value!r}") from None
+    if not math.isfinite(number):
+        raise _fault(section, key, f"{name}: must be finite")
+    return number
+
+
+def _grid(text: str) -> tuple[float | str, ...]:
+    """The values of a grid's text, start:stop:count or a comma- or
+    space-separated list; listed values stay text for SweepSpec to read."""
+    if ":" not in text:
+        return tuple(text.replace(",", " ").split())
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise _fault("sweep", "grid", "grid: range form is start:stop:count")
+    start = _number(parts[0], "grid start", "sweep", "grid")
+    stop = _number(parts[1], "grid stop", "sweep", "grid")
+    try:
+        count = int(parts[2])
     except ValueError:
-        raise ConfigError(f"{key}: not a number: {raw!r}", line) from None
-    if not math.isfinite(value):
-        raise ConfigError(f"{key}: must be finite", line)
-    return value
+        raise _fault("sweep", "grid", "grid: count must be an integer") from None
+    if count < 1:
+        raise _fault("sweep", "grid", "grid: count must be >= 1")
+    if count == 1:
+        return (start,)
+    step = (stop - start) / (count - 1)
+    return tuple(start + i * step for i in range(count - 1)) + (stop,)
 
 
-def _parse_grid(raw: str, line: int | None) -> tuple[float, ...]:
-    raw = raw.strip()
-    if not raw:
-        raise ConfigError("grid: must not be empty", line)
-    if ":" in raw:
-        parts = raw.split(":")
-        if len(parts) != 3:
-            raise ConfigError("grid: range form is start:stop:count", line)
-        start = _parse_float(parts[0], "grid start", line)
-        stop = _parse_float(parts[1], "grid stop", line)
-        try:
-            count = int(parts[2])
-        except ValueError:
-            raise ConfigError("grid: count must be an integer", line) from None
-        if count < 1:
-            raise ConfigError("grid: count must be >= 1", line)
-        if count == 1:
-            values = (start,)
-        else:
-            step = (stop - start) / (count - 1)
-            values = tuple(start + i * step for i in range(count - 1)) + (stop,)
-    else:
-        tokens = raw.replace(",", " ").split()
-        values = tuple(_parse_float(t, "grid value", line) for t in tokens)
-    if len(values) > 1:
-        increasing = all(a < b for a, b in zip(values, values[1:]))
-        decreasing = all(a > b for a, b in zip(values, values[1:]))
-        if not (increasing or decreasing):
-            raise ConfigError("grid: values must be strictly monotone", line)
-    return values
-
-
-def _schema(target: str, variable: str, target_line: int | None = None,
-            variable_line: int | None = None) -> dict:
+def _schema(target: str, variable: str) -> dict:
     """The _TARGETS entry of target, which must sweep variable."""
     if target not in _TARGETS:
-        raise ConfigError(f"target: expected one of {tuple(_TARGETS)}, "
-                          f"got {target!r}", target_line)
+        raise _fault("sweep", "target",
+                     f"target: expected one of {tuple(_TARGETS)}, got {target!r}")
     schema = _TARGETS[target]
     if variable not in schema["variables"]:
-        raise ConfigError(
-            f"variable: target {target!r} sweeps one of "
-            f"{sorted(schema['variables'])}, got {variable!r}", variable_line)
+        raise _fault("sweep", "variable",
+                     f"variable: target {target!r} sweeps one of "
+                     f"{sorted(schema['variables'])}, got {variable!r}")
     return schema
 
 
-def _with_output(spec: SweepSpec, output: dict[str, tuple[str, int | None]]
-                 ) -> SweepSpec:
-    """spec with the settings of an [output] section (key -> (text, line));
-    an empty format, x column or y column list keeps the spec's."""
-    output = dict(output)
-    path = output.pop("path", None)
-    format_raw, format_line = output.pop("format", ("", None))
-    if format_raw and format_raw not in FORMATS:
-        raise ConfigError(f"format: expected one of {FORMATS}, got {format_raw!r}",
-                          format_line)
-    plot_x = output.pop("plot_x", ("", None))[0]
+def _output_settings(output: dict[str, str]) -> dict:
+    """The SweepSpec fields that [output] settings (key -> text) set; an
+    empty format, x column or y column list sets nothing."""
     # the y columns are a comma- or space-separated list
-    plot_y = tuple(output.pop("plot_y", ("", None))[0].replace(",", " ").split())
-    for key, (_, line) in output.items():
-        raise ConfigError(f"unknown key {key!r} in [output]", line)
+    plot_y = tuple(output.get("plot_y", "").replace(",", " ").split())
     settings = {name: value for name, value in (
-        ("output_format", format_raw), ("plot_x", plot_x), ("plot_y", plot_y)) if value}
-    if path is not None:
-        settings["output_path"] = path[0]
-    return replace(spec, **settings) if settings else spec
+        ("output_format", output.get("format")), ("plot_x", output.get("plot_x")),
+        ("plot_y", plot_y)) if value}
+    if "path" in output:
+        settings["output_path"] = output["path"]
+    return settings
 
 
-def _build_spec(sections: dict[str, dict[str, tuple[str, int | None]]]
-                ) -> SweepSpec:
+def _build_spec(sections: dict[str, dict[str, tuple[str, int]]]) -> SweepSpec:
+    """The spec of a document's sections (key -> (text, line)); SweepSpec
+    judges it, and an error about a key gets that key's line."""
     if "sweep" not in sections:
         raise ConfigError("missing [sweep] section")
-    sweep = dict(sections["sweep"])
-    fixed_raw = dict(sections.get("fixed", {}))
-
-    def take(key):
+    sweep = sections["sweep"]
+    for key in _SWEEP_KEYS:
         if key not in sweep:
             raise ConfigError(f"missing required key {key!r}")
-        return sweep.pop(key)
-
-    target_raw, target_line = take("target")
-    variable_raw, variable_line = take("variable")
-    schema = _schema(target_raw, variable_raw, target_line, variable_line)
-
-    grid_raw, grid_line = take("grid")
-    grid = _parse_grid(grid_raw, grid_line)
-    if target_raw == "dispersion" and len(grid) > 1 and grid[0] > grid[-1]:
-        raise ConfigError("grid: dispersion traces need an increasing grid",
-                          grid_line)
     for key, (_, line) in sweep.items():
-        raise ConfigError(f"unknown key {key!r} in [sweep]", line)
-
-    if variable_raw in fixed_raw:
-        _, line = fixed_raw[variable_raw]
-        raise ConfigError(
-            f"{variable_raw!r} is both the swept variable and a fixed parameter",
-            line)
-
-    fixed: dict[str, float | str] = {}
-    for key in schema["fixed"]:
-        if key in fixed_raw:
-            raw, line = fixed_raw.pop(key)
-            fixed[key] = raw if key in _TEXT_KEYS else _parse_float(raw, key, line)
-    for key, (_, line) in fixed_raw.items():
-        raise ConfigError(f"unknown key {key!r} in [fixed] for target {target_raw!r}",
-                          line)
-    spec = SweepSpec(target_raw, variable_raw, grid, fixed)
-    # a name is checked once the spec has every key it needs
-    for key, check in _TEXT_KEYS.items():
-        if key in fixed:
-            try:
-                check(fixed[key])
-            except ValueError as err:
-                raise ConfigError(str(err)) from None
-    return _with_output(spec, sections.get("output", {}))
+        if key not in _SWEEP_KEYS:
+            raise ConfigError(f"unknown key {key!r} in [sweep]", line)
+    text = {name: {key: value for key, (value, _) in keys.items()}
+            for name, keys in sections.items()}
+    try:
+        spec = SweepSpec(text["sweep"]["target"], text["sweep"]["variable"],
+                         _grid(text["sweep"]["grid"]), text.get("fixed", {}),
+                         **_output_settings(text.get("output", {})))
+    except ConfigError as err:
+        section, key = err._where
+        _, line = sections.get(section, {}).get(key, ("", None))
+        raise ConfigError(str(err), line) from None
+    for key, (_, line) in sections.get("output", {}).items():
+        if key not in _OUTPUT_KEYS:
+            raise ConfigError(f"unknown key {key!r} in [output]", line)
+    return spec
 
 
 def parse_config(text: str) -> SweepSpec:
@@ -336,9 +346,9 @@ def _outcome(fn, *args):
 
 
 def _make_sheet(params: dict) -> GrapheneSheet:
-    return GrapheneSheet(float(params["chemical_potential_ev"]),
-                         float(params["relaxation_time_ps"]) * 1e-12,
-                         float(params["temperature_k"]))
+    return GrapheneSheet(params["chemical_potential_ev"],
+                         params["relaxation_time_ps"] * 1e-12,
+                         params["temperature_k"])
 
 
 def _each_row(cells):
@@ -351,18 +361,18 @@ def _each_row(cells):
 
 
 def _conductivity_cells(params, tolerance, max_iterations):
-    omega = 2.0 * math.pi * float(params["frequency_thz"]) * 1e12
+    omega = 2.0 * math.pi * params["frequency_thz"] * 1e12
     sigma = intraband_conductivity(_make_sheet(params), omega)
     return [sigma.real, sigma.imag, abs(sigma), -sigma.imag]
 
 
 def _antenna_cells(params, tolerance, max_iterations):
     dipole = _antenna.DipoleGeometry(
-        width_m=float(params["width_um"]) * 1e-6,
-        total_length_m=float(params["length_um"]) * 1e-6,
-        gap_m=float(params["gap_um"]) * 1e-6,
-        substrate_permittivity=float(params["substrate_permittivity"]),
-        end_correction=float(params["end_correction"]))
+        width_m=params["width_um"] * 1e-6,
+        total_length_m=params["length_um"] * 1e-6,
+        gap_m=params["gap_um"] * 1e-6,
+        substrate_permittivity=params["substrate_permittivity"],
+        end_correction=params["end_correction"])
     pred = _antenna.resonance_frequency(
         dipole, _make_sheet(params),
         tolerance=tolerance, max_iterations=max_iterations)
@@ -372,20 +382,20 @@ def _antenna_cells(params, tolerance, max_iterations):
 
 def _scenario_cells(params, tolerance, max_iterations):
     report = _scenario.fits_footprint(
-        params["length_um"] * 1e-6, float(params["width_um"]) * 1e-6,
-        _scenario.scenario_by_name(str(params["scenario"])),
-        float(params["budget_fraction"]))
+        params["length_um"] * 1e-6, params["width_um"] * 1e-6,
+        _scenario.scenario_by_name(params["scenario"]),
+        params["budget_fraction"])
     return [report.footprint_m2, 1.0 if report.fits else 0.0, report.margin]
 
 
 def _dispersion_outcomes(spec: SweepSpec, tolerance: float, max_iterations: int):
     sheet = _make_sheet(spec.fixed)
     if "preset" in spec.fixed:
-        stack = preset_stack(str(spec.fixed["preset"]), sheet)
+        stack = preset_stack(spec.fixed["preset"], sheet)
     else:
         stack = graphene_on_substrate(
-            sheet, float(spec.fixed["substrate_permittivity"]),
-            float(spec.fixed["superstrate_permittivity"]))
+            sheet, spec.fixed["substrate_permittivity"],
+            spec.fixed["superstrate_permittivity"])
     points = _modesolver.trace_dispersion(
         stack, [f * 1e12 for f in spec.grid],
         tolerance=tolerance, max_iterations=max_iterations)
@@ -403,9 +413,9 @@ def _dispersion_outcomes(spec: SweepSpec, tolerance: float, max_iterations: int)
 def _stack_outcomes(spec: SweepSpec, tolerance: float, max_iterations: int):
     # stack_metrics_sweep retunes the sheet to each grid value
     sheet = _make_sheet({**spec.fixed, "chemical_potential_ev": 0.0})
-    stack = preset_stack(str(spec.fixed["preset"]), sheet)
+    stack = preset_stack(spec.fixed["preset"], sheet)
     rows = _modesolver.stack_metrics_sweep(
-        stack, float(spec.fixed["frequency_thz"]) * 1e12, spec.grid,
+        stack, spec.fixed["frequency_thz"] * 1e12, spec.grid,
         tolerance=tolerance, max_iterations=max_iterations)
     return [[row.effective_index, row.normalized_propagation_length,
              row.resonant_length_m] if row.status == "ok" else row.status
@@ -562,16 +572,9 @@ def parse_result_csv(text: str) -> ResultTable:
 def emit_plotdata(table: ResultTable, x: str, y_columns, path=None) -> str:
     """Whitespace-separated plot blocks, one per y column, blank-line
     separated.  Failed rows are skipped with a comment line."""
-    names = [col.name for col in table.columns]
-    if x not in names:
-        raise UnknownColumnError(x)
-    y_list = list(y_columns)
-    for y in y_list:
-        if y not in names:
-            raise UnknownColumnError(y)
     x_values = table.column_values(x)
     blocks = []
-    for y in y_list:
+    for y in y_columns:
         y_values = table.column_values(y)
         lines = [f"# x={x} y={y}"]
         for i, (xv, yv, status) in enumerate(zip(x_values, y_values,

@@ -217,6 +217,50 @@ def test_resonance_fallback_scan_returns_oracle_root(monkeypatch):
     assert abs(value - reference) < 1e-9 * reference
 
 
+# _secant_root on synthetic gap functions: g jumps from -1 to +1 at f = 2
+JUMP_AT = 2.0
+
+
+def _jump(evaluated):
+    def gap(f):
+        evaluated.append(f)
+        return -1.0 if f < JUMP_AT else 1.0
+    return gap
+
+
+def test_secant_stops_when_g_falls_and_the_bracket_is_half_open():
+    # a falling g has no secant step; with no upper bracket end there is
+    # nothing to bisect, so the search stops unconverged without evaluating
+    def never(f):
+        raise AssertionError("g evaluated")
+    assert antenna._secant_root(never, 1.0, 4.0, [(1.0, 0.5), (2.0, -0.5)]) \
+        == (2.0, -0.5, False)
+
+
+def test_secant_bisects_inside_a_known_bracket():
+    evaluated = []
+    f_a, f_b = JUMP_AT * (1 - 1e-9), JUMP_AT * (1 + 1e-9)
+    f, g, converged = antenna._secant_root(_jump(evaluated), 1.0, 4.0,
+                                           [(f_a, -1.0), (f_b, 1.0)], f_a, f_b)
+    # a jump leaves the secant flat, so the bracket is halved until a step
+    # is no longer than 4 ulp
+    assert converged and g == 1.0
+    assert 0.0 <= f - JUMP_AT <= 8 * math.ulp(JUMP_AT)
+    assert len(evaluated) < antenna._SECANT_STEPS
+    assert all(f_a < x < f_b for x in evaluated)
+
+
+def test_secant_runs_out_of_steps_on_a_wide_bracket():
+    # 40 bisections of [1, 4] cannot close it to 4 ulp
+    evaluated = []
+    f, _, converged = antenna._secant_root(_jump(evaluated), 1.0, 4.0,
+                                           [(1.0, -1.0), (4.0, 1.0)], 1.0, 4.0)
+    assert not converged
+    assert len(evaluated) == antenna._SECANT_STEPS
+    assert all(1.0 < x < 4.0 for x in evaluated) and f == evaluated[-1]
+    assert abs(f - JUMP_AT) < 1e-9
+
+
 @pytest.mark.parametrize("field", ["width_m", "total_length_m", "gap_m",
                                    "substrate_permittivity", "end_correction"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

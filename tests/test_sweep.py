@@ -1,8 +1,13 @@
+import itertools
+import math
 import re
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from thzplasmon import sweep
 from thzplasmon import (Column, ConfigError, ResultTable, SweepSpec,
                         UnknownColumnError, emit_csv, emit_plotdata,
                         parse_config, parse_result_csv, run_sweep)
@@ -154,6 +159,94 @@ def test_hand_built_spec_takes_the_parsers_defaults(target, variable, fixed,
     spec = SweepSpec(target, variable, (20.0,), fixed)
     assert spec.fixed == parsed.fixed and spec.fixed != fixed
     assert run_sweep(spec) == run_sweep(parsed)
+
+
+SIGMA_FIXED = {"chemical_potential_ev": 0.2, "relaxation_time_ps": 1.0}
+
+
+# a fault, the spec that has it (target, variable, grid, fixed, format), the
+# [section] key whose line the config reports (None: no line), the message
+@pytest.mark.parametrize("target, variable, grid, fixed, output_format, key, message", [
+    ("conductivity", "frequency_thz", (1.0,), {**SIGMA_FIXED, "wavelength_nm": 5.0},
+     "csv", "wavelength_nm",
+     "unknown key 'wavelength_nm' in [fixed] for target 'conductivity'"),
+    ("conductivity", "frequency_thz", (1.0,), {**SIGMA_FIXED, "temperature": 77.0},
+     "csv", "temperature",
+     "unknown key 'temperature' in [fixed] for target 'conductivity'"),
+    ("conductivity", "frequency_thz", (1.0,), {**SIGMA_FIXED, "frequency_thz": 2.0},
+     "csv", "frequency_thz",
+     "'frequency_thz' is both the swept variable and a fixed parameter"),
+    ("conductivity", "frequency_thz", (1.0,),
+     {**SIGMA_FIXED, "relaxation_time_ps": "fast"}, "csv", "relaxation_time_ps",
+     "relaxation_time_ps: not a number: 'fast'"),
+    ("conductivity", "frequency_thz", (1.0,),
+     {**SIGMA_FIXED, "chemical_potential_ev": math.inf}, "csv",
+     "chemical_potential_ev", "chemical_potential_ev: must be finite"),
+    ("conductivity", "frequency_thz", (), SIGMA_FIXED, "csv", "grid",
+     "grid: must not be empty"),
+    ("conductivity", "frequency_thz", (1.0, math.nan), SIGMA_FIXED, "csv", "grid",
+     "grid value: must be finite"),
+    ("conductivity", "frequency_thz", (1.0, 3.0, 2.0), SIGMA_FIXED, "csv", "grid",
+     "grid: values must be strictly monotone"),
+    ("dispersion", "frequency_thz", (2.0, 1.0), {**SIGMA_FIXED, "preset": "G"},
+     "csv", "grid", "grid: dispersion traces need an increasing grid"),
+    ("stack", "chemical_potential_ev", (0.2,),
+     {"preset": "XYZ", "frequency_thz": 4.0, "relaxation_time_ps": 0.6}, "csv",
+     None, "preset: expected one of ('G', 'H1G', 'H2G'), got 'XYZ'"),
+    ("scenario", "length_um", (10.0,), {"width_um": 8.0, "scenario": "Mars"},
+     "csv", None, "unknown scenario 'Mars'; expected WNSN, SDM or WNoC"),
+    ("conductivity", "frequency_thz", (1.0,), SIGMA_FIXED, "xml", "format",
+     "format: expected one of ('csv', 'plot'), got 'xml'"),
+], ids=["unknown-fixed-key", "misspelled-temperature", "variable-also-fixed",
+        "not-a-number", "not-finite", "empty-grid", "non-finite-grid",
+        "non-monotone-grid", "decreasing-dispersion-grid", "unknown-preset",
+        "unknown-scenario", "unknown-format"])
+def test_hand_built_spec_breaks_the_rules_a_config_breaks(
+        target, variable, grid, fixed, output_format, key, message):
+    # SweepSpec is the one judge: a spec built in code and a config document
+    # with the same fault give the same text, the config's with its line
+    with pytest.raises(ConfigError) as built:
+        SweepSpec(target, variable, grid, fixed, output_format=output_format)
+    assert str(built.value) == message
+    text = (f"[sweep]\ntarget = {target}\nvariable = {variable}\n"
+            f"grid = {' '.join(map(repr, grid))}\n[fixed]\n"
+            + "".join(f"{name} = {value}\n" for name, value in fixed.items())
+            + f"[output]\nformat = {output_format}\n")
+    with pytest.raises(ConfigError) as parsed:
+        parse_config(text)
+    if key is not None:
+        line = next(number for number, line in enumerate(text.splitlines(), 1)
+                    if line.startswith(f"{key} ="))
+        message = f"line {line}: {message}"
+    assert str(parsed.value) == message
+
+
+def test_hand_built_spec_holds_floats():
+    spec = SweepSpec("scenario", "length_um", [10, 20],
+                     {"width_um": 8, "scenario": "WNoC"})
+    assert spec.grid == (10.0, 20.0) and spec.fixed["width_um"] == 8.0
+    assert all(type(value) is float for value in spec.grid)
+    assert type(spec.fixed["width_um"]) is float
+
+
+def _readme_example() -> str:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return re.search(r"```ini\n(.*?)```", readme, re.DOTALL).group(1)
+
+
+def _docstring_example() -> str:
+    lines = sweep.__doc__.splitlines()
+    block = lines[lines.index("    [sweep]"):]
+    return textwrap.dedent("\n".join(itertools.takewhile(
+        lambda line: line.startswith("    ") or not line, block)))
+
+
+@pytest.mark.parametrize("example", [_readme_example, _docstring_example],
+                         ids=["readme", "sweep-docstring"])
+def test_documented_config_example_parses(example):
+    spec = parse_config(example())
+    assert (spec.target, spec.fixed["preset"], len(spec.grid)) == ("stack", "H1G", 9)
+    assert (spec.output_path, spec.output_format) == ("h1g.csv", "csv")
 
 
 def test_fig2_style_spec_parses():
