@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 from .conductivity import GrapheneSheet
 from .constants import C0, _check_range
-from .modesolver import (DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE,
-                         ModeSolution, ModeSolverError, find_mode,
+from .modesolver import (ModeSolution, ModeSolverError, find_mode,
                          quasi_static_wavevector)
 from .stacks import LayeredStack, graphene_on_substrate
 
@@ -66,12 +65,9 @@ class ResonancePrediction:
         _check_range("miniaturization_factor", self.miniaturization_factor, 0.0)
 
 
-def resonant_length(stack: LayeredStack, frequency_hz: float, *,
-                    tolerance: float = DEFAULT_TOLERANCE,
-                    max_iterations: int = DEFAULT_MAX_ITERATIONS) -> float:
+def resonant_length(stack: LayeredStack, frequency_hz: float) -> float:
     """Half the guided wavelength of the fundamental mode: pi / Re q."""
-    mode = find_mode(stack, 2.0 * math.pi * frequency_hz,
-                     tolerance=tolerance, max_iterations=max_iterations)
+    mode = find_mode(stack, 2.0 * math.pi * frequency_hz)
     return mode.guided_wavelength_m / 2.0
 
 
@@ -180,9 +176,7 @@ def _scan_bracket(gap, lo: float, hi: float):
 
 
 def resonance_frequency(dipole: DipoleGeometry, sheet: GrapheneSheet, *,
-                        band_hz: tuple[float, float] = DEFAULT_BAND_HZ,
-                        tolerance: float = DEFAULT_TOLERANCE,
-                        max_iterations: int = DEFAULT_MAX_ITERATIONS
+                        band_hz: tuple[float, float] = DEFAULT_BAND_HZ
                         ) -> ResonancePrediction:
     """Smallest in-band frequency where the dipole is half a guided
     wavelength long, for the sheet on a semi-infinite substrate under vacuum.
@@ -222,13 +216,11 @@ def resonance_frequency(dipole: DipoleGeometry, sheet: GrapheneSheet, *,
             # scale to the new light cone so the seed stays a bound guess
             guess = cache[nearest].wavevector * (f_hz / nearest)
         try:
-            mode = find_mode(stack, 2.0 * math.pi * f_hz, guess,
-                             tolerance=tolerance, max_iterations=max_iterations)
+            mode = find_mode(stack, 2.0 * math.pi * f_hz, guess)
         except ModeSolverError:
             if guess is None:
                 raise
-            mode = find_mode(stack, 2.0 * math.pi * f_hz,
-                             tolerance=tolerance, max_iterations=max_iterations)
+            mode = find_mode(stack, 2.0 * math.pi * f_hz)
         cache[f_hz] = mode
         return mode
 

@@ -11,7 +11,6 @@ import sys
 from dataclasses import replace
 
 from . import scenario as _scenario
-from .modesolver import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE
 from .stacks import (H1G_FILM_THICKNESS_M, H2G_FILM_THICKNESS_M,
                      HIM_PERMITTIVITY, LIM_PERMITTIVITY)
 from .sweep import (_TARGETS, _TEXT_KEYS, FORMATS, ConfigError, SweepSpec,
@@ -32,10 +31,6 @@ def _add_common(parser):
                         help=f"output format (default {FORMATS[0]})")
     parser.add_argument("--plot-x", help="x column for plot output")
     parser.add_argument("--plot-y", help="comma-separated y columns for plot output")
-    parser.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
-                        help="relative root-finder tolerance")
-    parser.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITERATIONS,
-                        help="root-finder iteration cap")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress the summary line on stderr")
 
@@ -171,7 +166,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"thzplasmon: config error: {err}\n")
         return 1
 
-    table = run_sweep(spec, tolerance=args.tolerance, max_iterations=args.max_iter)
+    table = run_sweep(spec)
     try:
         _emit(spec, table)
     except UnknownColumnError as err:

@@ -38,9 +38,10 @@ from .conductivity import _check_invertible, intraband_conductivity
 from .constants import C0, EPS0, _check_range
 from .stacks import LayeredStack
 
-DEFAULT_TOLERANCE = 1e-12      # relative step |dq|/|q| at convergence
-DEFAULT_MAX_ITERATIONS = 100
-RESIDUAL_GATE = 1e-10          # |D| relative to its largest term, at a root
+# the fixed convergence rule of the root finder
+TOLERANCE = 1e-12       # relative step |dq|/|q| at convergence
+MAX_ITERATIONS = 100    # Muller steps before a seed is given up
+RESIDUAL_GATE = 1e-10   # |D| relative to its largest term, at a root
 
 _BRANCH_CUT_GUARD = 1e-12     # |x^2 - eps| below this flags branch-cut proximity
 _SCAN_IMAG_FRAC = 1e-4        # seed scans run along Im x = this * Re x
@@ -241,7 +242,7 @@ def quasi_static_wavevector(stack: LayeredStack,
     return 1j * eps_sum * angular_frequency * EPS0 / sigma
 
 
-def _muller_polish(fn, seed: complex, tolerance: float, max_iterations: int):
+def _muller_polish(fn, seed: complex):
     """Muller iteration followed by a finite-difference Newton polish.
 
     Returns the refined root or None.  The derivative-free start tolerates
@@ -255,7 +256,7 @@ def _muller_polish(fn, seed: complex, tolerance: float, max_iterations: int):
     if not (cmath.isfinite(f0) and cmath.isfinite(f1) and cmath.isfinite(f2)):
         return None
     scale0 = abs(seed)
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         dx10 = x1 - x0
         dx21 = x2 - x1
         if dx10 == 0 or dx21 == 0:
@@ -287,7 +288,7 @@ def _muller_polish(fn, seed: complex, tolerance: float, max_iterations: int):
                 return None
         x0, x1, x2 = x1, x2, x_new
         f0, f1, f2 = f1, f2, f_new
-        if abs(x2 - x1) < tolerance * abs(x2):
+        if abs(x2 - x1) < TOLERANCE * abs(x2):
             break
     else:
         return None
@@ -308,7 +309,7 @@ def _muller_polish(fn, seed: complex, tolerance: float, max_iterations: int):
         if not cmath.isfinite(step):
             break
         x = x - step
-        if abs(step) < 0.1 * tolerance * abs(x):
+        if abs(step) < 0.1 * TOLERANCE * abs(x):
             break
     return x
 
@@ -351,9 +352,7 @@ def _scan_seeds(fn_rel, lo: float, hi: float, count: int) -> list[complex]:
 
 
 def find_mode(stack: LayeredStack, angular_frequency: float,
-              initial_guess: complex | None = None, *,
-              tolerance: float = DEFAULT_TOLERANCE,
-              max_iterations: int = DEFAULT_MAX_ITERATIONS) -> ModeSolution:
+              initial_guess: complex | None = None) -> ModeSolution:
     """Fundamental bound TM mode of the stack at one angular frequency.
 
     Without a guess, candidate seeds are the quasi-static estimate plus
@@ -395,7 +394,7 @@ def find_mode(stack: LayeredStack, angular_frequency: float,
     bound: list[tuple[complex, float]] = []
     unbound_reason: str | None = None
     for seed in seeds:
-        root = _muller_polish(fn, seed, tolerance, max_iterations)
+        root = _muller_polish(fn, seed)
         if root is None:
             continue
         rel = fn_rel(root)
@@ -414,15 +413,13 @@ def find_mode(stack: LayeredStack, angular_frequency: float,
         if unbound_reason is not None:
             raise NonBoundModeError(unbound_reason)
         raise ConvergenceError(
-            f"no root of the mode condition converged within {max_iterations} "
+            f"no root of the mode condition converged within {MAX_ITERATIONS} "
             f"iterations at f = {angular_frequency / (2 * math.pi):.4g} Hz")
     x, rel = min(bound, key=lambda item: item[0].real)
     return ModeSolution(angular_frequency, x * k0, rel)
 
 
-def trace_dispersion(stack: LayeredStack, frequencies_hz,
-                     *, tolerance: float = DEFAULT_TOLERANCE,
-                     max_iterations: int = DEFAULT_MAX_ITERATIONS) -> list[TracePoint]:
+def trace_dispersion(stack: LayeredStack, frequencies_hz) -> list[TracePoint]:
     """Solve the stack across a frequency grid with continuation.
 
     The first point starts from the default seeds; each later point starts
@@ -441,8 +438,7 @@ def trace_dispersion(stack: LayeredStack, frequencies_hz,
         # the bound region (q/k0 would otherwise drop below the claddings)
         guess = guess_index * (2.0 * math.pi * f / C0) if guess_index else None
         try:
-            solution = find_mode(stack, 2.0 * math.pi * f, guess,
-                                 tolerance=tolerance, max_iterations=max_iterations)
+            solution = find_mode(stack, 2.0 * math.pi * f, guess)
             guess_index = solution.wavevector / solution.k0
             points.append(TracePoint(f, solution, "ok"))
         except (ModeSolverError, ValueError) as err:
@@ -451,10 +447,7 @@ def trace_dispersion(stack: LayeredStack, frequencies_hz,
 
 
 def stack_metrics_sweep(stack: LayeredStack, frequency_hz: float,
-                        chemical_potentials_ev, *,
-                        tolerance: float = DEFAULT_TOLERANCE,
-                        max_iterations: int = DEFAULT_MAX_ITERATIONS
-                        ) -> list[StackMetricsRow]:
+                        chemical_potentials_ev) -> list[StackMetricsRow]:
     """Fundamental-mode figures of merit versus sheet chemical potential.
 
     Every sheet of the stack is retuned to each grid value; rows report the
@@ -466,8 +459,7 @@ def stack_metrics_sweep(stack: LayeredStack, frequency_hz: float,
     rows: list[StackMetricsRow] = []
     for ef in chemical_potentials_ev:
         try:
-            mode = find_mode(stack.with_chemical_potential(float(ef)), omega,
-                             tolerance=tolerance, max_iterations=max_iterations)
+            mode = find_mode(stack.with_chemical_potential(float(ef)), omega)
         except (ModeSolverError, ValueError) as err:
             rows.append(StackMetricsRow(float(ef), None, None, None,
                                         f"failed:{err}"))

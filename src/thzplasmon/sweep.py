@@ -38,7 +38,6 @@ from . import antenna as _antenna
 from . import modesolver as _modesolver
 from . import scenario as _scenario
 from .conductivity import DEFAULT_TEMPERATURE_K, GrapheneSheet, intraband_conductivity
-from .modesolver import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE
 from .stacks import PRESET_NAMES, graphene_on_substrate, preset_stack
 
 FORMATS = ("csv", "plot")  # the first is the default
@@ -166,6 +165,16 @@ class SweepSpec:
         if self.output_format not in FORMATS:
             raise _fault("output", "format", f"format: expected one of {FORMATS}, "
                                              f"got {self.output_format!r}")
+        if self.output_path is not None and not _is_name(self.output_path):
+            raise _fault("output", "path", "path: expected a non-empty file "
+                                           f"path, got {self.output_path!r}")
+        if self.plot_x is not None and not _is_name(self.plot_x):
+            raise _fault("output", "plot_x", "plot_x: expected a column name, "
+                                             f"got {self.plot_x!r}")
+        if self.plot_y is not None and not (isinstance(self.plot_y, tuple)
+                                            and all(map(_is_name, self.plot_y))):
+            raise _fault("output", "plot_y", "plot_y: expected a tuple of column "
+                                             f"names, got {self.plot_y!r}")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "fixed", fixed)
 
@@ -246,6 +255,11 @@ def _number(value, name: str, section: str, key: str) -> float:
     if not math.isfinite(number):
         raise _fault(section, key, f"{name}: must be finite")
     return number
+
+
+def _is_name(value) -> bool:
+    """Whether value is a non-empty string: a path or a column name."""
+    return isinstance(value, str) and value != ""
 
 
 def _grid(text: str) -> tuple[float | str, ...]:
@@ -352,35 +366,32 @@ def _make_sheet(params: dict) -> GrapheneSheet:
 
 
 def _each_row(cells):
-    """Outcomes of a target whose cells(params, tolerance, max_iterations)
-    evaluates one grid value."""
-    def outcomes(spec: SweepSpec, tolerance: float, max_iterations: int):
-        return [_outcome(cells, {**spec.fixed, spec.variable: value},
-                         tolerance, max_iterations) for value in spec.grid]
+    """Outcomes of a target whose cells(params) evaluates one grid value."""
+    def outcomes(spec: SweepSpec):
+        return [_outcome(cells, {**spec.fixed, spec.variable: value})
+                for value in spec.grid]
     return outcomes
 
 
-def _conductivity_cells(params, tolerance, max_iterations):
+def _conductivity_cells(params):
     omega = 2.0 * math.pi * params["frequency_thz"] * 1e12
     sigma = intraband_conductivity(_make_sheet(params), omega)
     return [sigma.real, sigma.imag, abs(sigma), -sigma.imag]
 
 
-def _antenna_cells(params, tolerance, max_iterations):
+def _antenna_cells(params):
     dipole = _antenna.DipoleGeometry(
         width_m=params["width_um"] * 1e-6,
         total_length_m=params["length_um"] * 1e-6,
         gap_m=params["gap_um"] * 1e-6,
         substrate_permittivity=params["substrate_permittivity"],
         end_correction=params["end_correction"])
-    pred = _antenna.resonance_frequency(
-        dipole, _make_sheet(params),
-        tolerance=tolerance, max_iterations=max_iterations)
+    pred = _antenna.resonance_frequency(dipole, _make_sheet(params))
     return [pred.resonance_frequency_hz / 1e12, pred.metal_reference_hz / 1e12,
             pred.miniaturization_factor, pred.efficiency_proxy]
 
 
-def _scenario_cells(params, tolerance, max_iterations):
+def _scenario_cells(params):
     report = _scenario.fits_footprint(
         params["length_um"] * 1e-6, params["width_um"] * 1e-6,
         _scenario.scenario_by_name(params["scenario"]),
@@ -388,7 +399,7 @@ def _scenario_cells(params, tolerance, max_iterations):
     return [report.footprint_m2, 1.0 if report.fits else 0.0, report.margin]
 
 
-def _dispersion_outcomes(spec: SweepSpec, tolerance: float, max_iterations: int):
+def _dispersion_outcomes(spec: SweepSpec):
     sheet = _make_sheet(spec.fixed)
     if "preset" in spec.fixed:
         stack = preset_stack(spec.fixed["preset"], sheet)
@@ -396,9 +407,7 @@ def _dispersion_outcomes(spec: SweepSpec, tolerance: float, max_iterations: int)
         stack = graphene_on_substrate(
             sheet, spec.fixed["substrate_permittivity"],
             spec.fixed["superstrate_permittivity"])
-    points = _modesolver.trace_dispersion(
-        stack, [f * 1e12 for f in spec.grid],
-        tolerance=tolerance, max_iterations=max_iterations)
+    points = _modesolver.trace_dispersion(stack, [f * 1e12 for f in spec.grid])
     results = []
     for point in points:
         mode = point.solution
@@ -410,13 +419,12 @@ def _dispersion_outcomes(spec: SweepSpec, tolerance: float, max_iterations: int)
     return results
 
 
-def _stack_outcomes(spec: SweepSpec, tolerance: float, max_iterations: int):
+def _stack_outcomes(spec: SweepSpec):
     # stack_metrics_sweep retunes the sheet to each grid value
     sheet = _make_sheet({**spec.fixed, "chemical_potential_ev": 0.0})
     stack = preset_stack(spec.fixed["preset"], sheet)
     rows = _modesolver.stack_metrics_sweep(
-        stack, spec.fixed["frequency_thz"] * 1e12, spec.grid,
-        tolerance=tolerance, max_iterations=max_iterations)
+        stack, spec.fixed["frequency_thz"] * 1e12, spec.grid)
     return [[row.effective_index, row.normalized_propagation_length,
              row.resonant_length_m] if row.status == "ok" else row.status
             for row in rows]
@@ -487,13 +495,12 @@ _TARGETS: dict[str, dict] = {
 }
 
 
-def run_sweep(spec: SweepSpec, *, tolerance: float = DEFAULT_TOLERANCE,
-              max_iterations: int = DEFAULT_MAX_ITERATIONS) -> ResultTable:
+def run_sweep(spec: SweepSpec) -> ResultTable:
     """Execute a validated sweep.  Deterministic: identical specs produce
     identical tables (and therefore byte-identical emitted files)."""
     target = _TARGETS[spec.target]
     value_columns = target["columns"]
-    results = _outcome(target["outcomes"], spec, tolerance, max_iterations)
+    results = _outcome(target["outcomes"], spec)
     if isinstance(results, str):
         # a setup error (the fixed sheet or stack) fails every row
         results = [results] * len(spec.grid)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thzplasmon import parse_result_csv
+from thzplasmon import modesolver, parse_result_csv
 from thzplasmon.cli import main
 
 CONFIG = """
@@ -91,11 +91,12 @@ def test_direct_subcommand_stdout(capsys):
     assert [c.name for c in table.columns][:2] == ["frequency", "sigma_real"]
 
 
-def test_failed_rows_exit_code(capsys):
+def test_failed_rows_exit_code(capsys, monkeypatch):
     # iteration cap too small for any convergence
+    monkeypatch.setattr(modesolver, "MAX_ITERATIONS", 2)
     code = main(["stack", "--preset", "G", "--frequency-thz", "4",
                  "--relaxation-time-ps", "0.6", "--grid", "0.2 0.4",
-                 "--max-iter", "2", "--quiet"])
+                 "--quiet"])
     assert code == 2
     table = parse_result_csv(capsys.readouterr().out)
     assert all(status.startswith("failed:") for status in table.statuses)
@@ -493,6 +494,7 @@ TEXT_CASES = (
        ["sweep", "--config"], ["--quiet", "sweep", "--config", "absent.cfg"],
        ["sweep", "--config", "absent.cfg", "--format", "xml"],
        ["sweep", "--config", "absent.cfg", "--max-iter", "1.5"],
+       ["stack", "--grid", "1", "--tolerance", "1e-9"],
        ["conductivity"], ["conductivity", "--grid", "1", "--bogus"],
        ["antenna", "--grid", "1", "--variable", "nope"],
        ["stack", "--grid", "1", "--frequency-thz", "x"],

@@ -168,6 +168,40 @@ def test_reversed_stack_same_mode():
     assert abs(q1 - q2) < 1e-9 * abs(q1)
 
 
+@st.composite
+def single_sheet_stacks(draw):
+    """2-4 layers with eps in [1, 12] and d in [10 nm, 10 um], and one sheet
+    (0.05-1 eV, 0.1-1 ps) at a random interface."""
+    eps = draw(st.lists(st.floats(1.0, 12.0), min_size=2, max_size=4))
+    inner = [DielectricLayer(e, draw(st.floats(1e-8, 1e-5))) for e in eps[1:-1]]
+    layers = (DielectricLayer(eps[0]), *inner, DielectricLayer(eps[-1]))
+    sheet = GrapheneSheet(draw(st.floats(0.05, 1.0)),
+                          draw(st.floats(0.1e-12, 1e-12)))
+    return LayeredStack(layers, {draw(st.integers(0, len(layers) - 2)): sheet})
+
+
+def _mode_or_error(stack, omega):
+    try:
+        return find_mode(stack, omega)
+    except (ModeSolverError, ValueError) as err:
+        return type(err)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(stack=single_sheet_stacks(), f_hz=st.floats(0.5e12, 6e12))
+def test_find_mode_is_flip_invariant(stack, f_hz):
+    # looking up the stack is looking down its mirror: the same mode, or the
+    # same failure
+    omega = 2.0 * math.pi * f_hz
+    mode = _mode_or_error(stack, omega)
+    flipped = _mode_or_error(stack.reversed(), omega)
+    if isinstance(mode, type) or isinstance(flipped, type):
+        assert mode == flipped
+    else:
+        q = mode.wavevector
+        assert abs(flipped.wavevector - q) <= 1e-12 * abs(q)
+
+
 def test_residual_symmetric_stack_reversal_is_identity():
     h2g = preset_stack("H2G", SHEET_02)
     q = (2.2 + 0.01j) * OMEGA_1THZ / C0
@@ -288,10 +322,11 @@ def test_leaky_branch_fires_where_the_square_overflows():
     assert modesolver._classify_root(stack, x) == "leaky: no decay into a cladding"
 
 
-def test_find_mode_convergence_error():
+def test_find_mode_convergence_error(monkeypatch):
+    monkeypatch.setattr(modesolver, "MAX_ITERATIONS", 2)
     stack = graphene_on_substrate(SHEET_02, 3.8)
     with pytest.raises(ConvergenceError):
-        find_mode(stack, OMEGA_1THZ, max_iterations=2)
+        find_mode(stack, OMEGA_1THZ)
 
 
 def test_permittivity_scaling_increases_confinement():
@@ -432,9 +467,10 @@ def test_trace_g_preset_stays_bound_and_above_unity():
     assert all(p.solution.effective_index > 1.0 for p in points)
 
 
-def test_trace_records_failures_per_point():
+def test_trace_records_failures_per_point(monkeypatch):
+    monkeypatch.setattr(modesolver, "MAX_ITERATIONS", 2)
     stack = graphene_on_substrate(SHEET_02, 3.8)
-    points = trace_dispersion(stack, [0.5e12, 1e12, 2e12], max_iterations=2)
+    points = trace_dispersion(stack, [0.5e12, 1e12, 2e12])
     assert len(points) == 3
     assert all(not p.ok and p.status.startswith("failed:") for p in points)
 
@@ -473,9 +509,10 @@ def test_stack_metrics_orderings_at_matched_parameters():
             assert row_h.resonant_length_m > row_g.resonant_length_m
 
 
-def test_stack_metrics_rows_record_failures():
+def test_stack_metrics_rows_record_failures(monkeypatch):
+    monkeypatch.setattr(modesolver, "MAX_ITERATIONS", 2)
     stack = preset_stack("G", GrapheneSheet(0.2, 0.6e-12))
-    rows = stack_metrics_sweep(stack, 4e12, (0.2, 0.4), max_iterations=2)
+    rows = stack_metrics_sweep(stack, 4e12, (0.2, 0.4))
     assert len(rows) == 2
     assert all(row.status.startswith("failed:") for row in rows)
     assert all(row.effective_index is None for row in rows)

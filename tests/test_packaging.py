@@ -1,6 +1,8 @@
 """The runtime needs nothing beyond the standard library, and the gains that
 rest on it stay in place: no heavy import, the same constants, a small
-evaluation budget for the resonance search."""
+evaluation budget for the resonance search.  The exported parameters are
+pinned, so that a new knob or a dropped parameter shows in review."""
+import inspect
 import math
 import os
 import subprocess
@@ -95,3 +97,88 @@ def test_too_short_dipole_evaluation_count():
     # a continued solve (19) and a cold one (167) that both raise; the
     # 48-point band scan took 1 644
     assert _count_evals(call) == 194
+
+
+# the parameter names of every exported callable; None for an exception
+# class that keeps its builtin constructor
+EXPORTED_PARAMETERS = {
+    "BranchCutProximityError": None,
+    "Column": ("name", "unit"),
+    "ConfigError": ("message", "line"),
+    "ConvergenceError": None,
+    "DegenerateConductivityError": None,
+    "DielectricLayer": ("relative_permittivity", "thickness_m"),
+    "DipoleGeometry": ("width_m", "total_length_m", "gap_m",
+                       "substrate_permittivity", "end_correction"),
+    "FeasibilityReport": ("scenario_name", "footprint_m2", "fits", "margin",
+                          "notes"),
+    "GrapheneSheet": ("chemical_potential_ev", "relaxation_time_s",
+                      "temperature_k"),
+    "LayeredStack": ("layers", "sheets"),
+    "ModeSolution": ("angular_frequency", "wavevector", "residual"),
+    "ModeSolverError": None,
+    "NoResonanceInBandError": None,
+    "NonBoundModeError": None,
+    "PhysicalConstants": ("electron_charge", "reduced_planck", "boltzmann",
+                          "vacuum_permittivity", "light_speed",
+                          "free_space_impedance"),
+    "ResonancePrediction": ("resonance_frequency_hz", "mode",
+                            "metal_reference_hz", "miniaturization_factor",
+                            "efficiency_proxy"),
+    "ResultTable": ("columns", "rows", "statuses"),
+    "ScenarioRequirements": ("name", "node_size_m2", "tx_range_m",
+                             "data_rate_bps"),
+    "StackMetricsRow": ("chemical_potential_ev", "effective_index",
+                        "normalized_propagation_length", "resonant_length_m",
+                        "status"),
+    "SweepSpec": ("target", "variable", "grid", "fixed", "output_path",
+                  "output_format", "plot_x", "plot_y"),
+    "TracePoint": ("frequency_hz", "solution", "status"),
+    "UnknownColumnError": None,
+    "builtin_scenarios": (),
+    "chemical_potential_from_bias": ("voltage_delta_v",
+                                     "sensitivity_ev_per_sqrt_v"),
+    "dispersion_residual": ("stack", "wavevector", "angular_frequency"),
+    "drude_weight": ("sheet",),
+    "efficiency_proxy": ("mode",),
+    "emit_csv": ("table", "path"),
+    "emit_plotdata": ("table", "x", "y_columns", "path"),
+    "find_mode": ("stack", "angular_frequency", "initial_guess"),
+    "fits_footprint": ("resonant_length_m", "width_m", "scenario",
+                       "budget_fraction"),
+    "free_standing_sheet": ("sheet",),
+    "graphene_on_substrate": ("sheet", "substrate_permittivity",
+                              "superstrate_permittivity"),
+    "intraband_conductivity": ("sheet", "angular_frequency"),
+    "metal_dipole_resonance": ("total_length_m", "substrate_permittivity"),
+    "miniaturization_factor": ("prediction",),
+    "parse_config": ("text",),
+    "parse_result_csv": ("text",),
+    "preset_stack": ("name", "sheet", "lim_permittivity", "him_permittivity",
+                     "film_thickness_m"),
+    "quasi_static_wavevector": ("stack", "angular_frequency"),
+    "residual_scale": ("stack", "wavevector", "angular_frequency"),
+    "resonance_frequency": ("dipole", "sheet", "band_hz"),
+    "resonant_length": ("stack", "frequency_hz"),
+    "run_sweep": ("spec",),
+    "scenario_by_name": ("name",),
+    "scenarios_csv": (),
+    "sdm_cell_size": ("frequency_hz",),
+    "stack_metrics_sweep": ("stack", "frequency_hz", "chemical_potentials_ev"),
+    "surface_impedance": ("sheet", "angular_frequency"),
+    "trace_dispersion": ("stack", "frequencies_hz"),
+    "write_scenarios_csv": ("path",),
+}
+
+
+def _parameters(obj):
+    try:
+        return tuple(inspect.signature(obj).parameters)
+    except ValueError:  # no signature: a builtin constructor
+        return None
+
+
+def test_exported_parameters_are_pinned():
+    exported = {name: getattr(thzplasmon, name) for name in thzplasmon.__all__}
+    assert {name: _parameters(obj) for name, obj in exported.items()
+            if callable(obj)} == EXPORTED_PARAMETERS

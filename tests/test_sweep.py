@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thzplasmon import sweep
+from thzplasmon import modesolver, sweep
 from thzplasmon import (Column, ConfigError, ResultTable, SweepSpec,
                         UnknownColumnError, emit_csv, emit_plotdata,
                         parse_config, parse_result_csv, run_sweep)
@@ -221,6 +221,36 @@ def test_hand_built_spec_breaks_the_rules_a_config_breaks(
     assert str(parsed.value) == message
 
 
+# an output fault: the SweepSpec fields that carry it, the [output] line that
+# carries it in a config (None: an empty plot column in a config sets
+# nothing, so only a spec built in code can carry it), the message
+@pytest.mark.parametrize("fields, line, message", [
+    ({"output_path": ""}, "path =",
+     "path: expected a non-empty file path, got ''"),
+    ({"plot_x": ""}, None, "plot_x: expected a column name, got ''"),
+    ({"plot_y": "sigma_real"}, None,
+     "plot_y: expected a tuple of column names, got 'sigma_real'"),
+    ({"plot_y": ("sigma_real", "")}, None,
+     "plot_y: expected a tuple of column names, got ('sigma_real', '')"),
+], ids=["empty-path", "empty-plot-x", "bare-string-plot-y", "empty-plot-y-name"])
+def test_hand_built_spec_judges_the_output_fields(fields, line, message):
+    with pytest.raises(ConfigError) as built:
+        SweepSpec("conductivity", "frequency_thz", (1.0,), SIGMA_FIXED, **fields)
+    assert str(built.value) == message
+    if line is None:
+        return
+    text = MINIMAL_CONDUCTIVITY + f"[output]\n{line}\n"
+    with pytest.raises(ConfigError) as parsed:
+        parse_config(text)
+    assert str(parsed.value) == f"line {text.splitlines().index(line) + 1}: {message}"
+
+
+def test_empty_plot_columns_in_a_config_set_nothing():
+    spec = parse_config(MINIMAL_CONDUCTIVITY + "[output]\nformat = plot\n"
+                        "plot_x =\nplot_y = ,\n")
+    assert (spec.output_format, spec.plot_x, spec.plot_y) == ("plot", None, None)
+
+
 def test_hand_built_spec_holds_floats():
     spec = SweepSpec("scenario", "length_um", [10, 20],
                      {"width_um": 8, "scenario": "WNoC"})
@@ -264,7 +294,8 @@ def test_conductivity_sweep_monotone_in_chemical_potential():
     assert table.all_ok
 
 
-def test_sweep_row_count_matches_grid_with_failures():
+def test_sweep_row_count_matches_grid_with_failures(monkeypatch):
+    monkeypatch.setattr(modesolver, "MAX_ITERATIONS", 2)
     text = """
 [sweep]
 target = stack
@@ -276,7 +307,7 @@ preset = G
 frequency_thz = 4.0
 relaxation_time_ps = 0.6
 """
-    table = run_sweep(parse_config(text), max_iterations=2)
+    table = run_sweep(parse_config(text))
     assert len(table.rows) == 3
     assert all(status.startswith("failed:") for status in table.statuses)
     assert all(row[1] is None for row in table.rows)
