@@ -183,7 +183,10 @@ def _walk(walk, x_sq: complex, k0: float, sqrt=cmath.sqrt, exp=cmath.exp):
 
 def _mode_function(x: complex, problem):
     """Pole-free bilinear form of the mode condition, its term scale and
-    the denominator it was multiplied by."""
+    the denominator it was multiplied by.  _sheet_free_parts and
+    _relative_values repeat these operations, split at the sheet term, for
+    the shared scans; any change here must be mirrored there, bit for bit.
+    (One helper for both costs this hot path a call per evaluation.)"""
     k0, term, bottom, top = problem
     x_sq = x * x
     a_bottom, b_bottom = _walk(bottom, x_sq, k0)
@@ -248,47 +251,53 @@ def _muller_polish(fn, seed: complex):
     Returns the refined root or None.  The derivative-free start tolerates
     seeds next to branch cuts, where Newton from a poor seed would jump.
     """
+    # bound once as locals, like _walk's defaults; read at call time
+    sqrt, isfinite, tolerance = cmath.sqrt, cmath.isfinite, TOLERANCE
     x0, x1, x2 = seed * (1.0 + 1e-3), seed * (1.0 - 1e-3 + 1e-3j), seed
     try:
         f0, f1, f2 = fn(x0), fn(x1), fn(x2)
     except (OverflowError, ZeroDivisionError):
         return None
-    if not (cmath.isfinite(f0) and cmath.isfinite(f1) and cmath.isfinite(f2)):
+    if not (isfinite(f0) and isfinite(f1) and isfinite(f2)):
         return None
-    scale0 = abs(seed)
+    limit = 1e6 * (abs(seed) + 1.0)
     for _ in range(MAX_ITERATIONS):
         dx10 = x1 - x0
         dx21 = x2 - x1
         if dx10 == 0 or dx21 == 0:
             break
         q = dx21 / dx10
-        a = q * f2 - q * (1.0 + q) * f1 + q * q * f0
-        b = (2.0 * q + 1.0) * f2 - (1.0 + q) ** 2 * f1 + q * q * f0
-        c = (1.0 + q) * f2
-        disc = cmath.sqrt(b * b - 4.0 * a * c)
-        den = b + disc if abs(b + disc) >= abs(b - disc) else b - disc
+        q1 = 1.0 + q
+        qqf0 = q * q * f0
+        a = q * f2 - q * q1 * f1 + qqf0
+        b = (2.0 * q + 1.0) * f2 - q1 ** 2 * f1 + qqf0
+        c = q1 * f2
+        disc = sqrt(b * b - 4.0 * a * c)
+        b_plus = b + disc
+        b_minus = b - disc
+        den = b_plus if abs(b_plus) >= abs(b_minus) else b_minus
         if den == 0:
             x_new = x2 * (1.0 + 1e-6)
         else:
             x_new = x2 - dx21 * (2.0 * c / den)
-        if not cmath.isfinite(x_new) or abs(x_new) > 1e6 * (scale0 + 1.0):
+        if not isfinite(x_new) or abs(x_new) > limit:
             return None
         try:
             f_new = fn(x_new)
         except (OverflowError, ZeroDivisionError):
             return None
-        if not cmath.isfinite(f_new):
+        if not isfinite(f_new):
             # back off toward the last good point
             x_new = 0.5 * (x_new + x2)
             try:
                 f_new = fn(x_new)
             except (OverflowError, ZeroDivisionError):
                 return None
-            if not cmath.isfinite(f_new):
+            if not isfinite(f_new):
                 return None
         x0, x1, x2 = x1, x2, x_new
         f0, f1, f2 = f1, f2, f_new
-        if abs(x2 - x1) < TOLERANCE * abs(x2):
+        if abs(x2 - x1) < tolerance * abs(x2):
             break
     else:
         return None
@@ -306,10 +315,10 @@ def _muller_polish(fn, seed: complex):
         except (OverflowError, ZeroDivisionError):
             break
         f_x = None
-        if not cmath.isfinite(step):
+        if not isfinite(step):
             break
         x = x - step
-        if abs(step) < 0.1 * TOLERANCE * abs(x):
+        if abs(step) < 0.1 * tolerance * abs(x):
             break
     return x
 
@@ -329,38 +338,90 @@ def _classify_root(stack: LayeredStack, x: complex) -> str | None:
     return None
 
 
-def _scan_seeds(fn_rel, lo: float, hi: float, count: int) -> list[complex]:
+def _sheet_free_parts(problem, points) -> list:
+    """The parts of _mode_function at each scan point that hold no sheet
+    term: (below - above, the larger of |below| and |above|, b_bottom,
+    b_top), or None where a walk or a modulus overflowed, by the operations
+    of _mode_function in its order.  Exact only when neither walk holds a
+    sheet term (one sheet, at the reference interface); then they depend
+    on the geometry and the frequency alone."""
+    k0, _, bottom, top = problem
+    parts = []
+    for x in points:
+        x_sq = x * x
+        try:
+            a_bottom, b_bottom = _walk(bottom, x_sq, k0)
+            a_top, b_top = _walk(top, x_sq, k0)
+            below = a_bottom * b_top
+            above = -a_top * b_bottom
+            scale = abs(below)
+            m = abs(above)
+            if m > scale:
+                scale = m
+        except (OverflowError, ZeroDivisionError):
+            parts.append(None)
+            continue
+        parts.append((below - above, scale, b_bottom, b_top))
+    return parts
+
+
+def _relative_values(term, parts) -> list[float]:
+    """The relative mode function |D| / scale at each scan point from its
+    sheet-free parts, by the same IEEE operations in the same order as
+    _mode_function; inf where the direct evaluation would raise."""
+    values = []
+    for part in parts:
+        if part is None:
+            values.append(math.inf)
+            continue
+        diff, scale, b_bottom, b_top = part
+        sheet = term * b_bottom * b_top
+        try:
+            m = abs(sheet)
+            if m > scale:
+                scale = m
+            values.append(abs(diff + sheet) / scale if scale > 0.0 else math.inf)
+        except OverflowError:
+            values.append(math.inf)
+    return values
+
+
+def _scan_seeds(fn_rel, problem, grids: dict | None, lo: float, hi: float,
+                count: int) -> list[complex]:
     """Local minima of the relative mode function along a near-real segment
-    (Im x = _SCAN_IMAG_FRAC Re x)."""
+    (Im x = _SCAN_IMAG_FRAC Re x), the deepest six first.  With ``grids``,
+    the values come from the sheet-free parts stored for this scan size,
+    built here when the stored ones were for another (lo, hi)."""
     if hi <= lo:
         return []
     step = (hi - lo) / (count - 1)
-    pts = [lo + i * step for i in range(count)]
-    vals = []
-    for p in pts:
-        z = complex(p, _SCAN_IMAG_FRAC * p)
-        try:
-            vals.append(fn_rel(z))
-        except (OverflowError, ZeroDivisionError):
-            vals.append(math.inf)
-    seeds = []
-    for i in range(1, count - 1):
-        if vals[i] < vals[i - 1] and vals[i] < vals[i + 1] and math.isfinite(vals[i]):
-            seeds.append((vals[i], complex(pts[i], _SCAN_IMAG_FRAC * pts[i])))
-    seeds.sort(key=lambda item: item[0])
-    return [z for _, z in seeds[:6]]
+    points = [complex(p, _SCAN_IMAG_FRAC * p)
+              for p in [lo + i * step for i in range(count)]]
+    if grids is None:
+        values = []
+        for z in points:
+            try:
+                values.append(fn_rel(z))
+            except (OverflowError, ZeroDivisionError):
+                values.append(math.inf)
+    else:
+        stored = grids.get(count)
+        if stored is None or stored[0] != (lo, hi):
+            stored = grids[count] = ((lo, hi), _sheet_free_parts(problem, points))
+        values = _relative_values(problem[1], stored[1])
+    minima = [(values[i], points[i]) for i in range(1, count - 1)
+              if values[i] < values[i - 1] and values[i] < values[i + 1]
+              and math.isfinite(values[i])]
+    minima.sort(key=lambda item: item[0])
+    return [z for _, z in minima[:6]]
 
 
-def find_mode(stack: LayeredStack, angular_frequency: float,
-              initial_guess: complex | None = None) -> ModeSolution:
-    """Fundamental bound TM mode of the stack at one angular frequency.
-
-    Without a guess, candidate seeds are the quasi-static estimate plus
-    deterministic scans of the mode function (the dielectric-guided band
-    between the cladding and the densest layer, then a coarse wider sweep);
-    of all converged bound roots, the one with smallest Re q is returned.
-    With a guess, only that seed is iterated (continuation use).
-    """
+def _solve(stack: LayeredStack, angular_frequency: float,
+           initial_guess: complex | None, grids: dict | None) -> ModeSolution:
+    """find_mode's seeds, polish and root selection.  ``grids`` is None, or
+    one sweep's sheet-free scan parts (_sheet_free_parts) per scan size,
+    shared by stacks of one geometry and frequency with a single sheet; a
+    stored grid serves every later solve that scans the same (lo, hi)."""
     problem = _mode_problem(stack, angular_frequency)
     k0 = problem[0]
 
@@ -383,10 +444,11 @@ def find_mode(stack: LayeredStack, angular_frequency: float,
         n_max = stack.max_layer_index
         if n_max > n_clad:
             # dielectric-guided band: sharp minima live here for hybrid stacks
-            seeds += _scan_seeds(fn_rel, n_clad * 1.000001, n_max + 1.0, 200)
+            seeds += _scan_seeds(fn_rel, problem, grids,
+                                 n_clad * 1.000001, n_max + 1.0, 200)
         if len(stack.layers) > 2:
             hi = max(2.0 * abs(seeds[0]), n_max + 2.0, 50.0)
-            seeds += _scan_seeds(fn_rel, n_max + 1.0, hi, 48)
+            seeds += _scan_seeds(fn_rel, problem, grids, n_max + 1.0, hi, 48)
 
     # a single sheet between two half-spaces has exactly one bound TM root,
     # so the first bound hit is the fundamental and the search can stop
@@ -417,6 +479,19 @@ def find_mode(stack: LayeredStack, angular_frequency: float,
             f"iterations at f = {angular_frequency / (2 * math.pi):.4g} Hz")
     x, rel = min(bound, key=lambda item: item[0].real)
     return ModeSolution(angular_frequency, x * k0, rel)
+
+
+def find_mode(stack: LayeredStack, angular_frequency: float,
+              initial_guess: complex | None = None) -> ModeSolution:
+    """Fundamental bound TM mode of the stack at one angular frequency.
+
+    Without a guess, candidate seeds are the quasi-static estimate plus
+    deterministic scans of the mode function (the dielectric-guided band
+    between the cladding and the densest layer, then a coarse wider sweep);
+    of all converged bound roots, the one with smallest Re q is returned.
+    With a guess, only that seed is iterated (continuation use).
+    """
+    return _solve(stack, angular_frequency, initial_guess, None)
 
 
 def trace_dispersion(stack: LayeredStack, frequencies_hz) -> list[TracePoint]:
@@ -456,10 +531,14 @@ def stack_metrics_sweep(stack: LayeredStack, frequency_hz: float,
     (ValueError) are recorded as failed rows.
     """
     omega = 2.0 * math.pi * frequency_hz
+    # one sheet at the reference interface leaves both walks sheet-free, so
+    # the rows share the scans' walks, built once; more sheets retune them
+    grids = {} if len(stack.sheets) == 1 else None
     rows: list[StackMetricsRow] = []
     for ef in chemical_potentials_ev:
         try:
-            mode = find_mode(stack.with_chemical_potential(float(ef)), omega)
+            mode = _solve(stack.with_chemical_potential(float(ef)), omega,
+                          None, grids)
         except (ModeSolverError, ValueError) as err:
             rows.append(StackMetricsRow(float(ef), None, None, None,
                                         f"failed:{err}"))

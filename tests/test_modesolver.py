@@ -527,6 +527,123 @@ def test_stack_metrics_rows_record_invalid_chemical_potential():
     assert rows[1].effective_index > 1.0
 
 
+def _row_bits(row):
+    return (None if row.effective_index is None else row.effective_index.hex(),
+            None if row.normalized_propagation_length is None
+            else row.normalized_propagation_length.hex(),
+            row.status)
+
+
+def _find_mode_rows(stack, f_hz, ef_grid):
+    """The rows stack_metrics_sweep must give: one lone find_mode per row."""
+    rows = []
+    for ef in ef_grid:
+        try:
+            mode = find_mode(stack.with_chemical_potential(ef),
+                             2.0 * math.pi * f_hz)
+        except (ModeSolverError, ValueError) as err:
+            rows.append((None, None, f"failed:{err}"))
+            continue
+        rows.append((mode.effective_index.hex(),
+                     mode.normalized_propagation_length.hex(), "ok"))
+    return rows
+
+
+# the first E_F is invalid, so the sweep builds its shared scans on row 2;
+# H1G at 0.05 eV, 1.5 THz is a cold miss that raises ConvergenceError
+SHARED_SCAN_GRID = (-0.1, 0.05, 0.2, 0.45, 0.7, 1.0)
+
+
+@pytest.mark.parametrize("f_thz", [1.5, 4.0, 7.0])
+@pytest.mark.parametrize("preset", ["H1G", "H2G"])
+def test_stack_sweep_rows_equal_lone_find_mode_bit_for_bit(preset, f_thz):
+    stack = preset_stack(preset, GrapheneSheet(0.2, 0.6e-12))
+    rows, expected = [], []
+    sweep_evals = oracles.count_evals(lambda: rows.extend(
+        stack_metrics_sweep(stack, f_thz * 1e12, SHARED_SCAN_GRID)))
+    lone_evals = oracles.count_evals(lambda: expected.extend(
+        _find_mode_rows(stack, f_thz * 1e12, SHARED_SCAN_GRID)))
+    assert [_row_bits(row) for row in rows] == expected
+    # the same seeds, polished alike: each valid row saves exactly the 200 +
+    # 48 scan points it takes from the shared walks
+    assert lone_evals - sweep_evals == 248 * (len(SHARED_SCAN_GRID) - 1)
+    assert rows[0].status == "failed:chemical_potential_ev must be >= 0"
+    assert all(row.status == "ok" for row in rows[2:])
+    if (preset, f_thz) == ("H1G", 1.5):
+        assert rows[1].status.startswith(
+            "failed:no root of the mode condition converged")
+
+
+@pytest.mark.parametrize("preset, ef, f_thz", [
+    ("H1G", 0.05, 1.5), ("H1G", 0.4, 4.0), ("H2G", 0.2, 7.0), ("H2G", 1.0, 0.5)])
+def test_shared_scan_values_equal_direct_evaluations(preset, ef, f_thz):
+    # the sheet term applied to the sheet-free parts gives every scan value
+    # bit for bit, not merely the same seeds
+    stack = preset_stack(preset, GrapheneSheet(ef, 0.6e-12))
+    problem = modesolver._mode_problem(stack, 2.0 * math.pi * f_thz * 1e12)
+    points = [complex(p, modesolver._SCAN_IMAG_FRAC * p)
+              for p in np.linspace(1.0, 60.0, 400)]
+    shared = modesolver._relative_values(
+        problem[1], modesolver._sheet_free_parts(problem, points))
+    assert [v.hex() for v in shared] == _direct_relative_hex(problem, points)
+
+
+def _direct_relative_hex(problem, points):
+    # the relative mode function as a lone solve's scan evaluates it
+    values = []
+    for z in points:
+        try:
+            value, scale, _ = modesolver._mode_function(z, problem)
+            values.append(abs(value) / scale if scale > 0.0 else math.inf)
+        except (OverflowError, ZeroDivisionError):
+            values.append(math.inf)
+    return [v.hex() for v in values]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(stack=single_sheet_stacks(), f_hz=st.floats(0.1e12, 10e12),
+       points=st.lists(st.complex_numbers(max_magnitude=1e200, allow_nan=False,
+                                          allow_infinity=False),
+                       min_size=1, max_size=8))
+def test_shared_scan_values_mirror_the_mode_function(stack, f_hz, points):
+    # _sheet_free_parts and _relative_values repeat _mode_function's
+    # operations; any point of the plane, overflow included, must agree
+    problem = modesolver._mode_problem(stack, 2.0 * math.pi * f_hz)
+    shared = modesolver._relative_values(
+        problem[1], modesolver._sheet_free_parts(problem, points))
+    assert [v.hex() for v in shared] == _direct_relative_hex(problem, points)
+
+
+def test_two_sheet_stack_sweep_scans_every_row():
+    # a second sheet puts its term into a walk, so no scan can be shared:
+    # the sweep makes exactly the evaluations of its rows' lone solves
+    sheet = GrapheneSheet(0.3, 0.6e-12)
+    stack = LayeredStack(
+        (DielectricLayer(1.0), DielectricLayer(11.9, 5e-6),
+         DielectricLayer(2.25, 3e-6), DielectricLayer(3.8)),
+        {0: sheet, 2: sheet})
+    grid = (0.2, 0.5, 0.8)
+    rows, expected = [], []
+    sweep_evals = oracles.count_evals(lambda: rows.extend(
+        stack_metrics_sweep(stack, 3e12, grid)))
+    lone_evals = oracles.count_evals(lambda: expected.extend(
+        _find_mode_rows(stack, 3e12, grid)))
+    assert sweep_evals == lone_evals
+    assert [_row_bits(row) for row in rows] == expected
+    assert all(row.status == "ok" for row in rows)
+
+
+@pytest.mark.parametrize("preset, expected", [("H1G", 3809), ("H2G", 4359)])
+def test_stack_sweep_evaluation_count(preset, expected):
+    # 9 points, 0.2-1.0 eV, 0.6 ps, 4 THz: the rows share the 200-point band
+    # scan and the 48-point scan, whose sheet-free walks are built once and
+    # not counted here (lone find_mode calls per row: 6 041 and 6 591)
+    stack = preset_stack(preset, GrapheneSheet(0.2, 0.6e-12))
+    grid = [0.2 + 0.1 * i for i in range(9)]
+    evals = oracles.count_evals(lambda: stack_metrics_sweep(stack, 4e12, grid))
+    assert evals == expected
+
+
 # --- bit identity ------------------------------------------------------------
 
 SOLVER_BITS = Path(__file__).parent / "data" / "solver_bits.json"

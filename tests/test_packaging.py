@@ -12,11 +12,11 @@ from pathlib import Path
 import pytest
 import scipy.constants as sc
 
+import oracles
 import thzplasmon
 from thzplasmon import (CODATA, DipoleGeometry, GrapheneSheet,
                         NoResonanceInBandError, find_mode, preset_stack,
                         resonance_frequency)
-from thzplasmon import modesolver
 
 SRC = str(Path(thzplasmon.__file__).resolve().parent.parent)
 
@@ -41,29 +41,10 @@ def test_constants_equal_scipy_bit_for_bit():
     assert CODATA.free_space_impedance == math.sqrt(sc.mu_0 / sc.epsilon_0)
 
 
-def _count_evals(call) -> int:
-    """Mode-function evaluations made by call(), counted at the module
-    attribute that perfbench/tracing.py patches."""
-    original = modesolver._mode_function
-    evals = 0
-
-    def counted(*args, **kwargs):
-        nonlocal evals
-        evals += 1
-        return original(*args, **kwargs)
-
-    modesolver._mode_function = counted
-    try:
-        call()
-    finally:
-        modesolver._mode_function = original
-    return evals
-
-
 def test_resonance_evaluation_budget():
     dipole = DipoleGeometry(8e-6, 20e-6, 3e-6, 3.8)
     sheet = GrapheneSheet(0.2, 1e-12)
-    evals = _count_evals(lambda: resonance_frequency(dipole, sheet))
+    evals = oracles.count_evals(lambda: resonance_frequency(dipole, sheet))
     # a band scan refined by Brent's method took 1643
     assert 0 < evals <= 150
 
@@ -75,14 +56,15 @@ def test_cold_solve_evaluation_count(preset, expected):
     # modesolver._mode_function (before the Newton polish reused the last
     # Muller value: 11, 1205, 1294)
     stack = preset_stack(preset, GrapheneSheet(0.4, 1e-12))
-    assert _count_evals(lambda: find_mode(stack, 2.0 * math.pi * 2e12)) == expected
+    evals = oracles.count_evals(lambda: find_mode(stack, 2.0 * math.pi * 2e12))
+    assert evals == expected
 
 
 def test_resonance_evaluation_count():
     dipole = DipoleGeometry(8e-6, 20e-6, 3e-6, 3.8)
     sheet = GrapheneSheet(0.2, 1e-12)
     # 50 before the Newton polish reused the last Muller value
-    assert _count_evals(lambda: resonance_frequency(dipole, sheet)) == 45
+    assert oracles.count_evals(lambda: resonance_frequency(dipole, sheet)) == 45
 
 
 def test_too_short_dipole_evaluation_count():
@@ -96,7 +78,7 @@ def test_too_short_dipole_evaluation_count():
     # the cold solve at the top of the band (8), then the low edge's status:
     # a continued solve (19) and a cold one (167) that both raise; the
     # 48-point band scan took 1 644
-    assert _count_evals(call) == 194
+    assert oracles.count_evals(call) == 194
 
 
 # the parameter names of every exported callable; None for an exception
