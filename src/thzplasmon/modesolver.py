@@ -183,10 +183,11 @@ def _walk(walk, x_sq: complex, k0: float, sqrt=cmath.sqrt, exp=cmath.exp):
 
 def _mode_function(x: complex, problem):
     """Pole-free bilinear form of the mode condition, its term scale and
-    the denominator it was multiplied by.  _sheet_free_parts and
-    _relative_values repeat these operations, split at the sheet term, for
-    the shared scans; any change here must be mirrored there, bit for bit.
-    (One helper for both costs this hot path a call per evaluation.)"""
+    the two walks' denominators, whose product it was multiplied by.  The
+    only caller of _walk: with a zero sheet term these are a scan point's
+    sheet-free parts (_sheet_free_parts), to which _relative_values adds
+    a row's term by the operations below, in their order; any change here
+    must be mirrored there, bit for bit."""
     k0, term, bottom, top = problem
     x_sq = x * x
     a_bottom, b_bottom = _walk(bottom, x_sq, k0)
@@ -201,7 +202,7 @@ def _mode_function(x: complex, problem):
     m = abs(sheet)
     if m > scale:
         scale = m
-    return below - above + sheet, scale, b_bottom * b_top
+    return below - above + sheet, scale, b_bottom, b_top
 
 
 def dispersion_residual(stack: LayeredStack, wavevector: complex,
@@ -218,8 +219,8 @@ def dispersion_residual(stack: LayeredStack, wavevector: complex,
         if abs(x_sq - layer.relative_permittivity) < _BRANCH_CUT_GUARD:
             raise BranchCutProximityError(
                 f"q too close to the eps_r = {layer.relative_permittivity} branch point")
-    value, _, denom = _mode_function(x, problem)
-    return value / denom
+    value, _, b_bottom, b_top = _mode_function(x, problem)
+    return value / (b_bottom * b_top)
 
 
 def residual_scale(stack: LayeredStack, wavevector: complex,
@@ -228,7 +229,8 @@ def residual_scale(stack: LayeredStack, wavevector: complex,
     reference scale against which |dispersion_residual| is judged.  Infinite
     at a pole of D."""
     problem = _mode_problem(stack, angular_frequency)
-    _, scale, denom = _mode_function(wavevector / problem[0], problem)
+    _, scale, b_bottom, b_top = _mode_function(wavevector / problem[0], problem)
+    denom = b_bottom * b_top
     return scale / abs(denom) if denom != 0.0 else math.inf
 
 
@@ -339,76 +341,61 @@ def _classify_root(stack: LayeredStack, x: complex) -> str | None:
 
 
 def _sheet_free_parts(problem, points) -> list:
-    """The parts of _mode_function at each scan point that hold no sheet
-    term: (below - above, the larger of |below| and |above|, b_bottom,
-    b_top), or None where a walk or a modulus overflowed, by the operations
-    of _mode_function in its order.  Exact only when neither walk holds a
-    sheet term (one sheet, at the reference interface); then they depend
-    on the geometry and the frequency alone."""
+    """_mode_function at each point with the sheet term set to zero, or
+    None where it overflowed.  Neither walk holds the top sheet's term, so
+    _relative_values can add any term to these parts; the walks hold every
+    other sheet's term.  _mode_function is looked up at call time, so an
+    evaluation counter patched onto the module counts every walk pair."""
     k0, _, bottom, top = problem
+    sheet_free = (k0, 0.0, bottom, top)
     parts = []
     for x in points:
-        x_sq = x * x
         try:
-            a_bottom, b_bottom = _walk(bottom, x_sq, k0)
-            a_top, b_top = _walk(top, x_sq, k0)
-            below = a_bottom * b_top
-            above = -a_top * b_bottom
-            scale = abs(below)
-            m = abs(above)
-            if m > scale:
-                scale = m
+            parts.append(_mode_function(x, sheet_free))
         except (OverflowError, ZeroDivisionError):
             parts.append(None)
-            continue
-        parts.append((below - above, scale, b_bottom, b_top))
     return parts
 
 
 def _relative_values(term, parts) -> list[float]:
-    """The relative mode function |D| / scale at each scan point from its
-    sheet-free parts, by the same IEEE operations in the same order as
-    _mode_function; inf where the direct evaluation would raise."""
+    """The relative mode function |D| / scale at each point from its
+    sheet-free parts and the sheet term, by the same IEEE operations in the
+    same order as _mode_function; inf where _mode_function would raise."""
     values = []
     for part in parts:
         if part is None:
             values.append(math.inf)
             continue
-        diff, scale, b_bottom, b_top = part
+        value, scale, b_bottom, b_top = part
         sheet = term * b_bottom * b_top
         try:
             m = abs(sheet)
             if m > scale:
                 scale = m
-            values.append(abs(diff + sheet) / scale if scale > 0.0 else math.inf)
+            values.append(abs(value + sheet) / scale if scale > 0.0 else math.inf)
         except OverflowError:
             values.append(math.inf)
     return values
 
 
-def _scan_seeds(fn_rel, problem, grids: dict | None, lo: float, hi: float,
+def _scan_seeds(problem, store: dict, lo: float, hi: float,
                 count: int) -> list[complex]:
     """Local minima of the relative mode function along a near-real segment
-    (Im x = _SCAN_IMAG_FRAC Re x), the deepest six first.  With ``grids``,
-    the values come from the sheet-free parts stored for this scan size,
-    built here when the stored ones were for another (lo, hi)."""
+    (Im x = _SCAN_IMAG_FRAC Re x), the deepest six first.  The values are
+    the row's sheet term applied to the sheet-free parts that ``store``
+    keeps for this scan size; they are built anew when the stored ones are
+    for another (lo, hi, k0, bottom walk, top walk)."""
     if hi <= lo:
         return []
     step = (hi - lo) / (count - 1)
     points = [complex(p, _SCAN_IMAG_FRAC * p)
               for p in [lo + i * step for i in range(count)]]
-    if grids is None:
-        values = []
-        for z in points:
-            try:
-                values.append(fn_rel(z))
-            except (OverflowError, ZeroDivisionError):
-                values.append(math.inf)
-    else:
-        stored = grids.get(count)
-        if stored is None or stored[0] != (lo, hi):
-            stored = grids[count] = ((lo, hi), _sheet_free_parts(problem, points))
-        values = _relative_values(problem[1], stored[1])
+    k0, term, bottom, top = problem
+    key = (lo, hi, k0, bottom, top)
+    stored = store.get(count)
+    if stored is None or stored[0] != key:
+        stored = store[count] = (key, _sheet_free_parts(problem, points))
+    values = _relative_values(term, stored[1])
     minima = [(values[i], points[i]) for i in range(1, count - 1)
               if values[i] < values[i - 1] and values[i] < values[i + 1]
               and math.isfinite(values[i])]
@@ -417,20 +404,16 @@ def _scan_seeds(fn_rel, problem, grids: dict | None, lo: float, hi: float,
 
 
 def _solve(stack: LayeredStack, angular_frequency: float,
-           initial_guess: complex | None, grids: dict | None) -> ModeSolution:
-    """find_mode's seeds, polish and root selection.  ``grids`` is None, or
-    one sweep's sheet-free scan parts (_sheet_free_parts) per scan size,
-    shared by stacks of one geometry and frequency with a single sheet; a
-    stored grid serves every later solve that scans the same (lo, hi)."""
+           initial_guess: complex | None, store: dict) -> ModeSolution:
+    """find_mode's seeds, polish and root selection.  ``store`` keeps the
+    seed scans' sheet-free parts (_scan_seeds) for later solves: those of
+    stacks with equal walks at this frequency, such as one sweep's
+    single-sheet rows, take them from it unbuilt."""
     problem = _mode_problem(stack, angular_frequency)
     k0 = problem[0]
 
     def fn(x: complex) -> complex:
         return _mode_function(x, problem)[0]
-
-    def fn_rel(x: complex) -> float:
-        value, scale, _ = _mode_function(x, problem)
-        return abs(value) / scale if scale > 0.0 else math.inf
 
     n_clad = stack.max_cladding_index
     if initial_guess is not None:
@@ -444,11 +427,11 @@ def _solve(stack: LayeredStack, angular_frequency: float,
         n_max = stack.max_layer_index
         if n_max > n_clad:
             # dielectric-guided band: sharp minima live here for hybrid stacks
-            seeds += _scan_seeds(fn_rel, problem, grids,
-                                 n_clad * 1.000001, n_max + 1.0, 200)
+            seeds += _scan_seeds(problem, store, n_clad * 1.000001,
+                                 n_max + 1.0, 200)
         if len(stack.layers) > 2:
             hi = max(2.0 * abs(seeds[0]), n_max + 2.0, 50.0)
-            seeds += _scan_seeds(fn_rel, problem, grids, n_max + 1.0, hi, 48)
+            seeds += _scan_seeds(problem, store, n_max + 1.0, hi, 48)
 
     # a single sheet between two half-spaces has exactly one bound TM root,
     # so the first bound hit is the fundamental and the search can stop
@@ -459,7 +442,8 @@ def _solve(stack: LayeredStack, angular_frequency: float,
         root = _muller_polish(fn, seed)
         if root is None:
             continue
-        rel = fn_rel(root)
+        rel = _relative_values(problem[1],
+                               _sheet_free_parts(problem, [root]))[0]
         if not rel < RESIDUAL_GATE:
             continue
         reason = _classify_root(stack, root)
@@ -491,7 +475,7 @@ def find_mode(stack: LayeredStack, angular_frequency: float,
     of all converged bound roots, the one with smallest Re q is returned.
     With a guess, only that seed is iterated (continuation use).
     """
-    return _solve(stack, angular_frequency, initial_guess, None)
+    return _solve(stack, angular_frequency, initial_guess, {})
 
 
 def trace_dispersion(stack: LayeredStack, frequencies_hz) -> list[TracePoint]:
@@ -531,20 +515,19 @@ def stack_metrics_sweep(stack: LayeredStack, frequency_hz: float,
     (ValueError) are recorded as failed rows.
     """
     omega = 2.0 * math.pi * frequency_hz
-    # one sheet at the reference interface leaves both walks sheet-free, so
-    # the rows share the scans' walks, built once; more sheets retune them
-    grids = {} if len(stack.sheets) == 1 else None
+    grid = [float(ef) for ef in chemical_potentials_ev]
+    # the rows share the scans' parts while their walks are equal: with one
+    # sheet, at the reference interface, no walk holds the retuned term
+    store: dict = {}
     rows: list[StackMetricsRow] = []
-    for ef in chemical_potentials_ev:
+    for ef in grid:
         try:
-            mode = _solve(stack.with_chemical_potential(float(ef)), omega,
-                          None, grids)
+            mode = _solve(stack.with_chemical_potential(ef), omega, None, store)
         except (ModeSolverError, ValueError) as err:
-            rows.append(StackMetricsRow(float(ef), None, None, None,
-                                        f"failed:{err}"))
+            rows.append(StackMetricsRow(ef, None, None, None, f"failed:{err}"))
             continue
         rows.append(StackMetricsRow(
-            float(ef),
+            ef,
             mode.effective_index,
             mode.normalized_propagation_length,
             mode.guided_wavelength_m / 2.0,

@@ -168,16 +168,30 @@ def test_reversed_stack_same_mode():
     assert abs(q1 - q2) < 1e-9 * abs(q1)
 
 
+def _sheet(draw):
+    return GrapheneSheet(draw(st.floats(0.05, 1.0)),
+                         draw(st.floats(0.1e-12, 1e-12)))
+
+
 @st.composite
-def single_sheet_stacks(draw):
-    """2-4 layers with eps in [1, 12] and d in [10 nm, 10 um], and one sheet
-    (0.05-1 eV, 0.1-1 ps) at a random interface."""
-    eps = draw(st.lists(st.floats(1.0, 12.0), min_size=2, max_size=4))
+def single_sheet_stacks(draw, min_layers=2):
+    """min_layers-4 layers with eps in [1, 12] and d in [10 nm, 10 um], and
+    one sheet (0.05-1 eV, 0.1-1 ps) at a random interface."""
+    eps = draw(st.lists(st.floats(1.0, 12.0), min_size=min_layers, max_size=4))
     inner = [DielectricLayer(e, draw(st.floats(1e-8, 1e-5))) for e in eps[1:-1]]
     layers = (DielectricLayer(eps[0]), *inner, DielectricLayer(eps[-1]))
-    sheet = GrapheneSheet(draw(st.floats(0.05, 1.0)),
-                          draw(st.floats(0.1e-12, 1e-12)))
+    sheet = _sheet(draw)
     return LayeredStack(layers, {draw(st.integers(0, len(layers) - 2)): sheet})
+
+
+@st.composite
+def two_sheet_stacks(draw):
+    """A single-sheet stack of 3-4 layers with a second sheet, drawn alike,
+    at another interface."""
+    stack = draw(single_sheet_stacks(min_layers=3))
+    free = [i for i in range(len(stack.layers) - 1) if i not in stack.sheets]
+    return LayeredStack(stack.layers,
+                        {**stack.sheets, draw(st.sampled_from(free)): _sheet(draw)})
 
 
 def _mode_or_error(stack, omega):
@@ -564,9 +578,11 @@ def test_stack_sweep_rows_equal_lone_find_mode_bit_for_bit(preset, f_thz):
     lone_evals = oracles.count_evals(lambda: expected.extend(
         _find_mode_rows(stack, f_thz * 1e12, SHARED_SCAN_GRID)))
     assert [_row_bits(row) for row in rows] == expected
-    # the same seeds, polished alike: each valid row saves exactly the 200 +
-    # 48 scan points it takes from the shared walks
-    assert lone_evals - sweep_evals == 248 * (len(SHARED_SCAN_GRID) - 1)
+    # the same seeds, polished alike: the valid rows save exactly their 200 +
+    # 48 scan points, less the walk pairs the sweep builds (the 48-point
+    # scan again where its top moves, once at 4 and 7 THz)
+    built = 248 if f_thz == 1.5 else 296
+    assert lone_evals - sweep_evals == 248 * (len(SHARED_SCAN_GRID) - 1) - built
     assert rows[0].status == "failed:chemical_potential_ev must be >= 0"
     assert all(row.status == "ok" for row in rows[2:])
     if (preset, f_thz) == ("H1G", 1.5):
@@ -593,7 +609,7 @@ def _direct_relative_hex(problem, points):
     values = []
     for z in points:
         try:
-            value, scale, _ = modesolver._mode_function(z, problem)
+            value, scale, _, _ = modesolver._mode_function(z, problem)
             values.append(abs(value) / scale if scale > 0.0 else math.inf)
         except (OverflowError, ZeroDivisionError):
             values.append(math.inf)
@@ -601,27 +617,33 @@ def _direct_relative_hex(problem, points):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(stack=single_sheet_stacks(), f_hz=st.floats(0.1e12, 10e12),
+@given(stack=st.one_of(single_sheet_stacks(), two_sheet_stacks()),
+       f_hz=st.floats(0.1e12, 10e12),
        points=st.lists(st.complex_numbers(max_magnitude=1e200, allow_nan=False,
                                           allow_infinity=False),
                        min_size=1, max_size=8))
 def test_shared_scan_values_mirror_the_mode_function(stack, f_hz, points):
-    # _sheet_free_parts and _relative_values repeat _mode_function's
-    # operations; any point of the plane, overflow included, must agree
+    # _relative_values repeats _mode_function's operations on its sheet-free
+    # parts; any point of the plane, overflow included, must agree, also
+    # where a second sheet's term sits in a walk
     problem = modesolver._mode_problem(stack, 2.0 * math.pi * f_hz)
     shared = modesolver._relative_values(
         problem[1], modesolver._sheet_free_parts(problem, points))
     assert [v.hex() for v in shared] == _direct_relative_hex(problem, points)
 
 
-def test_two_sheet_stack_sweep_scans_every_row():
-    # a second sheet puts its term into a walk, so no scan can be shared:
-    # the sweep makes exactly the evaluations of its rows' lone solves
+def _two_sheet_stack():
     sheet = GrapheneSheet(0.3, 0.6e-12)
-    stack = LayeredStack(
+    return LayeredStack(
         (DielectricLayer(1.0), DielectricLayer(11.9, 5e-6),
          DielectricLayer(2.25, 3e-6), DielectricLayer(3.8)),
         {0: sheet, 2: sheet})
+
+
+def test_two_sheet_stack_sweep_scans_every_row():
+    # a second sheet puts its term into a walk, so no scan can be shared:
+    # the sweep makes exactly the evaluations of its rows' lone solves
+    stack = _two_sheet_stack()
     grid = (0.2, 0.5, 0.8)
     rows, expected = [], []
     sweep_evals = oracles.count_evals(lambda: rows.extend(
@@ -633,15 +655,53 @@ def test_two_sheet_stack_sweep_scans_every_row():
     assert all(row.status == "ok" for row in rows)
 
 
-@pytest.mark.parametrize("preset, expected", [("H1G", 3809), ("H2G", 4359)])
+@pytest.mark.parametrize("preset, expected", [("H1G", 4057), ("H2G", 4607)])
 def test_stack_sweep_evaluation_count(preset, expected):
     # 9 points, 0.2-1.0 eV, 0.6 ps, 4 THz: the rows share the 200-point band
-    # scan and the 48-point scan, whose sheet-free walks are built once and
-    # not counted here (lone find_mode calls per row: 6 041 and 6 591)
+    # scan and the 48-point scan, whose sheet-free parts are built and
+    # counted once (lone find_mode calls per row: 6 041 and 6 591)
     stack = preset_stack(preset, GrapheneSheet(0.2, 0.6e-12))
     grid = [0.2 + 0.1 * i for i in range(9)]
     evals = oracles.count_evals(lambda: stack_metrics_sweep(stack, 4e12, grid))
     assert evals == expected
+
+
+@pytest.mark.parametrize("call", [
+    lambda: find_mode(preset_stack("H1G", GrapheneSheet(0.4, 1e-12)),
+                      2.0 * math.pi * 2e12),
+    lambda: find_mode(preset_stack("H2G", GrapheneSheet(0.4, 1e-12)),
+                      2.0 * math.pi * 2e12),
+    lambda: stack_metrics_sweep(preset_stack("H1G", GrapheneSheet(0.2, 0.6e-12)),
+                                4e12, (0.2, 0.5, 0.8)),
+    lambda: stack_metrics_sweep(_two_sheet_stack(), 3e12, (0.2, 0.5, 0.8)),
+], ids=["find_mode H1G", "find_mode H2G", "sweep H1G", "sweep two sheets"])
+def test_every_walk_pair_is_a_counted_evaluation(monkeypatch, call):
+    # _walk runs only inside _mode_function, so the evaluation counter that
+    # tests and the benchmark tracer patch sees every walk pair
+    walk, walks = modesolver._walk, 0
+
+    def counted(*args):
+        nonlocal walks
+        walks += 1
+        return walk(*args)
+
+    monkeypatch.setattr(modesolver, "_walk", counted)
+    evals = oracles.count_evals(call)
+    assert evals > 0
+    assert walks == 2 * evals
+
+
+def test_stack_sweep_rejects_a_non_numeric_grid_before_solving():
+    # the grid is converted once, up front: no row is solved, and the error
+    # is not raised again from inside a row's failure handling
+    stack = preset_stack("H1G", GrapheneSheet(0.2, 0.6e-12))
+
+    def sweep():
+        with pytest.raises(ValueError, match="could not convert") as info:
+            stack_metrics_sweep(stack, 4e12, [0.2, "x"])
+        assert info.value.__context__ is None
+
+    assert oracles.count_evals(sweep) == 0
 
 
 # --- bit identity ------------------------------------------------------------
