@@ -18,7 +18,7 @@ from .modesolver import (ModeSolution, ModeSolverError, find_mode,
                          quasi_static_wavevector)
 from .stacks import LayeredStack, graphene_on_substrate
 
-DEFAULT_BAND_HZ = (0.1e12, 10e12)
+BAND_HZ = (0.1e12, 10e12)  # the resonance search band, Hz
 _RESONANCE_GATE = 1e-9  # |Re q * alpha L - pi| at the returned frequency
 _QS_SLOPE = 2.0         # d log Re q / d log f of the quasi-static plasmon
 _SECANT_STEPS = 40      # refinement steps before the band scan takes over
@@ -95,6 +95,13 @@ def miniaturization_factor(prediction: ResonancePrediction) -> float:
     return prediction.metal_reference_hz / prediction.resonance_frequency_hz
 
 
+def _log_offset(g: float) -> float:
+    """log(g + pi); -inf where g + pi <= 0, which happens when
+    Re q * alpha * L is below half an ulp of pi."""
+    shifted = g + math.pi
+    return math.log(shifted) if shifted > 0.0 else -math.inf
+
+
 def _secant_root(gap, lo: float, hi: float, points, f_a: float | None = None,
                  f_b: float | None = None) -> tuple[float, float, bool]:
     """Root of the increasing g(f) by a secant on log(g + pi) against log f.
@@ -113,8 +120,7 @@ def _secant_root(gap, lo: float, hi: float, points, f_a: float | None = None,
     slope = _QS_SLOPE
     if len(points) > 1:
         f_prev, g_prev = points[-2]
-        slope = ((math.log(g + math.pi) - math.log(g_prev + math.pi))
-                 / math.log(f / f_prev))
+        slope = (_log_offset(g) - _log_offset(g_prev)) / math.log(f / f_prev)
     for _ in range(_SECANT_STEPS):
         if g < 0.0:
             f_a = f if f_a is None else max(f_a, f)
@@ -123,7 +129,7 @@ def _secant_root(gap, lo: float, hi: float, points, f_a: float | None = None,
         if g == 0.0:
             return f, g, True
         if slope > 0.0:
-            step = (math.log(math.pi) - math.log(g + math.pi)) / slope
+            step = (math.log(math.pi) - _log_offset(g)) / slope
             # a step longer than the band leaves it anyway; the cap keeps
             # exp finite
             f_new = f * math.exp(max(-span, min(span, step)))
@@ -138,8 +144,7 @@ def _secant_root(gap, lo: float, hi: float, points, f_a: float | None = None,
         if abs(f_new - f) <= _STEP_ULPS * math.ulp(f):
             return f, g, True
         g_new = gap(f_new)
-        slope = ((math.log(g_new + math.pi) - math.log(g + math.pi))
-                 / math.log(f_new / f))
+        slope = (_log_offset(g_new) - _log_offset(g)) / math.log(f_new / f)
         f, g = f_new, g_new
     return f, g, False
 
@@ -175,11 +180,11 @@ def _scan_bracket(gap, lo: float, hi: float):
     raise _no_resonance(lo, hi, statuses[0], statuses[-1])
 
 
-def resonance_frequency(dipole: DipoleGeometry, sheet: GrapheneSheet, *,
-                        band_hz: tuple[float, float] = DEFAULT_BAND_HZ
-                        ) -> ResonancePrediction:
-    """Smallest in-band frequency where the dipole is half a guided
-    wavelength long, for the sheet on a semi-infinite substrate under vacuum.
+def resonance_frequency(dipole: DipoleGeometry,
+                        sheet: GrapheneSheet) -> ResonancePrediction:
+    """Smallest frequency in ``BAND_HZ`` (0.1-10 THz) where the dipole is
+    half a guided wavelength long, for the sheet on a semi-infinite
+    substrate under vacuum.
 
     g(f) = Re q(f) * alpha * L - pi increases with frequency.  The search
     starts from the quasi-static root: for the intraband sheet,
@@ -201,10 +206,7 @@ def resonance_frequency(dipole: DipoleGeometry, sheet: GrapheneSheet, *,
     reported in the error when no bracket is found; the returned root
     satisfies |g| < 1e-9.
     """
-    lo, hi = band_hz
-    _check_range("band_hz", hi)
-    if not 0.0 < lo < hi:
-        raise ValueError("band_hz must satisfy 0 < lo < hi")
+    lo, hi = BAND_HZ
     stack = graphene_on_substrate(sheet, dipole.substrate_permittivity)
     length = dipole.end_correction * dipole.total_length_m
     cache: dict[float, ModeSolution] = {}

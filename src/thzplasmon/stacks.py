@@ -7,8 +7,9 @@ layers have finite thickness.  Graphene sheets sit on interfaces: interface
 
 The G / H1G / H2G presets describe a sheet on a low-index substrate, a
 sheet on a high-index film over that substrate, and a sheet buried between
-two high-index films.  Their permittivities and film thicknesses below are
-configuration defaults, overridable per call.
+two high-index films.  Their permittivities and film thicknesses are the
+constants below; a stack of other materials is built from
+``DielectricLayer``s.
 """
 from __future__ import annotations
 
@@ -116,10 +117,7 @@ def free_standing_sheet(sheet: GrapheneSheet) -> LayeredStack:
     return graphene_on_substrate(sheet, 1.0, 1.0)
 
 
-def preset_stack(name: str, sheet: GrapheneSheet, *,
-                 lim_permittivity: float = LIM_PERMITTIVITY,
-                 him_permittivity: float = HIM_PERMITTIVITY,
-                 film_thickness_m: float | None = None) -> LayeredStack:
+def preset_stack(name: str, sheet: GrapheneSheet) -> LayeredStack:
     """Build one of the named radiating-element stacks.
 
     G   : vacuum | sheet | LIM substrate
@@ -127,15 +125,13 @@ def preset_stack(name: str, sheet: GrapheneSheet, *,
     H2G : vacuum | HIM film | sheet | HIM film | LIM substrate
     """
     vacuum = DielectricLayer(1.0)
-    lim = DielectricLayer(lim_permittivity)
+    lim = DielectricLayer(LIM_PERMITTIVITY)
     if name == "G":
         return LayeredStack((vacuum, lim), {0: sheet})
     if name == "H1G":
-        d = H1G_FILM_THICKNESS_M if film_thickness_m is None else film_thickness_m
-        return LayeredStack((vacuum, DielectricLayer(him_permittivity, d), lim),
-                            {0: sheet})
+        film = DielectricLayer(HIM_PERMITTIVITY, H1G_FILM_THICKNESS_M)
+        return LayeredStack((vacuum, film, lim), {0: sheet})
     if name == "H2G":
-        d = H2G_FILM_THICKNESS_M if film_thickness_m is None else film_thickness_m
-        film = DielectricLayer(him_permittivity, d)
+        film = DielectricLayer(HIM_PERMITTIVITY, H2G_FILM_THICKNESS_M)
         return LayeredStack((vacuum, film, film, lim), {1: sheet})
     raise ValueError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")

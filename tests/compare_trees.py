@@ -7,6 +7,7 @@ Each tree gets one subprocess that imports ``thzplasmon.cli`` from its
 ``src`` directory and runs ``cli.main`` in process on the same cases:
 
 - every shipped ``configs/*.cfg``;
+- ``presets``, and ``presets --csv scenarios.csv``;
 - the seed-1 and seed-2 rounds of the benchmark workloads
   (``perfbench/workloads.py``, imported read-only);
 - a seeded corpus of config documents, each valid or carrying up to
@@ -330,6 +331,9 @@ def shipped_and_workload_cases() -> list[dict]:
     cases = [{"id": f"config {path.name}", "config": path.read_text(),
               "argv": ["sweep", "--config", "run.cfg", "--quiet"]}
              for path in sorted((ROOT / "configs").glob("*.cfg"))]
+    cases += [{"id": "presets", "config": None, "argv": ["presets"]},
+              {"id": "presets csv", "config": None,
+               "argv": ["presets", "--csv", "scenarios.csv"]}]
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import WORKLOADS, make_round
     for workload in WORKLOADS:

@@ -172,6 +172,19 @@ def test_no_resonance_message_names_band_edges(length_m):
     assert message.endswith("; high edge 1.000e+13 Hz: ok)")
 
 
+@pytest.mark.parametrize("length_m", [1e-23, 1e-30])
+def test_tiny_dipole_is_too_short(length_m):
+    # Re q * L falls below half an ulp of pi, so g + pi rounds to 0: the
+    # secant's log(g + pi) is -inf, and the error is the too-short one
+    def message(length):
+        with pytest.raises(NoResonanceInBandError) as info:
+            resonance_frequency(DipoleGeometry(8e-6, length, length / 10, 3.8),
+                                SHEET_02)
+        return str(info.value)
+
+    assert message(length_m) == message(1e-22)
+
+
 # messages of the band scan, recorded before too-short dipoles skipped it
 _LOW_NOT_BOUND = ("no half-wavelength resonance in [1.000e+11, 1.000e+13] Hz "
                   "(low edge 1.000e+11 Hz: not bound: Re q = {} k0 does not "

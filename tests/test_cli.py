@@ -112,6 +112,16 @@ def test_plot_format(capsys):
     assert out.count("# x=frequency") == 2
 
 
+def test_plot_of_the_status_column_is_unknown_column(capsys):
+    code = main(["conductivity", "--grid", "1", "--chemical-potential-ev", "0.2",
+                 "--relaxation-time-ps", "1", "--format", "plot",
+                 "--plot-y", "status"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "thzplasmon: unknown column: 'status'\n")
+
+
 def test_antenna_subcommand(capsys):
     code = main(["antenna", "--grid", "15 25", "--width-um", "8",
                  "--gap-um", "3", "--substrate-permittivity", "3.8",
@@ -156,6 +166,13 @@ def test_presets_output(tmp_path, capsys):
     lines = csv_path.read_text().strip().split("\n")
     assert len(lines) == 4
     assert lines[1].startswith("WNSN,")
+
+
+def test_presets_csv_reports_its_path(tmp_path, capsys):
+    csv_path = tmp_path / "table.csv"
+    assert main(["presets", "--csv", str(csv_path)]) == 0
+    assert capsys.readouterr().err == f"scenario table written to {csv_path}\n"
+    assert csv_path.exists()
 
 
 def test_summary_line_on_stderr(capsys):

@@ -101,9 +101,7 @@ EXPORTED_PARAMETERS = {
     "ModeSolverError": None,
     "NoResonanceInBandError": None,
     "NonBoundModeError": None,
-    "PhysicalConstants": ("electron_charge", "reduced_planck", "boltzmann",
-                          "vacuum_permittivity", "light_speed",
-                          "free_space_impedance"),
+    "PhysicalConstants": (),
     "ResonancePrediction": ("resonance_frequency_hz", "mode",
                             "metal_reference_hz", "miniaturization_factor",
                             "efficiency_proxy"),
@@ -136,11 +134,10 @@ EXPORTED_PARAMETERS = {
     "miniaturization_factor": ("prediction",),
     "parse_config": ("text",),
     "parse_result_csv": ("text",),
-    "preset_stack": ("name", "sheet", "lim_permittivity", "him_permittivity",
-                     "film_thickness_m"),
+    "preset_stack": ("name", "sheet"),
     "quasi_static_wavevector": ("stack", "angular_frequency"),
     "residual_scale": ("stack", "wavevector", "angular_frequency"),
-    "resonance_frequency": ("dipole", "sheet", "band_hz"),
+    "resonance_frequency": ("dipole", "sheet"),
     "resonant_length": ("stack", "frequency_hz"),
     "run_sweep": ("spec",),
     "scenario_by_name": ("name",),

@@ -104,6 +104,24 @@ def test_bad_number_reports_line():
                                                   "relaxation_time_ps = fast"))
 
 
+_GRID_HEAD = "[sweep]\ntarget = conductivity\nvariable = frequency_thz\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[sweep]\nfrobnicate\n", "line 2: expected 'key = value', got 'frobnicate'"),
+    ("target = stack\n[sweep]\n", "line 1: key outside any [section]"),
+    ("[sweep]\n = 1\n", "line 2: empty key"),
+    (_GRID_HEAD + "grid = 1:2:x\n", "line 4: grid: count must be an integer"),
+    (_GRID_HEAD + "grid = 1:2:0\n", "line 4: grid: count must be >= 1"),
+    ("[fixed]\nx = 1\n", "missing [sweep] section"),
+    (_GRID_HEAD, "missing required key 'grid'"),
+])
+def test_config_parser_error_texts(text, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert str(info.value) == message
+
+
 def test_dispersion_needs_exactly_one_stack_choice():
     base = """
 [sweep]
@@ -404,6 +422,23 @@ def test_csv_round_trip_with_failed_cells():
     assert parsed == table
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "empty CSV"),
+    ("a(m)\n1.0\n", "CSV missing trailing status column"),
+    ("a,status(-)\n", "header without unit annotation: 'a'"),
+    ("a(m),status(-)\n1.0,2.0,ok\n", "row width 3 != 2"),
+])
+def test_parse_result_csv_rejects(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_result_csv(text)
+    assert str(info.value) == message
+
+
+def test_parse_result_csv_keeps_text_cells():
+    table = parse_result_csv("a(m),status(-)\nabc,ok\n")
+    assert table == ResultTable([Column("a", "m")], [["abc"]], ["ok"])
+
+
 def test_csv_format_contract():
     table = run_sweep(parse_config(MINIMAL_CONDUCTIVITY))
     text = emit_csv(table)
@@ -464,6 +499,15 @@ def test_plotdata_unknown_column():
         emit_plotdata(table, "chemical_potential", ("nope",))
     with pytest.raises(UnknownColumnError):
         emit_plotdata(table, "nope", ("sigma_real",))
+
+
+@pytest.mark.parametrize("x, y", [("x", "name"), ("name", "x")])
+def test_plotdata_text_column_is_not_numeric(x, y):
+    table = ResultTable([Column("x", "1"), Column("name", "-")], [[1.0, "abc"]],
+                        ["ok"])
+    with pytest.raises(UnknownColumnError) as info:
+        emit_plotdata(table, x, (y,))
+    assert info.value.args == ("column name is not numeric",)
 
 
 def test_table_must_be_rectangular():

@@ -4,12 +4,11 @@ import math
 
 import pytest
 
-from thzplasmon import (DipoleGeometry, GrapheneSheet, ModeSolution,
-                        PhysicalConstants, ResonancePrediction,
+from thzplasmon import (GrapheneSheet, ModeSolution, ResonancePrediction,
                         ScenarioRequirements, chemical_potential_from_bias,
                         fits_footprint, graphene_on_substrate,
-                        metal_dipole_resonance, resonance_frequency,
-                        scenario_by_name, sdm_cell_size, trace_dispersion)
+                        metal_dipole_resonance, scenario_by_name,
+                        sdm_cell_size, trace_dispersion)
 
 SHEET = GrapheneSheet(0.2, 1e-12)
 MODE = ModeSolution(2e12 * math.pi, 1e5 + 1e3j, 0.0)
@@ -23,10 +22,6 @@ ENTRY_POINTS = {
     "ModeSolution.residual": lambda bad: ModeSolution(1.0, 1 + 1j, bad),
     "ResonancePrediction": lambda bad: ResonancePrediction(bad, MODE, 1e12,
                                                            1.0, 0.5),
-    "PhysicalConstants.electron_charge":
-        lambda bad: PhysicalConstants(electron_charge=bad),
-    "PhysicalConstants.free_space_impedance":
-        lambda bad: PhysicalConstants(free_space_impedance=bad),
     "fits_footprint": lambda bad: fits_footprint(bad, 8e-6, scenario_by_name("SDM")),
     "metal_dipole_resonance.length": lambda bad: metal_dipole_resonance(bad, 3.8),
     "metal_dipole_resonance.permittivity":
@@ -35,8 +30,6 @@ ENTRY_POINTS = {
     "chemical_potential_from_bias": lambda bad: chemical_potential_from_bias(1.0, bad),
     "ScenarioRequirements": lambda bad: ScenarioRequirements(
         "x", (1e-12, bad), (1e-3, 1.0), (1e6, 1e8)),
-    "resonance_frequency.band_hz": lambda bad: resonance_frequency(
-        DipoleGeometry(8e-6, 20e-6, 3e-6, 3.8), SHEET, band_hz=(1e11, bad)),
 }
 
 
