@@ -199,8 +199,9 @@ def resonance_frequency(dipole: DipoleGeometry,
 
     When the fast path stops at the top of the band with g(hi) < 0, the
     dipole is too short: the error is raised at once, after one solve at the
-    low edge for its status.  When the fast path fails otherwise (a solve
-    raises, a step would leave the band or the steps run out), a
+    low edge for its status.  When the fast path fails otherwise (f0
+    overflows, a solve raises, a step would leave the band or the steps run
+    out), a
     48-point log-spaced band scan brackets the first sign change and
     the same secant refines it.  Band edges where no bound mode exists are
     reported in the error when no bracket is found; the returned root
@@ -231,11 +232,13 @@ def resonance_frequency(dipole: DipoleGeometry,
 
     q_lo = quasi_static_wavevector(stack, 2.0 * math.pi * lo).real
     f_seed = min(max(lo * math.sqrt(math.pi / q_lo / length), lo), hi)
-    try:
-        f_res, g_res, converged = _secant_root(gap, lo, hi,
-                                               [(f_seed, gap(f_seed))])
-    except ModeSolverError:
-        f_res, converged = None, False
+    f_res, converged = None, False
+    if math.isfinite(f_seed):
+        try:
+            f_res, g_res, converged = _secant_root(gap, lo, hi,
+                                                   [(f_seed, gap(f_seed))])
+        except ModeSolverError:
+            pass
     if not converged:
         if f_res == hi and g_res < 0.0:
             # g increases with f: the resonance lies above the band, where

@@ -115,8 +115,8 @@ def _print_presets(args) -> int:
               f"({H1G_FILM_THICKNESS_M * 1e6:g} um) | LIM eps_r={LIM_PERMITTIVITY}\n")
     out.write(f"  H2G : vacuum | HIM ({H2G_FILM_THICKNESS_M * 1e6:g} um) | sheet | "
               f"HIM ({H2G_FILM_THICKNESS_M * 1e6:g} um) | LIM eps_r={LIM_PERMITTIVITY}\n")
-    out.write("Dimensions and permittivities are configuration defaults, "
-              "overridable via the API.\n\n")
+    out.write("Other stacks are built from DielectricLayer and LayeredStack "
+              "via the API.\n\n")
     out.write("Area-constrained application envelopes:\n")
     for s in _scenario.builtin_scenarios():
         out.write(f"  {s.name:4s}: node size {s.node_size_m2[0]:g}-{s.node_size_m2[1]:g} m2, "

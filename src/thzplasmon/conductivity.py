@@ -51,7 +51,8 @@ def drude_weight(sheet: GrapheneSheet) -> float:
 
     The thermal factor is evaluated as ln(2 cosh x) = x + log1p(exp(-2x)),
     which is exact at x = 0 and never overflows for large chemical potential.
-    A temperature so small that kB T underflows to 0 J is rejected.
+    A temperature so small that kB T underflows to 0 J is rejected, and so
+    is a sheet whose weight overflows.
     """
     e = CODATA.electron_charge
     hbar = CODATA.reduced_planck
@@ -59,7 +60,9 @@ def drude_weight(sheet: GrapheneSheet) -> float:
     _check_range("boltzmann * temperature_k", kbt, 0.0)
     x = sheet.chemical_potential_ev * e / (2.0 * kbt)
     ln_term = x + math.log1p(math.exp(-2.0 * x))
-    return (2.0 * e * e / (math.pi * hbar)) * (kbt / hbar) * ln_term
+    weight = (2.0 * e * e / (math.pi * hbar)) * (kbt / hbar) * ln_term
+    _check_range("drude_weight", weight, 0.0)
+    return weight
 
 
 def intraband_conductivity(sheet: GrapheneSheet,

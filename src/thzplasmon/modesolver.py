@@ -26,7 +26,11 @@ Root finding runs on the pole-free bilinear numerator of D rather than on D
 itself: when a sheet sits near a node of the tangential electric field
 (buried-sheet stacks), both one-sided admittances diverge at the mode and
 the zero of D collides with a pole.  The bilinear form has the same zeros
-off the branch cuts and stays finite.
+off the branch cuts and stays finite.  Neither walk crosses the top sheet,
+so the form is affine in that sheet's term: _mode_function evaluates the
+sheet-free parts of a point once, and one _with_term adds the term for
+every consumer (the root finder, the root residual, the seed scans,
+dispersion_residual and residual_scale).
 """
 from __future__ import annotations
 
@@ -129,11 +133,11 @@ class StackMetricsRow:
 
 
 def _mode_problem(stack: LayeredStack, angular_frequency: float):
-    """The mode condition at one frequency: (k0, the top sheet's term, the
-    walk from the bottom cladding, the walk from the top cladding).  A walk
-    is a cladding permittivity, the complex start of the numerator and the
-    (sheet term or None, eps_i, d_i) steps toward the top sheet, the
-    reference interface."""
+    """The mode condition at one frequency: (the top sheet's term, the
+    geometry).  The geometry is (k0, the walk from the bottom cladding, the
+    walk from the top cladding); a walk is a cladding permittivity, the
+    complex start of the numerator and the (sheet term or None, eps_i, d_i)
+    steps toward the top sheet, the reference interface."""
     _check_range("angular_frequency", angular_frequency, 0.0)
     k0 = angular_frequency / C0
     # i sigma k0 / (w eps0) = i sigma / (eps0 c0), dimensionless
@@ -151,7 +155,7 @@ def _mode_problem(stack: LayeredStack, angular_frequency: float):
     bottom = walk(layers[-1],
                   ((i, layers[i]) for i in range(len(layers) - 2, ref, -1)))
     top = walk(layers[0], ((i, layers[i + 1]) for i in range(ref)))
-    return k0, terms[ref], bottom, top
+    return terms[ref], (k0, bottom, top)
 
 
 def _walk(walk, x_sq: complex, k0: float, sqrt=cmath.sqrt, exp=cmath.exp):
@@ -181,28 +185,35 @@ def _walk(walk, x_sq: complex, k0: float, sqrt=cmath.sqrt, exp=cmath.exp):
     return a, b
 
 
-def _mode_function(x: complex, problem):
-    """Pole-free bilinear form of the mode condition, its term scale and
-    the two walks' denominators, whose product it was multiplied by.  The
-    only caller of _walk: with a zero sheet term these are a scan point's
-    sheet-free parts (_sheet_free_parts), to which _relative_values adds
-    a row's term by the operations below, in their order; any change here
-    must be mirrored there, bit for bit."""
-    k0, term, bottom, top = problem
+def _mode_function(x: complex, geometry):
+    """Sheet-free parts of the pole-free bilinear form of the mode
+    condition: (below - above, max(|below|, |above|), and the two walks'
+    denominators, whose product the form was multiplied by).  The only
+    caller of _walk, so one call is one counted evaluation; _with_term
+    adds the top sheet's term."""
+    k0, bottom, top = geometry
     x_sq = x * x
     a_bottom, b_bottom = _walk(bottom, x_sq, k0)
     a_top, b_top = _walk(top, x_sq, k0)
     below = a_bottom * b_top
     above = -a_top * b_bottom    # the top walk's admittance is negated
-    sheet = term * b_bottom * b_top
     scale = abs(below)
     m = abs(above)
     if m > scale:
         scale = m
+    return below - above, scale, b_bottom, b_top
+
+
+def _with_term(term: complex, parts) -> tuple[complex, float]:
+    """The bilinear form and its term scale: the top sheet's term added to
+    a point's sheet-free parts.  The one place that adds it, for every
+    consumer, so a scan point stored once serves any row's term."""
+    value, scale, b_bottom, b_top = parts
+    sheet = term * b_bottom * b_top
     m = abs(sheet)
     if m > scale:
         scale = m
-    return below - above + sheet, scale, b_bottom, b_top
+    return value + sheet, scale
 
 
 def dispersion_residual(stack: LayeredStack, wavevector: complex,
@@ -212,15 +223,16 @@ def dispersion_residual(stack: LayeredStack, wavevector: complex,
     Dimensionless: the two-half-space case evaluates to
     eps1/k1 + eps2/k2 + i sigma/(eps0 c0) with k_i = sqrt((q/k0)^2 - eps_i).
     """
-    problem = _mode_problem(stack, angular_frequency)
-    x = wavevector / problem[0]
+    term, geometry = _mode_problem(stack, angular_frequency)
+    x = wavevector / geometry[0]
     x_sq = x * x
     for layer in stack.layers:
         if abs(x_sq - layer.relative_permittivity) < _BRANCH_CUT_GUARD:
             raise BranchCutProximityError(
                 f"q too close to the eps_r = {layer.relative_permittivity} branch point")
-    value, _, b_bottom, b_top = _mode_function(x, problem)
-    return value / (b_bottom * b_top)
+    parts = _mode_function(x, geometry)
+    value, _ = _with_term(term, parts)
+    return value / (parts[2] * parts[3])
 
 
 def residual_scale(stack: LayeredStack, wavevector: complex,
@@ -228,9 +240,10 @@ def residual_scale(stack: LayeredStack, wavevector: complex,
     """Magnitude of the largest term of the mode condition at (q, w); the
     reference scale against which |dispersion_residual| is judged.  Infinite
     at a pole of D."""
-    problem = _mode_problem(stack, angular_frequency)
-    _, scale, b_bottom, b_top = _mode_function(wavevector / problem[0], problem)
-    denom = b_bottom * b_top
+    term, geometry = _mode_problem(stack, angular_frequency)
+    parts = _mode_function(wavevector / geometry[0], geometry)
+    _, scale = _with_term(term, parts)
+    denom = parts[2] * parts[3]
     return scale / abs(denom) if denom != 0.0 else math.inf
 
 
@@ -340,62 +353,45 @@ def _classify_root(stack: LayeredStack, x: complex) -> str | None:
     return None
 
 
-def _sheet_free_parts(problem, points) -> list:
-    """_mode_function at each point with the sheet term set to zero, or
-    None where it overflowed.  Neither walk holds the top sheet's term, so
-    _relative_values can add any term to these parts; the walks hold every
-    other sheet's term.  _mode_function is looked up at call time, so an
-    evaluation counter patched onto the module counts every walk pair."""
-    k0, _, bottom, top = problem
-    sheet_free = (k0, 0.0, bottom, top)
-    parts = []
-    for x in points:
-        try:
-            parts.append(_mode_function(x, sheet_free))
-        except (OverflowError, ZeroDivisionError):
-            parts.append(None)
-    return parts
+def _sheet_free_parts(geometry, x: complex):
+    """_mode_function at x, or None where it overflowed; looked up at call
+    time, so a counter patched onto the module counts every walk pair."""
+    try:
+        return _mode_function(x, geometry)
+    except (OverflowError, ZeroDivisionError):
+        return None
 
 
-def _relative_values(term, parts) -> list[float]:
-    """The relative mode function |D| / scale at each point from its
-    sheet-free parts and the sheet term, by the same IEEE operations in the
-    same order as _mode_function; inf where _mode_function would raise."""
-    values = []
-    for part in parts:
-        if part is None:
-            values.append(math.inf)
-            continue
-        value, scale, b_bottom, b_top = part
-        sheet = term * b_bottom * b_top
-        try:
-            m = abs(sheet)
-            if m > scale:
-                scale = m
-            values.append(abs(value + sheet) / scale if scale > 0.0 else math.inf)
-        except OverflowError:
-            values.append(math.inf)
-    return values
+def _relative_value(term: complex, parts) -> float:
+    """The relative mode function |D| / scale from a point's sheet-free
+    parts and the top sheet's term; inf where either overflows."""
+    if parts is None:
+        return math.inf
+    try:
+        value, scale = _with_term(term, parts)
+        return abs(value) / scale if scale > 0.0 else math.inf
+    except OverflowError:
+        return math.inf
 
 
-def _scan_seeds(problem, store: dict, lo: float, hi: float,
+def _scan_seeds(term: complex, geometry, store: dict, lo: float, hi: float,
                 count: int) -> list[complex]:
     """Local minima of the relative mode function along a near-real segment
     (Im x = _SCAN_IMAG_FRAC Re x), the deepest six first.  The values are
     the row's sheet term applied to the sheet-free parts that ``store``
     keeps for this scan size; they are built anew when the stored ones are
-    for another (lo, hi, k0, bottom walk, top walk)."""
+    for another (lo, hi, geometry)."""
     if hi <= lo:
         return []
     step = (hi - lo) / (count - 1)
     points = [complex(p, _SCAN_IMAG_FRAC * p)
               for p in [lo + i * step for i in range(count)]]
-    k0, term, bottom, top = problem
-    key = (lo, hi, k0, bottom, top)
+    key = (lo, hi, geometry)
     stored = store.get(count)
     if stored is None or stored[0] != key:
-        stored = store[count] = (key, _sheet_free_parts(problem, points))
-    values = _relative_values(term, stored[1])
+        stored = store[count] = (
+            key, [_sheet_free_parts(geometry, x) for x in points])
+    values = [_relative_value(term, parts) for parts in stored[1]]
     minima = [(values[i], points[i]) for i in range(1, count - 1)
               if values[i] < values[i - 1] and values[i] < values[i + 1]
               and math.isfinite(values[i])]
@@ -409,11 +405,11 @@ def _solve(stack: LayeredStack, angular_frequency: float,
     seed scans' sheet-free parts (_scan_seeds) for later solves: those of
     stacks with equal walks at this frequency, such as one sweep's
     single-sheet rows, take them from it unbuilt."""
-    problem = _mode_problem(stack, angular_frequency)
-    k0 = problem[0]
+    term, geometry = _mode_problem(stack, angular_frequency)
+    k0 = geometry[0]
 
     def fn(x: complex) -> complex:
-        return _mode_function(x, problem)[0]
+        return _with_term(term, _mode_function(x, geometry))[0]
 
     n_clad = stack.max_cladding_index
     if initial_guess is not None:
@@ -427,11 +423,11 @@ def _solve(stack: LayeredStack, angular_frequency: float,
         n_max = stack.max_layer_index
         if n_max > n_clad:
             # dielectric-guided band: sharp minima live here for hybrid stacks
-            seeds += _scan_seeds(problem, store, n_clad * 1.000001,
+            seeds += _scan_seeds(term, geometry, store, n_clad * 1.000001,
                                  n_max + 1.0, 200)
         if len(stack.layers) > 2:
             hi = max(2.0 * abs(seeds[0]), n_max + 2.0, 50.0)
-            seeds += _scan_seeds(problem, store, n_max + 1.0, hi, 48)
+            seeds += _scan_seeds(term, geometry, store, n_max + 1.0, hi, 48)
 
     # a single sheet between two half-spaces has exactly one bound TM root,
     # so the first bound hit is the fundamental and the search can stop
@@ -442,8 +438,7 @@ def _solve(stack: LayeredStack, angular_frequency: float,
         root = _muller_polish(fn, seed)
         if root is None:
             continue
-        rel = _relative_values(problem[1],
-                               _sheet_free_parts(problem, [root]))[0]
+        rel = _relative_value(term, _sheet_free_parts(geometry, root))
         if not rel < RESIDUAL_GATE:
             continue
         reason = _classify_root(stack, root)

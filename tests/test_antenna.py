@@ -172,6 +172,20 @@ def test_no_resonance_message_names_band_edges(length_m):
     assert message.endswith("; high edge 1.000e+13 Hz: ok)")
 
 
+def test_overflowing_seed_goes_to_the_band_scan():
+    # on eps_r = 1e300 the quasi-static estimate overflows to a NaN
+    # frequency; the band scan reports both edges instead of solving there
+    dipole = DipoleGeometry(8e-6, 20e-6, 1e-6, 1e300)
+    with pytest.raises(NoResonanceInBandError) as info:
+        resonance_frequency(dipole, SHEET_02)
+    edge = ("no root of the mode condition converged within 100 iterations "
+            "at f = {} Hz")
+    assert str(info.value) == (
+        "no half-wavelength resonance in [1.000e+11, 1.000e+13] Hz "
+        f"(low edge 1.000e+11 Hz: {edge.format('1e+11')}; "
+        f"high edge 1.000e+13 Hz: {edge.format('1e+13')})")
+
+
 @pytest.mark.parametrize("length_m", [1e-23, 1e-30])
 def test_tiny_dipole_is_too_short(length_m):
     # Re q * L falls below half an ulp of pi, so g + pi rounds to 0: the

@@ -168,6 +168,26 @@ def test_presets_output(tmp_path, capsys):
     assert lines[1].startswith("WNSN,")
 
 
+PRESETS_TEXT = """\
+Radiating-element stack presets (top cladding first):
+  G   : vacuum | sheet | LIM eps_r=3.8 (semi-infinite)
+  H1G : vacuum | sheet | HIM eps_r=11.9 (10 um) | LIM eps_r=3.8
+  H2G : vacuum | HIM (5 um) | sheet | HIM (5 um) | LIM eps_r=3.8
+Other stacks are built from DielectricLayer and LayeredStack via the API.
+
+Area-constrained application envelopes:
+  WNSN: node size 1e-12-1e-10 m2, tx range 0.001-1 m, data rate 1e+06-1e+08 bit/s
+  SDM : node size 1e-08-0.0001 m2, tx range 0.001-1 m, data rate 1e+07-1e+09 bit/s
+  WNoC: node size 1e-08-1e-06 m2, tx range 0.001-0.1 m, data rate 1e+10-1e+11 bit/s
+"""
+
+
+def test_presets_text_is_pinned(capsys):
+    assert main(["presets"]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (PRESETS_TEXT, "")
+
+
 def test_presets_csv_reports_its_path(tmp_path, capsys):
     csv_path = tmp_path / "table.csv"
     assert main(["presets", "--csv", str(csv_path)]) == 0

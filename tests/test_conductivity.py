@@ -5,9 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from thzplasmon import (CODATA, DegenerateConductivityError, GrapheneSheet,
-                        chemical_potential_from_bias, drude_weight,
-                        intraband_conductivity, surface_impedance)
+from thzplasmon import (CODATA, DegenerateConductivityError, DipoleGeometry,
+                        GrapheneSheet, chemical_potential_from_bias,
+                        drude_weight, intraband_conductivity, preset_stack,
+                        resonance_frequency, stack_metrics_sweep,
+                        surface_impedance)
 
 EV = CODATA.electron_charge
 OMEGA_1THZ = 2.0 * math.pi * 1e12
@@ -82,6 +84,20 @@ def test_drude_weight_pinned():
 
 def test_drude_weight_no_overflow_at_large_potential():
     assert math.isfinite(drude_weight(GrapheneSheet(500.0, 1e-12)))
+
+
+def test_drude_weight_that_overflows_is_rejected():
+    # GrapheneSheet accepts 2e297 eV but A overflows: every consumer names
+    # the weight instead of failing later on a NaN conductivity
+    sheet = GrapheneSheet(2e297, 1e-12)
+    for call in (lambda: drude_weight(sheet),
+                 lambda: intraband_conductivity(sheet, OMEGA_1THZ),
+                 lambda: resonance_frequency(
+                     DipoleGeometry(8e-6, 20e-6, 1e-6, 3.8), sheet)):
+        with pytest.raises(ValueError, match="^drude_weight must be finite$"):
+            call()
+    rows = stack_metrics_sweep(preset_stack("H1G", sheet), 4e12, [2e297])
+    assert rows[0].status == "failed:drude_weight must be finite"
 
 
 @given(st.floats(0.01, 2.0), st.floats(0.01, 2.0))

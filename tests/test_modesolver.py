@@ -594,26 +594,78 @@ def test_stack_sweep_rows_equal_lone_find_mode_bit_for_bit(preset, f_thz):
     ("H1G", 0.05, 1.5), ("H1G", 0.4, 4.0), ("H2G", 0.2, 7.0), ("H2G", 1.0, 0.5)])
 def test_shared_scan_values_equal_direct_evaluations(preset, ef, f_thz):
     # the sheet term applied to the sheet-free parts gives every scan value
-    # bit for bit, not merely the same seeds
+    # and every value the root finder iterates on bit for bit, not merely
+    # the same seeds
     stack = preset_stack(preset, GrapheneSheet(ef, 0.6e-12))
-    problem = modesolver._mode_problem(stack, 2.0 * math.pi * f_thz * 1e12)
     points = [complex(p, modesolver._SCAN_IMAG_FRAC * p)
               for p in np.linspace(1.0, 60.0, 400)]
-    shared = modesolver._relative_values(
-        problem[1], modesolver._sheet_free_parts(problem, points))
-    assert [v.hex() for v in shared] == _direct_relative_hex(problem, points)
+    _assert_single_pass_bits(stack, 2.0 * math.pi * f_thz * 1e12, points)
 
 
-def _direct_relative_hex(problem, points):
-    # the relative mode function as a lone solve's scan evaluates it
-    values = []
-    for z in points:
-        try:
-            value, scale, _, _ = modesolver._mode_function(z, problem)
-            values.append(abs(value) / scale if scale > 0.0 else math.inf)
-        except (OverflowError, ZeroDivisionError):
-            values.append(math.inf)
-    return [v.hex() for v in values]
+def _single_pass(x, term, geometry):
+    # the bilinear form and its scale in one pass, the sheet term applied
+    # inside, as the mode function was written before the term was split
+    # off: an independent statement of what the split must reproduce
+    k0, bottom, top = geometry
+    x_sq = x * x
+    a_bottom, b_bottom = modesolver._walk(bottom, x_sq, k0)
+    a_top, b_top = modesolver._walk(top, x_sq, k0)
+    below = a_bottom * b_top
+    above = -a_top * b_bottom
+    sheet = term * b_bottom * b_top
+    scale = abs(below)
+    m = abs(above)
+    if m > scale:
+        scale = m
+    m = abs(sheet)
+    if m > scale:
+        scale = m
+    return below - above + sheet, scale
+
+
+def _single_pass_relative(z, term, geometry) -> float:
+    # the relative mode function as a scan evaluates it
+    try:
+        value, scale = _single_pass(z, term, geometry)
+        return abs(value) / scale if scale > 0.0 else math.inf
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+
+
+def _outcome(call):
+    # a value's bits, or the arithmetic error that stopped it
+    try:
+        return _hex(call())
+    except (OverflowError, ZeroDivisionError) as err:
+        return type(err).__name__
+
+
+def _solver_fn(stack, omega):
+    # the function the solve hands to Muller's method, caught at the hand-off
+    # of a guessed solve; no seed is polished, so no root is found
+    handed = []
+
+    def catch(fn, seed):
+        handed.append(fn)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(modesolver, "_muller_polish", catch)
+        with pytest.raises(ConvergenceError):
+            find_mode(stack, omega, 1.0 + 1.0j)
+    return handed[0]
+
+
+def _assert_single_pass_bits(stack, omega, points):
+    # the scan's relative values and the values Muller's method iterates on
+    # equal the single-pass form's bits, overflow included
+    term, geometry = modesolver._mode_problem(stack, omega)
+    scan = [modesolver._relative_value(
+        term, modesolver._sheet_free_parts(geometry, z)) for z in points]
+    assert [v.hex() for v in scan] == [
+        _single_pass_relative(z, term, geometry).hex() for z in points]
+    fn = _solver_fn(stack, omega)
+    assert [_outcome(lambda: fn(z)) for z in points] == [
+        _outcome(lambda: _single_pass(z, term, geometry)[0]) for z in points]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -623,13 +675,23 @@ def _direct_relative_hex(problem, points):
                                           allow_infinity=False),
                        min_size=1, max_size=8))
 def test_shared_scan_values_mirror_the_mode_function(stack, f_hz, points):
-    # _relative_values repeats _mode_function's operations on its sheet-free
-    # parts; any point of the plane, overflow included, must agree, also
-    # where a second sheet's term sits in a walk
-    problem = modesolver._mode_problem(stack, 2.0 * math.pi * f_hz)
-    shared = modesolver._relative_values(
-        problem[1], modesolver._sheet_free_parts(problem, points))
-    assert [v.hex() for v in shared] == _direct_relative_hex(problem, points)
+    # any point of the plane up to |x| = 1e200 must agree with the
+    # single-pass form, also where a second sheet's term sits in a walk
+    _assert_single_pass_bits(stack, 2.0 * math.pi * f_hz, points)
+
+
+def test_overflowing_points_agree_with_the_single_pass_form():
+    # near |x| = 1e154 the sheet term's product is finite but its modulus
+    # overflows: the scan reads inf there and Muller's function raises, as
+    # the single-pass form does
+    stack = preset_stack("G", GrapheneSheet(1.0, 1e-12))
+    points = [cmath.rect(1e154 * (1.0 + 0.002 * k), angle)
+              for k in range(20) for angle in (0.0, 0.3, 0.785, 1.2)]
+    term, geometry = modesolver._mode_problem(stack, 2.0 * math.pi * 4e12)
+    raised = [_outcome(lambda: _single_pass(z, term, geometry)[0])
+              for z in points].count("OverflowError")
+    assert 0 < raised < len(points)
+    _assert_single_pass_bits(stack, 2.0 * math.pi * 4e12, points)
 
 
 def _two_sheet_stack():
