@@ -68,14 +68,20 @@ _COMMANDS = {
 
 
 def _build_parser(argv) -> argparse.ArgumentParser:
-    parser = _Parser(prog="thzplasmon",
-                     description="Graphene plasmonic terahertz antenna toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
     # argparse dispatches on the first positional argument, and the top
     # level has no option that takes a value, so the first command name in
     # argv is the invoked one; only it gets its arguments, the others show
     # only in --help and in the invalid-choice error
-    invoked = next((arg for arg in argv if arg in _COMMANDS), None)
+    return _parser(next((arg for arg in argv if arg in _COMMANDS), None))
+
+
+@functools.lru_cache(maxsize=None)
+def _parser(invoked) -> argparse.ArgumentParser:
+    # built on first use, once per invoked command and process; parsing
+    # leaves a parser as it was, and help texts read COLUMNS when printed
+    parser = _Parser(prog="thzplasmon",
+                     description="Graphene plasmonic terahertz antenna toolkit")
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, add_arguments) in _COMMANDS.items():
         command = sub.add_parser(name, help=help_line)
         if name == invoked:

@@ -69,11 +69,16 @@ def intraband_conductivity(sheet: GrapheneSheet,
                            angular_frequency: float) -> complex:
     """Sheet conductivity sigma(w) in siemens (per square).
 
-    At w = 0 this reduces to the purely real DC value A * tau.
+    At w = 0 this reduces to the purely real DC value A * tau.  A finite
+    weight can still overflow sigma, or its modulus, when w and 1/tau are
+    both tiny; such a sheet is rejected.
     """
     _check_range("angular_frequency", angular_frequency, 0.0, ends="[)")
     weight = drude_weight(sheet)
-    return weight * 1j / (angular_frequency + 1j / sheet.relaxation_time_s)
+    sigma = weight * 1j / (angular_frequency + 1j / sheet.relaxation_time_s)
+    # hypot is inf where a part is, and never raises where abs(sigma) would
+    _check_range("|sigma|", math.hypot(sigma.real, sigma.imag))
+    return sigma
 
 
 def _check_invertible(sigma: complex) -> None:

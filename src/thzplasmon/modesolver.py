@@ -140,6 +140,8 @@ def _mode_problem(stack: LayeredStack, angular_frequency: float):
     steps toward the top sheet, the reference interface."""
     _check_range("angular_frequency", angular_frequency, 0.0)
     k0 = angular_frequency / C0
+    # a subnormal w underflows to k0 = 0, which the seeds divide by
+    _check_range("free-space wavenumber", k0, 0.0)
     # i sigma k0 / (w eps0) = i sigma / (eps0 c0), dimensionless
     terms = {i: 1j * intraband_conductivity(sheet, angular_frequency) / (EPS0 * C0)
              for i, sheet in stack.sheets.items()}

@@ -1,14 +1,18 @@
+import argparse
 import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thzplasmon import modesolver, parse_result_csv
+from thzplasmon import cli, modesolver, parse_result_csv
 from thzplasmon.cli import main
 
 CONFIG = """
@@ -244,6 +248,10 @@ def test_shipped_configs_run(tmp_path):
     # the Drude weight overflows, so every sigma cell would be nan
     (["conductivity", "--grid", "1", "--chemical-potential-ev", "1e300",
       "--relaxation-time-ps", "1"], [0]),
+    # w tau = 1 at a huge tau: both parts of sigma are finite, |sigma| is not
+    (["conductivity", "--grid", "1.5915494309189535e-289",
+      "--chemical-potential-ev", "2.6e21", "--relaxation-time-ps", "1e288"],
+     [0]),
     # the footprint overflows to inf
     (["scenario", "--grid", "1e300", "--width-um", "1e300", "--scenario", "SDM"],
      [0]),
@@ -265,6 +273,7 @@ def test_shipped_configs_run(tmp_path):
         "stack-zero-frequency", "stack-zero-relaxation-time",
         "dispersion-degenerate-sheet", "antenna-degenerate-sheet",
         "stack-degenerate-sheet", "conductivity-overflowing-cells",
+        "conductivity-overflowing-modulus",
         "scenario-overflowing-footprint", "stack-underflowing-thermal-energy",
         "dispersion-underflowing-thermal-energy",
         "antenna-underflowing-thermal-energy",
@@ -564,11 +573,12 @@ TEXT_CASES = (
                                      ("1", "8", "0"), ("1e-300", "1e-300", "1"))])
 
 
-def cli_text(argv) -> dict:
-    """Exit code, stdout and stderr of one in-process run, 80 columns wide."""
+def cli_text(argv, columns=80) -> dict:
+    """Exit code, stdout and stderr of one in-process run, 80 columns wide
+    unless columns says otherwise."""
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setenv("COLUMNS", "80")
+        patch.setenv("COLUMNS", str(columns))
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(list(argv))
     return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
@@ -579,6 +589,77 @@ def cli_text(argv) -> dict:
 def test_help_and_usage_texts_unchanged(argv):
     # tests/data/cli_texts.json was written by this module's __main__
     assert cli_text(argv) == json.loads(CLI_TEXTS.read_text())[" ".join(argv)]
+
+
+# --- one parser per command and process ---------------------------------------
+
+@pytest.fixture(scope="module")
+def fresh_csv(tmp_path_factory):
+    """CONFIG as a file, and the stdout of a sweep of it in a new
+    interpreter, which has built no parser before."""
+    config = tmp_path_factory.mktemp("fresh") / "run.cfg"
+    config.write_text(CONFIG)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from thzplasmon.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", "sweep", "--config", str(config),
+         "--quiet"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, check=False)
+    assert (done.returncode, done.stderr) == (0, b"")
+    return config, done.stdout.decode()
+
+
+def test_repeated_calls_build_no_parser(tmp_path, monkeypatch):
+    config = tmp_path / "run.cfg"
+    config.write_text(CONFIG)
+    argv = ["sweep", "--config", str(config), "--out", str(tmp_path / "a.csv"),
+            "--quiet"]
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._parser.cache_clear()
+    assert main(argv) == 0
+    # the top level and one subparser per command
+    assert len(built) == 1 + len(cli._COMMANDS)
+    built.clear()
+    assert main(argv) == 0
+    assert built == []
+
+
+def test_output_flags_do_not_carry_over(fresh_csv, tmp_path, capsys):
+    config, expected = fresh_csv
+    plot = tmp_path / "plot.txt"
+    assert main(["sweep", "--config", str(config), "--out", str(plot),
+                 "--format", "plot", "--plot-y", "sigma_real", "--quiet"]) == 0
+    assert plot.read_text().startswith("# x=frequency y=sigma_real\n")
+    assert main(["sweep", "--config", str(config), "--quiet"]) == 0
+    assert capsys.readouterr().out == expected
+    assert parse_result_csv(expected).all_ok
+
+
+def test_usage_error_leaves_the_parser_as_it_was(fresh_csv, capsys):
+    config, expected = fresh_csv
+    assert main(["sweep", "--config", str(config), "--format", "xml"]) == 1
+    assert "invalid choice: 'xml'" in capsys.readouterr().err
+    assert main(["sweep", "--config", str(config), "--quiet"]) == 0
+    assert capsys.readouterr() == (expected, "")
+
+
+def test_texts_do_not_depend_on_the_width_at_build_time():
+    # the parsers are built at 40 columns and print at 80 as a new process
+    # at 80 columns would
+    argvs = (["--help"], ["sweep", "--help"], ["frobnicate"])
+    pinned = json.loads(CLI_TEXTS.read_text())
+    cli._parser.cache_clear()
+    narrow = [cli_text(argv, columns=40) for argv in argvs]
+    assert narrow[0]["stdout"] != pinned["--help"]["stdout"]
+    for argv in argvs:
+        assert cli_text(argv) == pinned[" ".join(argv)]
 
 
 if __name__ == "__main__":

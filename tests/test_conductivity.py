@@ -100,6 +100,30 @@ def test_drude_weight_that_overflows_is_rejected():
     assert rows[0].status == "failed:drude_weight must be finite"
 
 
+# a finite weight, but w and 1/tau are both tiny: A tau (the real part)
+# overflows; with w tau >> 1 only A / w (the imaginary part) does; at
+# w tau = 1 both parts are finite but the modulus overflows
+OVERFLOWING_SIGMA = pytest.mark.parametrize("sheet, omega", [
+    (GrapheneSheet(5e-324, 1e300), 2.0 * math.pi * 5e-324),
+    (GrapheneSheet(0.2, 1e308), 1e-301),
+    (GrapheneSheet(2.6e21, 1e276), 1e-276),
+], ids=["real-part", "imaginary-part", "modulus"])
+
+
+@OVERFLOWING_SIGMA
+def test_conductivity_that_overflows_is_rejected(sheet, omega):
+    assert math.isfinite(drude_weight(sheet))
+    with pytest.raises(ValueError, match=r"^\|sigma\| must be finite$"):
+        intraband_conductivity(sheet, omega)
+
+
+@OVERFLOWING_SIGMA
+def test_impedance_of_an_overflowing_conductivity_is_rejected(sheet, omega):
+    # 1 / inf would be an impedance of exactly 0
+    with pytest.raises(ValueError, match=r"^\|sigma\| must be finite$"):
+        surface_impedance(sheet, omega)
+
+
 @given(st.floats(0.01, 2.0), st.floats(0.01, 2.0))
 @settings(max_examples=50, deadline=None, derandomize=True)
 def test_thermal_ratio_matches_high_precision(ef1, ef2):

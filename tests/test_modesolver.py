@@ -507,6 +507,31 @@ def test_quasi_static_seed_rejects_degenerate_sheet():
     assert points[0].status.startswith("failed:|sigma| = 0.000e+00 S")
 
 
+def test_quasi_static_seed_rejects_overflowing_conductivity():
+    # tau = 1e300 s and f = 1e-300 Hz: sigma = inf + inf i, whose inverse
+    # would be a nan seed
+    stack = graphene_on_substrate(GrapheneSheet(0.4, 1e300), 3.8)
+    with pytest.raises(ValueError, match=r"^\|sigma\| must be finite$"):
+        quasi_static_wavevector(stack, 2.0 * math.pi * 1e-300)
+
+
+def test_underflowing_wavenumber_is_rejected():
+    # w = 2 pi 5e-324 rad/s is positive, but w / c0 underflows to 0, which
+    # the seeds divide by
+    sheet = GrapheneSheet(5e-324, 1e-12)
+    stack = graphene_on_substrate(sheet, 3.8)
+    omega = 2.0 * math.pi * 5e-324
+    assert omega > 0.0 and omega / C0 == 0.0
+    with pytest.raises(ValueError,
+                       match="^free-space wavenumber must be > 0$"):
+        find_mode(stack, omega)
+    # the drivers record it as a failed point instead of raising
+    status = "failed:free-space wavenumber must be > 0"
+    assert trace_dispersion(stack, [5e-324])[0].status == status
+    rows = stack_metrics_sweep(preset_stack("H1G", sheet), 5e-324, [0.2])
+    assert rows[0].status == status
+
+
 # --- stack metrics -----------------------------------------------------------
 
 def test_stack_metrics_orderings_at_matched_parameters():
