@@ -35,12 +35,7 @@ def _add_common(parser):
                         help="suppress the summary line on stderr")
 
 
-def _add_sweep(parser):
-    parser.add_argument("--config", required=True, help="configuration file path")
-    _add_common(parser)
-
-
-def _add_direct(schema, parser):
+def _add_direct(parser, schema):
     # a direct subcommand's flags are its sweep target's [fixed] keys
     variables = schema["variables"]
     if len(variables) > 1:
@@ -53,39 +48,22 @@ def _add_direct(schema, parser):
     _add_common(parser)
 
 
-def _add_presets(parser):
-    parser.add_argument("--csv", help="also write the scenario table as CSV")
-    parser.add_argument("--quiet", action="store_true")
-
-
-# subcommand: (help line, adds its arguments)
-_COMMANDS = {
-    "sweep": ("run a sweep from a config file", _add_sweep),
-    **{target: (schema["help"], functools.partial(_add_direct, schema))
-       for target, schema in _TARGETS.items()},
-    "presets": ("print stack presets and scenario constants", _add_presets),
-}
-
-
-def _build_parser(argv) -> argparse.ArgumentParser:
-    # argparse dispatches on the first positional argument, and the top
-    # level has no option that takes a value, so the first command name in
-    # argv is the invoked one; only it gets its arguments, the others show
-    # only in --help and in the invalid-choice error
-    return _parser(next((arg for arg in argv if arg in _COMMANDS), None))
-
-
-@functools.lru_cache(maxsize=None)
-def _parser(invoked) -> argparse.ArgumentParser:
-    # built on first use, once per invoked command and process; parsing
-    # leaves a parser as it was, and help texts read COLUMNS when printed
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on first use, once per process; parsing leaves a parser as it
+    # was, and help texts read COLUMNS when printed
     parser = _Parser(prog="thzplasmon",
                      description="Graphene plasmonic terahertz antenna toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, add_arguments) in _COMMANDS.items():
-        command = sub.add_parser(name, help=help_line)
-        if name == invoked:
-            add_arguments(command)
+    sweep = sub.add_parser("sweep", help="run a sweep from a config file")
+    sweep.add_argument("--config", required=True, help="configuration file path")
+    _add_common(sweep)
+    for target, schema in _TARGETS.items():
+        _add_direct(sub.add_parser(target, help=schema["help"]), schema)
+    presets = sub.add_parser("presets",
+                             help="print stack presets and scenario constants")
+    presets.add_argument("--csv", help="also write the scenario table as CSV")
+    presets.add_argument("--quiet", action="store_true")
     return parser
 
 
@@ -140,11 +118,8 @@ def _print_presets(args) -> int:
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    parser = _build_parser(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
 

@@ -218,12 +218,25 @@ def _with_term(term: complex, parts) -> tuple[complex, float]:
     return value + sheet, scale
 
 
+def _checked_form(term: complex, geometry, x: complex):
+    """(sheet-free parts, bilinear form, term scale) at x for the public
+    residuals, which raise ValueError where a modulus overflows; the solver
+    reads such a point as no value instead."""
+    try:
+        parts = _mode_function(x, geometry)
+        return (parts, *_with_term(term, parts))
+    except OverflowError:
+        raise ValueError(
+            f"the mode condition's terms overflow at q/k0 = {x:.6g}") from None
+
+
 def dispersion_residual(stack: LayeredStack, wavevector: complex,
                         angular_frequency: float) -> complex:
     """Admittance mismatch D at (q, w); D = 0 exactly at guided modes.
 
     Dimensionless: the two-half-space case evaluates to
     eps1/k1 + eps2/k2 + i sigma/(eps0 c0) with k_i = sqrt((q/k0)^2 - eps_i).
+    ValueError where a term's modulus overflows.
     """
     term, geometry = _mode_problem(stack, angular_frequency)
     x = wavevector / geometry[0]
@@ -232,8 +245,7 @@ def dispersion_residual(stack: LayeredStack, wavevector: complex,
         if abs(x_sq - layer.relative_permittivity) < _BRANCH_CUT_GUARD:
             raise BranchCutProximityError(
                 f"q too close to the eps_r = {layer.relative_permittivity} branch point")
-    parts = _mode_function(x, geometry)
-    value, _ = _with_term(term, parts)
+    parts, value, _ = _checked_form(term, geometry, x)
     return value / (parts[2] * parts[3])
 
 
@@ -241,10 +253,9 @@ def residual_scale(stack: LayeredStack, wavevector: complex,
                    angular_frequency: float) -> float:
     """Magnitude of the largest term of the mode condition at (q, w); the
     reference scale against which |dispersion_residual| is judged.  Infinite
-    at a pole of D."""
+    at a pole of D; ValueError where a term's modulus overflows."""
     term, geometry = _mode_problem(stack, angular_frequency)
-    parts = _mode_function(wavevector / geometry[0], geometry)
-    _, scale = _with_term(term, parts)
+    parts, _, scale = _checked_form(term, geometry, wavevector / geometry[0])
     denom = parts[2] * parts[3]
     return scale / abs(denom) if denom != 0.0 else math.inf
 

@@ -244,6 +244,16 @@ def test_resonance_fallback_scan_returns_oracle_root(monkeypatch):
     assert abs(value - reference) < 1e-9 * reference
 
 
+def test_resonance_reports_a_stalled_bracketing(monkeypatch):
+    # one secant step leaves |g| far above the gate, on the fast path and
+    # after the band scan alike
+    monkeypatch.setattr(antenna, "_SECANT_STEPS", 1)
+    dipole = DipoleGeometry(total_length_m=20e-6, **QUARTZ_DIPOLE)
+    with pytest.raises(NoResonanceInBandError,
+                       match=r"^bracketing stalled at \|g\| = \d\.\d{3}e[+-]\d\d > 1e-09$"):
+        resonance_frequency(dipole, SHEET_02)
+
+
 # _secant_root on synthetic gap functions: g jumps from -1 to +1 at f = 2
 JUMP_AT = 2.0
 

@@ -591,7 +591,7 @@ def test_help_and_usage_texts_unchanged(argv):
     assert cli_text(argv) == json.loads(CLI_TEXTS.read_text())[" ".join(argv)]
 
 
-# --- one parser per command and process ---------------------------------------
+# --- one parser per process ---------------------------------------------
 
 @pytest.fixture(scope="module")
 def fresh_csv(tmp_path_factory):
@@ -609,7 +609,7 @@ def fresh_csv(tmp_path_factory):
     return config, done.stdout.decode()
 
 
-def test_repeated_calls_build_no_parser(tmp_path, monkeypatch):
+def test_repeated_calls_build_no_parser(tmp_path, monkeypatch, capsys):
     config = tmp_path / "run.cfg"
     config.write_text(CONFIG)
     argv = ["sweep", "--config", str(config), "--out", str(tmp_path / "a.csv"),
@@ -624,11 +624,29 @@ def test_repeated_calls_build_no_parser(tmp_path, monkeypatch):
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     cli._parser.cache_clear()
     assert main(argv) == 0
-    # the top level and one subparser per command
-    assert len(built) == 1 + len(cli._COMMANDS)
+    # the top level and every subcommand, whichever one is invoked
+    assert built == ["thzplasmon"] + [
+        f"thzplasmon {command}" for command in (
+            "sweep", "conductivity", "dispersion", "stack", "antenna",
+            "scenario", "presets")]
     built.clear()
     assert main(argv) == 0
+    assert main(["stack", "--grid", "0.2", "--preset", "G", "--frequency-thz", "4",
+                 "--relaxation-time-ps", "1", "--quiet"]) == 0
+    assert main(["presets"]) == 0
+    assert main(["--help"]) == 0
     assert built == []
+
+
+def test_console_script_reads_sys_argv(monkeypatch, capsys):
+    # the installed thzplasmon script calls main() with no argv
+    pinned = json.loads(CLI_TEXTS.read_text())["frobnicate"]
+    monkeypatch.setattr(sys, "argv", ["thzplasmon", "presets"])
+    assert main() == 0
+    assert capsys.readouterr() == (PRESETS_TEXT, "")
+    monkeypatch.setattr(sys, "argv", ["thzplasmon", "frobnicate"])
+    assert main() == pinned["code"]
+    assert capsys.readouterr() == (pinned["stdout"], pinned["stderr"])
 
 
 def test_output_flags_do_not_carry_over(fresh_csv, tmp_path, capsys):

@@ -240,6 +240,16 @@ def test_thick_layer_does_not_overflow():
     assert cmath.isfinite(dispersion_residual(stack, q, OMEGA_1THZ))
 
 
+@pytest.mark.parametrize("entry", [dispersion_residual, residual_scale])
+def test_residuals_reject_an_overflowing_term(entry):
+    # on a 1e300 substrate |below| overflows at q = 1.3e8 (1 + 1j) k0,
+    # although both of its parts are finite
+    stack = graphene_on_substrate(SHEET_02, 1e300)
+    q = 1.3e8 * (1.0 + 1.0j) * OMEGA_1THZ / C0
+    with pytest.raises(ValueError, match=r"terms overflow at q/k0 = 1\.3e\+08"):
+        entry(stack, q, OMEGA_1THZ)
+
+
 # --- find_mode ---------------------------------------------------------------
 
 def test_find_mode_free_standing_pinned():
@@ -334,6 +344,12 @@ def test_leaky_branch_fires_where_the_square_overflows():
     stack = graphene_on_substrate(SHEET_02, 3.8)
     x = complex(2.0, 1.3407807929942597e154)
     assert modesolver._classify_root(stack, x) == "leaky: no decay into a cladding"
+
+
+def test_classifier_rejects_a_root_below_the_real_axis():
+    stack = graphene_on_substrate(SHEET_02, 3.8)
+    assert modesolver._classify_root(stack, 3.0 - 0.1j) \
+        == "not bound: Im q = -0.1 k0 is not positive"
 
 
 def test_find_mode_convergence_error(monkeypatch):
@@ -706,17 +722,26 @@ def test_shared_scan_values_mirror_the_mode_function(stack, f_hz, points):
 
 
 def test_overflowing_points_agree_with_the_single_pass_form():
-    # near |x| = 1e154 the sheet term's product is finite but its modulus
-    # overflows: the scan reads inf there and Muller's function raises, as
-    # the single-pass form does
-    stack = preset_stack("G", GrapheneSheet(1.0, 1e-12))
-    points = [cmath.rect(1e154 * (1.0 + 0.002 * k), angle)
-              for k in range(20) for angle in (0.0, 0.3, 0.785, 1.2)]
-    term, geometry = modesolver._mode_problem(stack, 2.0 * math.pi * 4e12)
-    raised = [_outcome(lambda: _single_pass(z, term, geometry)[0])
-              for z in points].count("OverflowError")
-    assert 0 < raised < len(points)
-    _assert_single_pass_bits(stack, 2.0 * math.pi * 4e12, points)
+    # where a modulus overflows the scan reads inf and Muller's function
+    # raises, as the single-pass form does
+    cases = [
+        # near |x| = 1e154 the sheet term's product is finite but its
+        # modulus overflows
+        (preset_stack("G", GrapheneSheet(1.0, 1e-12)), 4e12,
+         [cmath.rect(1e154 * (1.0 + 0.002 * k), angle)
+          for k in range(20) for angle in (0.0, 0.3, 0.785, 1.2)]),
+        # on a 1e300 substrate |below| of the sheet-free parts overflows
+        # from x = 1.3e8 (1 + 1j) on, and the parts are inf by 2e8 (1 + 1j)
+        (graphene_on_substrate(GrapheneSheet(0.2, 1e-12), 1e300), 1e12,
+         [s * 1e8 * (1.0 + 1.0j) for s in (1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 2.0)]),
+    ]
+    for stack, f_hz, points in cases:
+        omega = 2.0 * math.pi * f_hz
+        term, geometry = modesolver._mode_problem(stack, omega)
+        raised = [_outcome(lambda: _single_pass(z, term, geometry)[0])
+                  for z in points].count("OverflowError")
+        assert 0 < raised < len(points)
+        _assert_single_pass_bits(stack, omega, points)
 
 
 def _two_sheet_stack():
