@@ -199,13 +199,12 @@ def resonance_frequency(dipole: DipoleGeometry,
 
     When the fast path stops at the top of the band with g(hi) < 0, the
     dipole is too short: the error is raised at once, after one solve at the
-    low edge for its status.  When the fast path fails otherwise (f0
-    overflows, a solve raises, a step would leave the band or the steps run
-    out), a
-    48-point log-spaced band scan brackets the first sign change and
-    the same secant refines it.  Band edges where no bound mode exists are
-    reported in the error when no bracket is found; the returned root
-    satisfies |g| < 1e-9.
+    low edge for its status.  When the fast path fails otherwise (Re q_qs
+    underflows to 0 or f0 overflows, a solve raises, a step would leave the
+    band or the steps run out), a 48-point log-spaced band scan brackets the
+    first sign change and the same secant refines it.  Band edges where no
+    bound mode exists are reported in the error when no bracket is found;
+    the returned root satisfies |g| < 1e-9.
     """
     lo, hi = BAND_HZ
     stack = graphene_on_substrate(sheet, dipole.substrate_permittivity)
@@ -231,7 +230,9 @@ def resonance_frequency(dipole: DipoleGeometry,
         return solve(f_hz).wavevector.real * length - math.pi
 
     q_lo = quasi_static_wavevector(stack, 2.0 * math.pi * lo).real
-    f_seed = min(max(lo * math.sqrt(math.pi / q_lo / length), lo), hi)
+    # Re q_qs is 0 where Im sigma underflows: no seed, the band scan decides
+    f_seed = (min(max(lo * math.sqrt(math.pi / q_lo / length), lo), hi)
+              if q_lo > 0.0 else math.inf)
     f_res, converged = None, False
     if math.isfinite(f_seed):
         try:

@@ -21,11 +21,11 @@ chosen so regression fixtures diff cleanly:
     format = csv
 
 A comment is a line of its own; after a value, "#" is part of the value.
-Unknown sections or keys are errors, not warnings.  Sweeps never abort on a
-row failure, whether the solver fails, an input is invalid (a negative
-chemical potential, a zero frequency, a dipole shorter than its gap) or a
-result is not finite: the row is kept with status "failed:<reason>" and
-empty numeric cells, and an invalid fixed sheet or stack fails every row.
+An unknown section or key is an error on its line, not a warning.  Sweeps
+never abort on a row failure, whether the solver fails, an input is invalid
+(a negative chemical potential, a zero frequency, a dipole shorter than its
+gap) or a result is not finite: the row is kept with status "failed:<reason>"
+and empty numeric cells, and an invalid fixed sheet or stack fails every row.
 Emitted files are byte-identical across reruns; all numeric cells use full
 round-trip scientific notation and every column header carries a unit.
 """
@@ -161,7 +161,7 @@ class SweepSpec:
                 try:
                     check(fixed[key])
                 except ValueError as err:
-                    raise ConfigError(str(err)) from None
+                    raise _fault("fixed", key, str(err)) from None
         if self.output_format not in FORMATS:
             raise _fault("output", "format", f"format: expected one of {FORMATS}, "
                                              f"got {self.output_format!r}")
@@ -209,13 +209,17 @@ def _check_preset(name: str) -> None:
 # [fixed] key is a float
 _TEXT_KEYS = {"preset": _check_preset, "scenario": _scenario.scenario_by_name}
 
-_SECTIONS = ("sweep", "fixed", "output")
-_SWEEP_KEYS = ("target", "variable", "grid")
-_OUTPUT_KEYS = ("path", "format", "plot_x", "plot_y")
+# each section and its keys: [sweep] needs all of its keys, [output] may
+# omit any, and [fixed] takes any key, which SweepSpec judges per target
+_SECTIONS = {"sweep": ("target", "variable", "grid"), "fixed": None,
+             "output": ("path", "format", "plot_x", "plot_y")}
 
 
-def _parse_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
-    sections: dict[str, dict[str, tuple[str, int]]] = {}
+def _parse_sections(text: str):
+    """A document's sections (key -> text) and the line of each
+    (section, key); an unknown key is an error on the line that holds it."""
+    sections: dict[str, dict[str, str]] = {}
+    lines: dict[tuple[str, str], int] = {}
     current: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -241,8 +245,11 @@ def _parse_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
             raise ConfigError("empty key", lineno)
         if key in sections[current]:
             raise ConfigError(f"duplicate key {key!r} in [{current}]", lineno)
-        sections[current][key] = (value, lineno)
-    return sections
+        if _SECTIONS[current] is not None and key not in _SECTIONS[current]:
+            raise ConfigError(f"unknown key {key!r} in [{current}]", lineno)
+        sections[current][key] = value
+        lines[current, key] = lineno
+    return sections, lines
 
 
 def _number(value, name: str, section: str, key: str) -> float:
@@ -310,37 +317,22 @@ def _output_settings(output: dict[str, str]) -> dict:
     return settings
 
 
-def _build_spec(sections: dict[str, dict[str, tuple[str, int]]]) -> SweepSpec:
-    """The spec of a document's sections (key -> (text, line)); SweepSpec
-    judges it, and an error about a key gets that key's line."""
+def parse_config(text: str) -> SweepSpec:
+    """Parse and fully validate a sweep configuration document.  SweepSpec
+    judges the values, and an error about a key gets that key's line."""
+    sections, lines = _parse_sections(text)
     if "sweep" not in sections:
         raise ConfigError("missing [sweep] section")
     sweep = sections["sweep"]
-    for key in _SWEEP_KEYS:
+    for key in _SECTIONS["sweep"]:
         if key not in sweep:
             raise ConfigError(f"missing required key {key!r}")
-    for key, (_, line) in sweep.items():
-        if key not in _SWEEP_KEYS:
-            raise ConfigError(f"unknown key {key!r} in [sweep]", line)
-    text = {name: {key: value for key, (value, _) in keys.items()}
-            for name, keys in sections.items()}
     try:
-        spec = SweepSpec(text["sweep"]["target"], text["sweep"]["variable"],
-                         _grid(text["sweep"]["grid"]), text.get("fixed", {}),
-                         **_output_settings(text.get("output", {})))
+        return SweepSpec(sweep["target"], sweep["variable"], _grid(sweep["grid"]),
+                         sections.get("fixed", {}),
+                         **_output_settings(sections.get("output", {})))
     except ConfigError as err:
-        section, key = err._where
-        _, line = sections.get(section, {}).get(key, ("", None))
-        raise ConfigError(str(err), line) from None
-    for key, (_, line) in sections.get("output", {}).items():
-        if key not in _OUTPUT_KEYS:
-            raise ConfigError(f"unknown key {key!r} in [output]", line)
-    return spec
-
-
-def parse_config(text: str) -> SweepSpec:
-    """Parse and fully validate a sweep configuration document."""
-    return _build_spec(_parse_sections(text))
+        raise ConfigError(str(err), lines.get(err._where)) from None
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,9 @@ A case runs in an empty working directory.  Its exit code, stdout, stderr
 and the files it writes are compared, and every case that differs is
 printed.  The exit code is 0 when no case differs and 1 otherwise.  Not
 collected by pytest: run it by hand before and after a change that must
-keep the command line's behaviour.
+keep the command line's behaviour.  ``tests/test_cli.py`` runs its worker
+on one tree over the shipped cases and the default seed-1 corpora, without
+the workload rounds, and checks one digest per case.
 """
 from __future__ import annotations
 
@@ -327,15 +329,21 @@ def direct_calls(seed: int, count: int) -> list[dict]:
     return cases
 
 
-def shipped_and_workload_cases() -> list[dict]:
+def shipped_cases() -> list[dict]:
+    """Every shipped config, ``presets`` and ``presets --csv``."""
     cases = [{"id": f"config {path.name}", "config": path.read_text(),
               "argv": ["sweep", "--config", "run.cfg", "--quiet"]}
              for path in sorted((ROOT / "configs").glob("*.cfg"))]
-    cases += [{"id": "presets", "config": None, "argv": ["presets"]},
-              {"id": "presets csv", "config": None,
-               "argv": ["presets", "--csv", "scenarios.csv"]}]
+    return cases + [{"id": "presets", "config": None, "argv": ["presets"]},
+                    {"id": "presets csv", "config": None,
+                     "argv": ["presets", "--csv", "scenarios.csv"]}]
+
+
+def workload_cases() -> list[dict]:
+    """The seed-1 and seed-2 rounds of the benchmark workloads."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import WORKLOADS, make_round
+    cases = []
     for workload in WORKLOADS:
         for seed in (1, 2):
             cases += [{"id": f"{workload} seed {seed} {sweep.name}",
@@ -399,7 +407,7 @@ def main(argv=None) -> int:
         return 0
     if args.new_src is None:
         parser.error("NEW_SRC is required")
-    cases = (shipped_and_workload_cases()
+    cases = (shipped_cases() + workload_cases()
              + config_documents(args.seed, args.documents, args.max_faults)
              + direct_calls(args.seed, args.calls))
     old, new = (_results(str(Path(src).resolve()), cases)

@@ -186,6 +186,18 @@ def test_overflowing_seed_goes_to_the_band_scan():
         f"high edge 1.000e+13 Hz: {edge.format('1e+13')})")
 
 
+def test_underflowing_seed_goes_to_the_band_scan():
+    # Im sigma underflows, so Re q_qs at the band's low edge is 0 and the
+    # quasi-static seed would divide by it
+    dipole = DipoleGeometry(8e-6, 20e-6, 3e-6, 3.8)
+    with pytest.raises(NoResonanceInBandError) as info:
+        resonance_frequency(dipole, GrapheneSheet(1e266, 1e-307))
+    assert str(info.value) == (
+        "no half-wavelength resonance in [1.000e+11, 1.000e+13] Hz "
+        "(low edge 1.000e+11 Hz: not bound: Re q = 0 k0 does not exceed the "
+        "cladding index 1.94936; high edge 1.000e+13 Hz: ok)")
+
+
 @pytest.mark.parametrize("length_m", [1e-23, 1e-30])
 def test_tiny_dipole_is_too_short(length_m):
     # Re q * L falls below half an ulp of pi, so g + pi rounds to 0: the

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import compare_trees
 from thzplasmon import cli, modesolver, parse_result_csv
 from thzplasmon.cli import main
 
@@ -267,6 +269,10 @@ def test_shipped_configs_run(tmp_path):
     (["conductivity", "--variable", "chemical_potential_ev", "--grid", "0.2",
       "--relaxation-time-ps", "1", "--frequency-thz", "1",
       "--temperature-k", "1e-320"], [0]),
+    # Im sigma underflows, so the quasi-static seed's Re q is 0
+    (["antenna", "--grid", "20", "--width-um", "8", "--gap-um", "3",
+      "--substrate-permittivity", "3.8", "--chemical-potential-ev", "1e266",
+      "--relaxation-time-ps", "1e-295"], [0]),
 ], ids=["scenario-negative-length", "scenario-zero-budget",
         "dispersion-zero-frequency", "dispersion-negative-potential",
         "dispersion-substrate-below-vacuum", "stack-negative-potential",
@@ -277,7 +283,8 @@ def test_shipped_configs_run(tmp_path):
         "scenario-overflowing-footprint", "stack-underflowing-thermal-energy",
         "dispersion-underflowing-thermal-energy",
         "antenna-underflowing-thermal-energy",
-        "conductivity-underflowing-thermal-energy"])
+        "conductivity-underflowing-thermal-energy",
+        "antenna-underflowing-seed"])
 def test_invalid_input_is_failed_row(capsys, argv, failed_rows):
     assert main(argv + ["--quiet"]) == 2
     captured = capsys.readouterr()
@@ -680,12 +687,45 @@ def test_texts_do_not_depend_on_the_width_at_build_time():
         assert cli_text(argv) == pinned[" ".join(argv)]
 
 
+# --- the command-line corpus ---------------------------------------------
+
+CORPUS_DIGESTS = DATA_DIR / "corpus_digests.json"
+
+
+def corpus_digests():
+    """The cases of compare_trees.py's default corpus without the benchmark
+    workload rounds (the shipped configs, presets, 2 000 seed-1 documents
+    with at most one fault and 800 seed-1 direct calls), and per case the
+    first 8 hex digits of the SHA-256 of its exit code, stdout, stderr and
+    written files, in one worker process on this tree."""
+    cases = (compare_trees.shipped_cases()
+             + compare_trees.config_documents(1, 2000, 1)
+             + compare_trees.direct_calls(1, 800))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return cases, [
+        hashlib.sha256(json.dumps(result, sort_keys=True).encode()).hexdigest()[:8]
+        for result in compare_trees._results(src, cases)]
+
+
+def test_cli_corpus_unchanged():
+    # tests/data/corpus_digests.json was written by this module's __main__;
+    # python tests/compare_trees.py OLD_SRC NEW_SRC shows a case's bytes
+    cases, digests = corpus_digests()
+    pinned = json.loads(CORPUS_DIGESTS.read_text())
+    assert len(digests) == len(pinned)
+    differ = [case["id"] for case, new, old in zip(cases, digests, pinned)
+              if new != old]
+    assert not differ, f"{len(differ)} cases differ: " + "; ".join(differ)
+
+
 if __name__ == "__main__":
     # PYTHONPATH=src python tests/test_cli.py rewrites the references: the
-    # help and usage texts and the CSV of every shipped config
+    # help and usage texts, the CSV of every shipped config and the digests
+    # of the command-line corpus
     CLI_TEXTS.write_text(json.dumps({" ".join(argv): cli_text(argv)
                                      for argv in TEXT_CASES}, indent=1) + "\n")
     for config in sorted(CONFIG_DIR.glob("*.cfg")):
         if main(["sweep", "--config", str(config), "--quiet",
                  "--out", str(DATA_DIR / f"{config.stem}.csv")]) != 0:
             raise SystemExit(f"{config.name}: a row failed")
+    CORPUS_DIGESTS.write_text(json.dumps(corpus_digests()[1], indent=0) + "\n")

@@ -352,6 +352,108 @@ def test_classifier_rejects_a_root_below_the_real_axis():
         == "not bound: Im q = -0.1 k0 is not positive"
 
 
+# _muller_polish on synthetic functions with the root R, started from 2R:
+# each is x - R, except where its relative distance d from R is below 0.6
+ROOT = 3.0 + 0.01j
+
+
+def _polish(near):
+    """_muller_polish's result for x - R with near(x, d) where d < 0.6, and
+    the points it evaluated."""
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        d = abs(x - ROOT) / abs(ROOT)
+        return near(x, d) if d < 0.6 else x - ROOT
+    return modesolver._muller_polish(fn, 2.0 * ROOT), calls
+
+
+def _overflow(*_):
+    raise OverflowError("synthetic")
+
+
+def test_muller_gives_up_when_a_start_point_raises():
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return 1.0 / 0.0
+    assert modesolver._muller_polish(fn, ROOT) is None
+    assert len(calls) == 1
+
+
+def test_muller_gives_up_when_a_step_raises():
+    # the first step lands next to R, where the function raises
+    root, calls = _polish(_overflow)
+    assert root is None and len(calls) == 4
+
+
+@pytest.mark.parametrize("near", [
+    lambda x, d: complex(math.inf),
+    lambda x, d: complex(math.inf) if d < 1e-6 else _overflow(),
+], ids=["back-off-not-finite", "back-off-raises"])
+def test_muller_gives_up_when_the_back_off_fails(near):
+    # the step is not finite, and neither is the midpoint toward 2R
+    root, calls = _polish(near)
+    assert root is None and len(calls) == 5
+    assert calls[4] == 0.5 * (calls[3] + calls[2])
+
+
+def test_muller_backs_off_from_a_non_finite_point():
+    # R itself overflows: each step that lands on it is halved back toward
+    # the last good point, and Newton stops at its non-finite step there
+    root, calls = _polish(lambda x, d: complex(math.inf) if d == 0.0 else x - ROOT)
+    assert calls[5] == 0.5 * (calls[4] + calls[3])
+    assert abs(root - ROOT) <= 4e-16 * abs(ROOT)
+
+
+@pytest.mark.parametrize("near, probes", [
+    (lambda x, d: 0j, 2),
+    (_overflow, 1),
+    (lambda x, d: complex(math.inf), 2),
+], ids=["flat-derivative", "probe-raises", "non-finite-step"])
+def test_newton_keeps_mullers_root_when_its_probe_fails(near, probes):
+    # Muller converges within 1e-9 of R; Newton's probes at 1e-7 find a zero
+    # derivative, an error or a non-finite step, so it returns Muller's point
+    root, calls = _polish(lambda x, d: near(x, d) if 1e-9 < d < 1e-6 else x - ROOT)
+    assert root in calls and abs(root - ROOT) < 1e-9 * abs(ROOT)
+    assert sum(1e-9 < abs(x - ROOT) / abs(ROOT) < 1e-6 for x in calls) == probes
+
+
+def test_muller_nudges_a_flat_parabola_and_gives_up():
+    # f = 0 everywhere: the parabola has no denominator, so each step only
+    # nudges x by 1e-6, which never meets the tolerance
+    calls = []
+
+    def flat(x):
+        calls.append(x)
+        return 0j
+    assert modesolver._muller_polish(flat, ROOT) is None
+    assert len(calls) == 3 + modesolver.MAX_ITERATIONS
+    assert calls[3] == ROOT * (1.0 + 1e-6) and calls[4] == calls[3] * (1.0 + 1e-6)
+
+
+def test_inverted_scan_band_is_skipped(monkeypatch):
+    # at cladding index 1e7 the dielectric band's scan starts 1e-6 above
+    # it, past the 1 um film's index + 1, so that scan has no points
+    scans = []
+    scan = modesolver._scan_seeds
+
+    def recording(term, geometry, store, lo, hi, count):
+        seeds = scan(term, geometry, store, lo, hi, count)
+        scans.append((count, lo < hi, seeds))
+        return seeds
+    monkeypatch.setattr(modesolver, "_scan_seeds", recording)
+    clad = DielectricLayer(1e14)
+    stack = LayeredStack((clad, DielectricLayer(1e14 + 1e8, 1e-6), clad),
+                         {0: SHEET_02})
+    mode = find_mode(stack, OMEGA_1THZ)
+    assert scans[0] == (200, False, [])
+    assert [count for count, _, _ in scans] == [200, 48]
+    assert mode.wavevector.real > stack.max_cladding_index * OMEGA_1THZ / C0
+
+
 def test_find_mode_convergence_error(monkeypatch):
     monkeypatch.setattr(modesolver, "MAX_ITERATIONS", 2)
     stack = graphene_on_substrate(SHEET_02, 3.8)

@@ -183,7 +183,7 @@ SIGMA_FIXED = {"chemical_potential_ev": 0.2, "relaxation_time_ps": 1.0}
 
 
 # a fault, the spec that has it (target, variable, grid, fixed, format), the
-# [section] key whose line the config reports (None: no line), the message
+# [section] key whose line the config reports, the message
 @pytest.mark.parametrize("target, variable, grid, fixed, output_format, key, message", [
     ("conductivity", "frequency_thz", (1.0,), {**SIGMA_FIXED, "wavelength_nm": 5.0},
      "csv", "wavelength_nm",
@@ -210,9 +210,9 @@ SIGMA_FIXED = {"chemical_potential_ev": 0.2, "relaxation_time_ps": 1.0}
      "csv", "grid", "grid: dispersion traces need an increasing grid"),
     ("stack", "chemical_potential_ev", (0.2,),
      {"preset": "XYZ", "frequency_thz": 4.0, "relaxation_time_ps": 0.6}, "csv",
-     None, "preset: expected one of ('G', 'H1G', 'H2G'), got 'XYZ'"),
+     "preset", "preset: expected one of ('G', 'H1G', 'H2G'), got 'XYZ'"),
     ("scenario", "length_um", (10.0,), {"width_um": 8.0, "scenario": "Mars"},
-     "csv", None, "unknown scenario 'Mars'; expected WNSN, SDM or WNoC"),
+     "csv", "scenario", "unknown scenario 'Mars'; expected WNSN, SDM or WNoC"),
     ("conductivity", "frequency_thz", (1.0,), SIGMA_FIXED, "xml", "format",
      "format: expected one of ('csv', 'plot'), got 'xml'"),
 ], ids=["unknown-fixed-key", "misspelled-temperature", "variable-also-fixed",
@@ -232,11 +232,9 @@ def test_hand_built_spec_breaks_the_rules_a_config_breaks(
             + f"[output]\nformat = {output_format}\n")
     with pytest.raises(ConfigError) as parsed:
         parse_config(text)
-    if key is not None:
-        line = next(number for number, line in enumerate(text.splitlines(), 1)
-                    if line.startswith(f"{key} ="))
-        message = f"line {line}: {message}"
-    assert str(parsed.value) == message
+    line = next(number for number, line in enumerate(text.splitlines(), 1)
+                if line.startswith(f"{key} ="))
+    assert str(parsed.value) == f"line {line}: {message}"
 
 
 # an output fault: the SweepSpec fields that carry it, the [output] line that
