@@ -194,7 +194,7 @@ def resonance_frequency(dipole: DipoleGeometry,
     bracket-safeguarded secant on log(g + pi) against log f, a nearly
     straight line of slope about 2; every further solve is continued from
     the nearest root found so far.  A 20 um dipole on quartz at 0.2 eV and
-    1 ps takes 5 solves and 45 mode-function evaluations, against 1643 for a
+    1 ps takes 5 solves and 35 mode-function evaluations, against 1643 for a
     full band scan followed by Brent's method.
 
     When the fast path stops at the top of the band with g(hi) < 0, the

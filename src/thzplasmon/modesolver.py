@@ -219,15 +219,22 @@ def _with_term(term: complex, parts) -> tuple[complex, float]:
 
 
 def _checked_form(term: complex, geometry, x: complex):
-    """(sheet-free parts, bilinear form, term scale) at x for the public
-    residuals, which raise ValueError where a modulus overflows; the solver
-    reads such a point as no value instead."""
+    """(bilinear form, term scale, the walks' denominator product) at x for
+    the public residuals, which divide the first two by the third.  They
+    raise ValueError where the form, its scale or a quotient is not finite
+    (a modulus overflows); the solver reads such a point as no value
+    instead.  A zero denominator product is a pole of D."""
     try:
         parts = _mode_function(x, geometry)
-        return (parts, *_with_term(term, parts))
+        value, scale = _with_term(term, parts)
+        denom = parts[2] * parts[3]
+        if denom == 0.0 or (cmath.isfinite(value / denom)
+                            and scale / abs(denom) < math.inf):
+            return value, scale, denom
     except OverflowError:
-        raise ValueError(
-            f"the mode condition's terms overflow at q/k0 = {x:.6g}") from None
+        pass
+    raise ValueError(
+        f"the mode condition's terms overflow at q/k0 = {x:.6g}")
 
 
 def dispersion_residual(stack: LayeredStack, wavevector: complex,
@@ -245,8 +252,8 @@ def dispersion_residual(stack: LayeredStack, wavevector: complex,
         if abs(x_sq - layer.relative_permittivity) < _BRANCH_CUT_GUARD:
             raise BranchCutProximityError(
                 f"q too close to the eps_r = {layer.relative_permittivity} branch point")
-    parts, value, _ = _checked_form(term, geometry, x)
-    return value / (parts[2] * parts[3])
+    value, _, denom = _checked_form(term, geometry, x)
+    return value / denom
 
 
 def residual_scale(stack: LayeredStack, wavevector: complex,
@@ -255,8 +262,7 @@ def residual_scale(stack: LayeredStack, wavevector: complex,
     reference scale against which |dispersion_residual| is judged.  Infinite
     at a pole of D; ValueError where a term's modulus overflows."""
     term, geometry = _mode_problem(stack, angular_frequency)
-    parts, _, scale = _checked_form(term, geometry, wavevector / geometry[0])
-    denom = parts[2] * parts[3]
+    _, scale, denom = _checked_form(term, geometry, wavevector / geometry[0])
     return scale / abs(denom) if denom != 0.0 else math.inf
 
 
@@ -274,10 +280,15 @@ def quasi_static_wavevector(stack: LayeredStack,
 
 
 def _muller_polish(fn, seed: complex):
-    """Muller iteration followed by a finite-difference Newton polish.
+    """Muller's method from three points around the seed.
 
-    Returns the refined root or None.  The derivative-free start tolerates
-    seeds next to branch cuts, where Newton from a poor seed would jump.
+    Returns the point reached by the first step shorter than TOLERANCE
+    relative (or by a zero step), or None.  The derivative-free start
+    tolerates seeds next to branch cuts, where Newton from a poor seed would
+    jump.  Muller converges with order about 1.84, so at a simple root the
+    point after that step is already at rounding level and needs no polish.
+    A stop whose last steps were halved back from a non-finite point is
+    only TOLERANCE-accurate; the caller's residual gate judges it.
     """
     # bound once as locals, like _walk's defaults; read at call time
     sqrt, isfinite, tolerance = cmath.sqrt, cmath.isfinite, TOLERANCE
@@ -293,7 +304,7 @@ def _muller_polish(fn, seed: complex):
         dx10 = x1 - x0
         dx21 = x2 - x1
         if dx10 == 0 or dx21 == 0:
-            break
+            return x2
         q = dx21 / dx10
         q1 = 1.0 + q
         qqf0 = q * q * f0
@@ -326,29 +337,8 @@ def _muller_polish(fn, seed: complex):
         x0, x1, x2 = x1, x2, x_new
         f0, f1, f2 = f1, f2, f_new
         if abs(x2 - x1) < tolerance * abs(x2):
-            break
-    else:
-        return None
-    # Newton polish with central differences; the first step reuses f2
-    x, f_x = x2, f2
-    for _ in range(10):
-        h = 1e-7 * abs(x)
-        if h == 0.0:
-            break
-        try:
-            deriv = (fn(x + h) - fn(x - h)) / (2.0 * h)
-            if deriv == 0:
-                break
-            step = (fn(x) if f_x is None else f_x) / deriv
-        except (OverflowError, ZeroDivisionError):
-            break
-        f_x = None
-        if not isfinite(step):
-            break
-        x = x - step
-        if abs(step) < 0.1 * tolerance * abs(x):
-            break
-    return x
+            return x2
+    return None
 
 
 def _classify_root(stack: LayeredStack, x: complex) -> str | None:

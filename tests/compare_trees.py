@@ -1,7 +1,7 @@
 """Compare the command-line behaviour of two source trees, case by case.
 
     python tests/compare_trees.py OLD_SRC NEW_SRC [--seed 1] [--documents 2000]
-        [--calls 800] [--max-faults 1]
+        [--calls 800] [--max-faults 1] [--classify]
 
 Each tree gets one subprocess that imports ``thzplasmon.cli`` from its
 ``src`` directory and runs ``cli.main`` in process on the same cases:
@@ -17,8 +17,16 @@ Each tree gets one subprocess that imports ``thzplasmon.cli`` from its
 
 A case runs in an empty working directory.  Its exit code, stdout, stderr
 and the files it writes are compared, and every case that differs is
-printed.  The exit code is 0 when no case differs and 1 otherwise.  Not
-collected by pytest: run it by hand before and after a change that must
+printed.  The exit code is 0 when no case differs and 1 otherwise.
+
+``--classify`` sorts what differs instead of printing it (``classify``):
+each changed row of an emitted CSV is ulp-level (its solver root moved by
+less than ``ULP_LEVEL`` relative), a larger change, failed -> ok or ok ->
+failed; everything else (an exit code, stderr, a header, a conductivity or
+scenario row, plot data) is "other".  It prints the count of each class
+and the case of each larger change or flip.
+
+Not collected by pytest: run it by hand before and after a change that must
 keep the command line's behaviour.  ``tests/test_cli.py`` runs its worker
 on one tree over the shipped cases and the default seed-1 corpora, without
 the workload rounds, and checks one digest per case.
@@ -29,12 +37,14 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import random
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -392,6 +402,152 @@ def _short(value, width: int = 160) -> str:
     return text if len(text) <= width else text[:width] + "..."
 
 
+# --- sorting what a change moves (--classify) ---------------------------------
+
+ULP_LEVEL = 1e-14   # a root that moves by less, relative, moved by rounding
+ULP, LARGER, FIXED, BROKEN, OTHER = (
+    "ulp-level", "larger change", "failed -> ok", "ok -> failed", "other")
+CLASSES = (ULP, LARGER, FIXED, BROKEN, OTHER)
+
+
+class Change(NamedTuple):
+    kind: str          # one of CLASSES
+    what: str          # the root or the item that changed
+    relative: float    # its relative change; nan where it is not a number
+    old: object = None
+    new: object = None
+
+
+def _relative(old, new) -> float:
+    if not old:
+        return 0.0 if new == old else math.inf
+    return abs(new - old) / abs(old)
+
+
+def _root(header: list[str], cells: list[str]):
+    """(name, value) of the solver root a result row rests on, or None for
+    a target that never touches the solver.  A stack row's root is rebuilt
+    from n_eff and normalized_lp = Re q / (4 pi Im q)."""
+    row = dict(zip(header, cells))
+    if "q_real(rad/m)" in row:
+        return "dispersion q", complex(float(row["q_real(rad/m)"]),
+                                       float(row["q_imag(rad/m)"]))
+    if "f_res(THz)" in row:
+        return "antenna f_res", float(row["f_res(THz)"])
+    if "normalized_lp(1)" in row:
+        n_eff = float(row["n_eff(1)"])
+        return "stack x", complex(
+            n_eff, n_eff / (4.0 * math.pi * float(row["normalized_lp(1)"])))
+    return None
+
+
+def _cells_change(what: str, old: list[str], new: list[str]) -> Change:
+    try:
+        relative = max(_relative(float(a), float(b))
+                       for a, b in zip(old, new) if a != b)
+    except ValueError:
+        relative = math.nan
+    return Change(OTHER, what, relative)
+
+
+def _csv_changes(name: str, old_text: str, new_text: str) -> list[Change]:
+    """One Change per changed row of two result CSVs, paired by position."""
+    old_lines, new_lines = old_text.splitlines(), new_text.splitlines()
+    if old_lines[0] != new_lines[0] or len(old_lines) != len(new_lines):
+        return [Change(OTHER, f"header or row count of {name}", math.nan)]
+    header = old_lines[0].split(",")
+    other = "conductivity row" if "sigma_real(S)" in header else "scenario row"
+    changes = []
+    for old_line, new_line in zip(old_lines[1:], new_lines[1:]):
+        if old_line == new_line:
+            continue
+        old, new = old_line.split(","), new_line.split(",")
+        old_ok, new_ok = old[-1] == "ok", new[-1] == "ok"
+        if old_ok != new_ok:
+            changes.append(Change(FIXED if new_ok else BROKEN, name, math.nan,
+                                  old[-1], new[-1]))
+        elif not old_ok:
+            changes.append(Change(OTHER, "failure reason", math.nan))
+        elif (roots := _root(header, old)) is None:
+            changes.append(_cells_change(other, old, new))
+        else:
+            what, a = roots
+            b = _root(header, new)[1]
+            relative = _relative(a, b)
+            changes.append(Change(ULP if relative < ULP_LEVEL else LARGER,
+                                  what, relative, a, b))
+    return changes
+
+
+def _plot_changes(name: str, old_text: str, new_text: str) -> list[Change]:
+    """One Change per changed value of two plot-data texts, named after
+    the column of its block ("# x=<column> y=<column>")."""
+    old_lines, new_lines = old_text.splitlines(), new_text.splitlines()
+    if len(old_lines) != len(new_lines):
+        return [Change(OTHER, f"text of {name}", math.nan)]
+    changes = []
+    for old_line, new_line in zip(old_lines, new_lines):
+        if old_line.startswith("# x="):
+            column = old_line.rpartition(" y=")[2]
+        if old_line == new_line:
+            continue
+        old, new = old_line.split(), new_line.split()
+        if len(old) != len(new) or old_line.startswith("#"):
+            changes.append(Change(OTHER, f"text of {name}", math.nan))
+            continue
+        changes += [_cells_change(f"plot {column}", [a], [b])
+                    for a, b in zip(old, new) if a != b]
+    return changes
+
+
+def classify(old: dict, new: dict) -> list[Change]:
+    """What differs between two results of one case, sorted into CLASSES:
+    one Change per changed row of an emitted result CSV (stdout or a file)
+    and one per other item that changed."""
+    changes = [Change(OTHER, field, math.nan) for field in ("code", "stderr")
+               if old[field] != new[field]]
+    old_texts = {"stdout": old["stdout"], **old["files"]}
+    new_texts = {"stdout": new["stdout"], **new["files"]}
+    for name in sorted(old_texts.keys() | new_texts.keys()):
+        a, b = old_texts.get(name), new_texts.get(name)
+        if a == b:
+            continue
+        if a is None or b is None:
+            changes.append(Change(OTHER, f"presence of {name}", math.nan))
+        elif all(text.split("\n", 1)[0].endswith("status(-)") for text in (a, b)):
+            changes += _csv_changes(name, a, b)
+        elif a.startswith("# x=") and b.startswith("# x="):
+            changes += _plot_changes(name, a, b)
+        else:
+            changes.append(Change(OTHER, f"text of {name}", math.nan))
+    return changes
+
+
+def _print_classes(cases: list[dict], old: list[dict], new: list[dict]) -> int:
+    """Print each class's count, the case of every larger change or flip,
+    and the count and largest relative change of each root and other item;
+    1 where a case differs, as without --classify."""
+    groups: dict[tuple[str, str], list[float]] = {}
+    counts = dict.fromkeys(CLASSES, 0)
+    differ = [(case, a, b) for case, a, b in zip(cases, old, new) if a != b]
+    print(f"{len(differ)} of {len(cases)} cases differ")
+    for case, a, b in differ:
+        for change in classify(a, b):
+            counts[change.kind] += 1
+            groups.setdefault(change[:2], []).append(change.relative)
+            if change.kind in (LARGER, FIXED, BROKEN):
+                print(f"{change.kind}: {case['id']}: {change.what} "
+                      f"old {change.old!r} new {change.new!r}")
+    for (kind, what), relatives in sorted(groups.items()):
+        largest = max((r for r in relatives if not math.isnan(r)), default=None)
+        print(f"  {kind}, {what}: {len(relatives)}"
+              + (f", largest relative change {largest:.3g}"
+                 if largest is not None else ""))
+    for kind in CLASSES:
+        print(f"{kind}: {counts[kind]}")
+    return 1 if differ else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("old_src")
@@ -400,6 +556,8 @@ def main(argv=None) -> int:
     parser.add_argument("--documents", type=int, default=2000)
     parser.add_argument("--calls", type=int, default=800)
     parser.add_argument("--max-faults", type=int, default=1)
+    parser.add_argument("--classify", action="store_true",
+                        help="sort the changed rows instead of printing them")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
@@ -412,6 +570,8 @@ def main(argv=None) -> int:
              + direct_calls(args.seed, args.calls))
     old, new = (_results(str(Path(src).resolve()), cases)
                 for src in (args.old_src, args.new_src))
+    if args.classify:
+        return _print_classes(cases, old, new)
     differ = 0
     for case, a, b in zip(cases, old, new):
         if a == b:

@@ -2,9 +2,10 @@
 
 Everything here deliberately avoids the package's solver path: conductivity
 checks run through mpmath at 50 digits, two-half-space modes come from a
-vectorized brute-force scan of the complex wavevector plane and from an
+vectorized brute-force scan of the complex wavevector plane, from an
 algebraic quartic reduction solved with numpy's eigenvalue-based root
-finder.  Frozen constants below were produced by these same routines.
+finder and from mpmath's root finder at 30 digits.  Frozen constants below
+were produced by these same routines.
 The one helper that touches the package, count_evals, only counts its
 mode-function evaluations, for the tests that pin them.
 """
@@ -56,14 +57,20 @@ def mp_drude_weight(chemical_potential_ev, temperature_k=300.0, dps=50):
     return (2 * e**2 / (pi * hbar)) * (kb * mpf(repr(float(temperature_k))) / hbar) * ln(2 * cosh(x))
 
 
-def mp_conductivity(chemical_potential_ev, relaxation_time_s, frequency_hz,
-                    temperature_k=300.0, dps=50):
+def _mp_sigma(chemical_potential_ev, relaxation_time_s, frequency_hz,
+              temperature_k, dps):
     from mpmath import mp, mpc, mpf, pi
     mp.dps = dps
     weight = mp_drude_weight(chemical_potential_ev, temperature_k, dps)
     omega = 2 * pi * mpf(repr(float(frequency_hz)))
     tau = mpf(repr(float(relaxation_time_s)))
-    value = weight * mpc(0, 1) / (omega + mpc(0, 1) / tau)
+    return weight * mpc(0, 1) / (omega + mpc(0, 1) / tau)
+
+
+def mp_conductivity(chemical_potential_ev, relaxation_time_s, frequency_hz,
+                    temperature_k=300.0, dps=50):
+    value = _mp_sigma(chemical_potential_ev, relaxation_time_s, frequency_hz,
+                      temperature_k, dps)
     return complex(value.real, value.imag)
 
 
@@ -168,6 +175,36 @@ def quartic_bound_mode(eps1, eps2, sigma, omega):
     if not bound:
         raise AssertionError("quartic oracle found no bound mode")
     return min(bound, key=lambda q: q.real)
+
+
+def mp_two_half_space_mode(eps1, eps2, chemical_potential_ev,
+                           relaxation_time_s, frequency_hz,
+                           temperature_k=300.0, dps=30):
+    """The bound plasmon q (rad/m) of one sheet between half-spaces eps1
+    and eps2, from mpmath.findroot at dps digits on
+    eps1/k1 + eps2/k2 + i sigma/(eps0 c0) = 0 in x = q/k0, with principal
+    roots k_i = sqrt(x^2 - eps_i) and sigma from mp_conductivity's
+    arithmetic at the same precision.  The quartic oracle's root seeds it."""
+    from mpmath import findroot, mp, mpc, mpf, pi, sqrt
+    sigma = _mp_sigma(chemical_potential_ev, relaxation_time_s, frequency_hz,
+                      temperature_k, dps)
+    c0, eps0 = mpf(repr(sc.c)), mpf(repr(sc.epsilon_0))
+    omega = 2 * pi * mpf(repr(float(frequency_hz)))
+    k0 = omega / c0
+    e1, e2 = mpf(repr(float(eps1))), mpf(repr(float(eps2)))
+    term = mpc(0, 1) * sigma / (eps0 * c0)
+
+    def condition(x):
+        return e1 / sqrt(x * x - e1) + e2 / sqrt(x * x - e2) + term
+
+    seed = quartic_bound_mode(eps1, eps2, complex(sigma),
+                              float(omega)) / float(k0)
+    x = findroot(condition, mpc(seed.real, seed.imag))
+    if not (x.imag > 0 and sqrt(x * x - e1).real > 0
+            and sqrt(x * x - e2).real > 0):
+        raise AssertionError("the extended-precision root is not bound")
+    q = x * k0
+    return complex(q.real, q.imag)
 
 
 def resonance_frequency_oracle(total_length_m, eps_substrate, sigma_of_omega,

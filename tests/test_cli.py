@@ -718,6 +718,84 @@ def test_cli_corpus_unchanged():
     assert not differ, f"{len(differ)} cases differ: " + "; ".join(differ)
 
 
+
+# --- sorting what a change moves (compare_trees.py --classify) ---------------
+
+DISPERSION = "frequency(THz),q_real(rad/m),q_imag(rad/m),residual(1),status(-)"
+STACK = "chemical_potential(eV),n_eff(1),normalized_lp(1),status(-)"
+ANTENNA = "length(um),f_res(THz),f_metal(THz),status(-)"
+CONDUCTIVITY = "frequency(THz),sigma_real(S),sigma_imag(S),status(-)"
+SCENARIO = "length(um),footprint(m2),fits(1),status(-)"
+ULP_UP = repr(math.nextafter(7.2e5, math.inf))
+
+
+def _run(*rows, code=0, stderr="", name="out.csv"):
+    """A case's result with one emitted CSV (a header and its rows)."""
+    return {"code": code, "stdout": "", "stderr": stderr,
+            "files": {name: "\n".join(rows) + "\n"}}
+
+
+@pytest.mark.parametrize("old, new, expected", [
+    (_run(DISPERSION, "1,7.2e5,5.5e4,1e-17,ok"),
+     _run(DISPERSION, f"1,{ULP_UP},5.5e4,3e-17,ok"),
+     (compare_trees.ULP, "dispersion q")),
+    (_run(STACK, "0.2,2.1,77.3,ok"), _run(STACK, "0.2,2.1,77.4,ok"),
+     (compare_trees.LARGER, "stack x")),
+    (_run(ANTENNA, "10,,,failed:no resonance"), _run(ANTENNA, "10,2.06,9.6,ok"),
+     (compare_trees.FIXED, "out.csv")),
+    (_run(ANTENNA, "10,2.06,9.6,ok"), _run(ANTENNA, "10,,,failed:no resonance"),
+     (compare_trees.BROKEN, "out.csv")),
+    (_run(CONDUCTIVITY, "1,0.05,0.03,ok"), _run(CONDUCTIVITY, "1,0.05,0.04,ok"),
+     (compare_trees.OTHER, "conductivity row")),
+    (_run(SCENARIO, "10,8e-11,1,ok"), _run(SCENARIO, "10,8e-11,0,ok"),
+     (compare_trees.OTHER, "scenario row")),
+    (_run(STACK, "0.2,2.1,77.3,ok"), _run(ANTENNA, "0.2,2.1,77.3,ok"),
+     (compare_trees.OTHER, "header or row count of out.csv")),
+], ids=["ulp-level", "larger", "failed-to-ok", "ok-to-failed", "conductivity",
+        "scenario", "header"])
+def test_classify_sorts_each_changed_row(old, new, expected):
+    assert [change[:2] for change in compare_trees.classify(old, new)] == [expected]
+
+
+def test_classify_measures_the_root_of_a_row():
+    # a stack row's root is rebuilt as n_eff + i n_eff / (4 pi normalized_lp)
+    ulp, = compare_trees.classify(_run(DISPERSION, "1,7.2e5,5.5e4,1e-17,ok"),
+                                  _run(DISPERSION, f"1,{ULP_UP},5.5e4,0,ok"))
+    assert ulp.relative == math.ulp(7.2e5) / abs(7.2e5 + 5.5e4j)
+    larger, = compare_trees.classify(_run(STACK, "0.2,2.1,77.3,ok"),
+                                     _run(STACK, "0.2,2.1,77.4,ok"))
+    im_x = [2.1 / (4.0 * math.pi * lp) for lp in (77.3, 77.4)]
+    assert (larger.old, larger.new) == (complex(2.1, im_x[0]), complex(2.1, im_x[1]))
+    assert larger.relative == pytest.approx((im_x[0] - im_x[1]) / abs(larger.old))
+
+
+def test_classify_sorts_other_items():
+    plot = "# x=frequency y=n_eff\n1.0 2.5\n"
+    old = {"code": 0, "stdout": plot, "stderr": "", "files": {}}
+    new = {"code": 2, "stdout": plot.replace("2.5", "2.5000000000000004"),
+           "stderr": "failed\n", "files": {"out.txt": "x\n"}}
+    changes = compare_trees.classify(old, new)
+    assert [change[:2] for change in changes] == [
+        ("other", "code"), ("other", "stderr"), ("other", "presence of out.txt"),
+        ("other", "plot n_eff")]
+    assert changes[3].relative == pytest.approx(1.776e-16, rel=1e-3)
+    assert compare_trees.classify(old, old) == []
+
+
+def test_classify_prints_one_count_per_class(capsys):
+    olds = [_run(DISPERSION, "1,7.2e5,5.5e4,1e-17,ok", "2,9e5,6e4,1e-17,ok"),
+            _run(ANTENNA, "10,2.06,9.6,ok"), _run(ANTENNA, "10,2.06,9.6,ok")]
+    news = [_run(DISPERSION, f"1,{ULP_UP},5.5e4,1e-17,ok", "2,9e5,6e4,2e-17,ok"),
+            _run(ANTENNA, "10,2.07,9.6,ok"), olds[2]]
+    cases = [{"id": "a"}, {"id": "b"}, {"id": "c"}]
+    assert compare_trees._print_classes(cases, olds, news) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == ["2 of 3 cases differ",
+                       "larger change: b: antenna f_res old 2.06 new 2.07"]
+    assert out[-5:] == ["ulp-level: 2", "larger change: 1", "failed -> ok: 0",
+                        "ok -> failed: 0", "other: 0"]
+    assert compare_trees._print_classes(cases, olds, olds) == 0
+
 if __name__ == "__main__":
     # PYTHONPATH=src python tests/test_cli.py rewrites the references: the
     # help and usage texts, the CSV of every shipped config and the digests

@@ -50,11 +50,10 @@ def test_resonance_evaluation_budget():
 
 
 @pytest.mark.parametrize("preset, expected", [
-    ("G", 10), ("H1G", 1203), ("H2G", 1293)])
+    ("G", 8), ("H1G", 1199), ("H2G", 1291)], ids=["G", "H1G", "H2G"])
 def test_cold_solve_evaluation_count(preset, expected):
     # exact and deterministic: every evaluation must pass through
-    # modesolver._mode_function (before the Newton polish reused the last
-    # Muller value: 11, 1205, 1294)
+    # modesolver._mode_function
     stack = preset_stack(preset, GrapheneSheet(0.4, 1e-12))
     evals = oracles.count_evals(lambda: find_mode(stack, 2.0 * math.pi * 2e12))
     assert evals == expected
@@ -63,8 +62,7 @@ def test_cold_solve_evaluation_count(preset, expected):
 def test_resonance_evaluation_count():
     dipole = DipoleGeometry(8e-6, 20e-6, 3e-6, 3.8)
     sheet = GrapheneSheet(0.2, 1e-12)
-    # 50 before the Newton polish reused the last Muller value
-    assert oracles.count_evals(lambda: resonance_frequency(dipole, sheet)) == 45
+    assert oracles.count_evals(lambda: resonance_frequency(dipole, sheet)) == 35
 
 
 def test_too_short_dipole_evaluation_count():
@@ -75,10 +73,10 @@ def test_too_short_dipole_evaluation_count():
         with pytest.raises(NoResonanceInBandError):
             resonance_frequency(too_short, sheet)
 
-    # the cold solve at the top of the band (8), then the low edge's status:
-    # a continued solve (19) and a cold one (167) that both raise; the
+    # the cold solve at the top of the band (6), then the low edge's status:
+    # a continued solve (17) and a cold one (147) that both raise; the
     # 48-point band scan took 1 644
-    assert oracles.count_evals(call) == 194
+    assert oracles.count_evals(call) == 170
 
 
 # the parameter names of every exported callable; None for an exception
