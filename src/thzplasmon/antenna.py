@@ -74,12 +74,15 @@ def resonant_length(stack: LayeredStack, frequency_hz: float) -> float:
 def metal_dipole_resonance(total_length_m: float,
                            substrate_permittivity: float) -> float:
     """Half-wave resonance (Hz) of a perfect-conductor dipole of the same
-    length, with the half-space average eps_eff = (eps_r + 1) / 2."""
+    length, with the half-space average eps_eff = (eps_r + 1) / 2.  A
+    frequency that overflows, or underflows to 0, is rejected."""
     _check_range("total_length_m", total_length_m, 0.0)
     _check_range("substrate_permittivity", substrate_permittivity, 1.0,
                  ends="[)")
     eps_eff = 0.5 * (substrate_permittivity + 1.0)
-    return C0 / (2.0 * total_length_m * math.sqrt(eps_eff))
+    f_metal = C0 / (2.0 * total_length_m * math.sqrt(eps_eff))
+    _check_range("metal dipole resonance", f_metal, 0.0)
+    return f_metal
 
 
 def efficiency_proxy(mode: ModeSolution) -> float:
@@ -194,7 +197,7 @@ def resonance_frequency(dipole: DipoleGeometry,
     bracket-safeguarded secant on log(g + pi) against log f, a nearly
     straight line of slope about 2; every further solve is continued from
     the nearest root found so far.  A 20 um dipole on quartz at 0.2 eV and
-    1 ps takes 5 solves and 35 mode-function evaluations, against 1643 for a
+    1 ps takes 5 solves and 30 mode-function evaluations, against 1643 for a
     full band scan followed by Brent's method.
 
     When the fast path stops at the top of the band with g(hi) < 0, the

@@ -102,8 +102,10 @@ def chemical_potential_from_bias(voltage_delta_v: float,
 
     The shift grows with the square root of the absolute voltage change;
     the proportionality constant is device-specific and has no physical
-    default, so it is a required input.
+    default, so it is a required input.  A shift that overflows is rejected.
     """
     _check_range("sensitivity_ev_per_sqrt_v", sensitivity_ev_per_sqrt_v, 0.0)
     _check_range("voltage_delta_v", voltage_delta_v)
-    return sensitivity_ev_per_sqrt_v * math.sqrt(abs(voltage_delta_v))
+    shift = sensitivity_ev_per_sqrt_v * math.sqrt(abs(voltage_delta_v))
+    _check_range("chemical potential shift", shift)
+    return shift

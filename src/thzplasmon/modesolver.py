@@ -29,8 +29,9 @@ the zero of D collides with a pole.  The bilinear form has the same zeros
 off the branch cuts and stays finite.  Neither walk crosses the top sheet,
 so the form is affine in that sheet's term: _mode_function evaluates the
 sheet-free parts of a point once, and one _with_term adds the term for
-every consumer (the root finder, the root residual, the seed scans,
-dispersion_residual and residual_scale).
+every consumer (the root finder, the seed scans, dispersion_residual and
+residual_scale).  A root's residual is the evaluation Muller's method
+stopped on.
 """
 from __future__ import annotations
 
@@ -269,24 +270,32 @@ def residual_scale(stack: LayeredStack, wavevector: complex,
 def quasi_static_wavevector(stack: LayeredStack,
                             angular_frequency: float) -> complex:
     """Closed-form large-q estimate of the plasmon wavevector (rad/m), used
-    as the default root-finder seed:  q0 = i (eps_top + eps_bot) w eps0 / sigma."""
+    as the default root-finder seed:  q0 = i (eps_top + eps_bot) w eps0 / sigma.
+    ValueError where q0 itself overflows."""
     _check_range("angular_frequency", angular_frequency, 0.0)
     sheet = stack.sheets[stack.top_sheet_interface]
     sigma = intraband_conductivity(sheet, angular_frequency)
     _check_invertible(sigma)
     eps_sum = (stack.layers[0].relative_permittivity
                + stack.layers[-1].relative_permittivity)
-    return 1j * eps_sum * angular_frequency * EPS0 / sigma
+    q0 = 1j * eps_sum * angular_frequency * EPS0 / sigma
+    if not cmath.isfinite(q0):
+        # on a huge substrate the product overflows before the division
+        q0 = 1j * eps_sum * (angular_frequency * EPS0 / sigma)
+        if not cmath.isfinite(q0):
+            raise ValueError("the quasi-static wavevector overflows")
+    return q0
 
 
 def _muller_polish(fn, seed: complex):
-    """Muller's method from three points around the seed.
+    """Muller's method on the value of fn's (value, scale) pair, from three
+    points around the seed.
 
-    Returns the point reached by the first step shorter than TOLERANCE
-    relative (or by a zero step), or None.  The derivative-free start
-    tolerates seeds next to branch cuts, where Newton from a poor seed would
-    jump.  Muller converges with order about 1.84, so at a simple root the
-    point after that step is already at rounding level and needs no polish.
+    Returns (point, value, scale) of the last point evaluated, the one the
+    first step shorter than TOLERANCE relative (or a zero step) reached, or
+    None.  The derivative-free start tolerates seeds next to branch cuts,
+    where Newton from a poor seed would jump.  Muller converges with order
+    about 1.84, so at a simple root that point is already at rounding level.
     A stop whose last steps were halved back from a non-finite point is
     only TOLERANCE-accurate; the caller's residual gate judges it.
     """
@@ -294,7 +303,7 @@ def _muller_polish(fn, seed: complex):
     sqrt, isfinite, tolerance = cmath.sqrt, cmath.isfinite, TOLERANCE
     x0, x1, x2 = seed * (1.0 + 1e-3), seed * (1.0 - 1e-3 + 1e-3j), seed
     try:
-        f0, f1, f2 = fn(x0), fn(x1), fn(x2)
+        (f0, _), (f1, _), (f2, s2) = fn(x0), fn(x1), fn(x2)
     except (OverflowError, ZeroDivisionError):
         return None
     if not (isfinite(f0) and isfinite(f1) and isfinite(f2)):
@@ -304,7 +313,7 @@ def _muller_polish(fn, seed: complex):
         dx10 = x1 - x0
         dx21 = x2 - x1
         if dx10 == 0 or dx21 == 0:
-            return x2
+            return x2, f2, s2
         q = dx21 / dx10
         q1 = 1.0 + q
         qqf0 = q * q * f0
@@ -322,22 +331,22 @@ def _muller_polish(fn, seed: complex):
         if not isfinite(x_new) or abs(x_new) > limit:
             return None
         try:
-            f_new = fn(x_new)
+            f_new, s_new = fn(x_new)
         except (OverflowError, ZeroDivisionError):
             return None
         if not isfinite(f_new):
             # back off toward the last good point
             x_new = 0.5 * (x_new + x2)
             try:
-                f_new = fn(x_new)
+                f_new, s_new = fn(x_new)
             except (OverflowError, ZeroDivisionError):
                 return None
             if not isfinite(f_new):
                 return None
         x0, x1, x2 = x1, x2, x_new
-        f0, f1, f2 = f1, f2, f_new
+        f0, f1, f2, s2 = f1, f2, f_new, s_new
         if abs(x2 - x1) < tolerance * abs(x2):
-            return x2
+            return x2, f2, s2
     return None
 
 
@@ -365,13 +374,15 @@ def _sheet_free_parts(geometry, x: complex):
         return None
 
 
-def _relative_value(term: complex, parts) -> float:
-    """The relative mode function |D| / scale from a point's sheet-free
-    parts and the top sheet's term; inf where either overflows."""
+def _relative_value(term: complex | None, parts) -> float:
+    """The relative mode function |D| / scale of a point: from its
+    sheet-free parts and the top sheet's term, or (term None) from the
+    (value, scale) pair that already holds the term; inf where the parts
+    are None (they overflowed), the scale is 0 or a modulus overflows."""
     if parts is None:
         return math.inf
     try:
-        value, scale = _with_term(term, parts)
+        value, scale = parts if term is None else _with_term(term, parts)
         return abs(value) / scale if scale > 0.0 else math.inf
     except OverflowError:
         return math.inf
@@ -404,15 +415,16 @@ def _scan_seeds(term: complex, geometry, store: dict, lo: float, hi: float,
 
 def _solve(stack: LayeredStack, angular_frequency: float,
            initial_guess: complex | None, store: dict) -> ModeSolution:
-    """find_mode's seeds, polish and root selection.  ``store`` keeps the
-    seed scans' sheet-free parts (_scan_seeds) for later solves: those of
-    stacks with equal walks at this frequency, such as one sweep's
-    single-sheet rows, take them from it unbuilt."""
+    """find_mode's seeds, polish and root selection.  A root's residual is
+    the (value, scale) pair Muller's method evaluated it at, so no root is
+    evaluated again.  ``store`` keeps the seed scans' sheet-free parts
+    (_scan_seeds) for later solves: those of stacks with equal walks at this
+    frequency, such as one sweep's single-sheet rows, take them unbuilt."""
     term, geometry = _mode_problem(stack, angular_frequency)
     k0 = geometry[0]
 
-    def fn(x: complex) -> complex:
-        return _with_term(term, _mode_function(x, geometry))[0]
+    def fn(x: complex) -> tuple[complex, float]:
+        return _with_term(term, _mode_function(x, geometry))
 
     n_clad = stack.max_cladding_index
     if initial_guess is not None:
@@ -438,10 +450,10 @@ def _solve(stack: LayeredStack, angular_frequency: float,
     bound: list[tuple[complex, float]] = []
     unbound_reason: str | None = None
     for seed in seeds:
-        root = _muller_polish(fn, seed)
-        if root is None:
+        found = _muller_polish(fn, seed)
+        if found is None:
             continue
-        rel = _relative_value(term, _sheet_free_parts(geometry, root))
+        root, rel = found[0], _relative_value(None, found[1:])
         if not rel < RESIDUAL_GATE:
             continue
         reason = _classify_root(stack, root)

@@ -60,15 +60,19 @@ def fits_footprint(resonant_length_m: float, width_m: float,
                    scenario: ScenarioRequirements,
                    budget_fraction: float = 1.0) -> FeasibilityReport:
     """Check a resonant-length x width rectangle against the scenario's
-    node-size budget.  fits is equivalent to margin >= 1."""
+    node-size budget.  fits is equivalent to margin >= 1.  A footprint or
+    margin that overflows, or a footprint that underflows to 0, is
+    rejected."""
     _check_range("antenna dimensions", resonant_length_m, 0.0)
     _check_range("antenna dimensions", width_m, 0.0)
     _check_range("budget_fraction", budget_fraction, 0.0, 1.0, "(]")
     footprint = resonant_length_m * width_m
+    _check_range("antenna footprint", footprint)
     if footprint == 0.0:
         raise ValueError("antenna footprint underflows to 0 m2")
     budget = budget_fraction * scenario.node_size_m2[1]
     margin = math.sqrt(budget / footprint)
+    _check_range("margin", margin)
     notes = (f"tx range {scenario.tx_range_m[0]:g}-{scenario.tx_range_m[1]:g} m; "
              f"data rate {scenario.data_rate_bps[0]:g}-{scenario.data_rate_bps[1]:g} bit/s")
     return FeasibilityReport(scenario.name, footprint, footprint <= budget,
@@ -78,9 +82,11 @@ def fits_footprint(resonant_length_m: float, width_m: float,
 def sdm_cell_size(frequency_hz: float) -> float:
     """Metamaterial unit-cell scale at the operating frequency: a tenth of
     the free-space wavelength.  An embedded controller antenna should not
-    exceed this length."""
+    exceed this length.  A wavelength that overflows is rejected."""
     _check_range("frequency_hz", frequency_hz, 0.0)
-    return C0 / frequency_hz / 10.0
+    wavelength = C0 / frequency_hz
+    _check_range("free-space wavelength", wavelength)
+    return wavelength / 10.0
 
 
 def scenarios_csv() -> str:

@@ -68,6 +68,16 @@ def test_metal_reference_monotone():
         metal_dipole_resonance(0.0, 3.8)
 
 
+@pytest.mark.parametrize("length_m, eps, message", [
+    (5e-324, 1.0, "metal dipole resonance must be finite"),
+    # 2 L overflows, so c0 over it is 0 Hz
+    (1.7e308, 1.0, "metal dipole resonance must be > 0"),
+])
+def test_metal_reference_rejects_an_overflowing_frequency(length_m, eps, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        metal_dipole_resonance(length_m, eps)
+
+
 # --- resonance search --------------------------------------------------------
 
 def test_resonance_against_independent_oracle():

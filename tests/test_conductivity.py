@@ -249,3 +249,8 @@ def test_bias_monotone_in_magnitude(v1, v2, k):
 def test_bias_requires_positive_sensitivity():
     with pytest.raises(ValueError):
         chemical_potential_from_bias(1.0, 0.0)
+
+
+def test_bias_rejects_an_overflowing_shift():
+    with pytest.raises(ValueError, match="^chemical potential shift must be finite$"):
+        chemical_potential_from_bias(3.8, 1.7e308)

@@ -384,7 +384,8 @@ def test_classifier_rejects_a_root_below_the_real_axis():
 
 
 # _muller_polish on synthetic functions with the root R, started from 2R:
-# each is x - R, except where its relative distance d from R is below 0.6
+# each is x - R, except where its relative distance d from R is below 0.6;
+# the scale of each pair is the number of its call
 ROOT = 3.0 + 0.01j
 
 
@@ -396,7 +397,7 @@ def _polish(near):
     def fn(x):
         calls.append(x)
         d = abs(x - ROOT) / abs(ROOT)
-        return near(x, d) if d < 0.6 else x - ROOT
+        return (near(x, d) if d < 0.6 else x - ROOT), float(len(calls))
     return modesolver._muller_polish(fn, 2.0 * ROOT), calls
 
 
@@ -404,12 +405,20 @@ def _overflow(*_):
     raise OverflowError("synthetic")
 
 
+def _assert_last_call(found, calls):
+    # a stop hands back the point it evaluated last, with that call's value
+    # and scale
+    root, value, scale = found
+    assert root == calls[-1] and scale == len(calls)
+    assert value == root - ROOT
+
+
 def test_muller_gives_up_when_a_start_point_raises():
     calls = []
 
     def fn(x):
         calls.append(x)
-        return 1.0 / 0.0
+        return 1.0 / 0.0, 1.0
     assert modesolver._muller_polish(fn, ROOT) is None
     assert len(calls) == 1
 
@@ -434,21 +443,38 @@ def test_muller_gives_up_when_the_back_off_fails(near):
 def test_muller_backs_off_from_a_non_finite_point():
     # R itself overflows: each step that lands on it is halved back toward
     # the last good point, so the stop is only TOLERANCE-accurate
-    root, calls = _polish(lambda x, d: complex(math.inf) if d == 0.0 else x - ROOT)
+    found, calls = _polish(
+        lambda x, d: complex(math.inf) if d == 0.0 else x - ROOT)
     assert calls[5] == 0.5 * (calls[4] + calls[3])
-    assert abs(root - ROOT) <= modesolver.TOLERANCE * abs(ROOT)
+    assert abs(found[0] - ROOT) <= modesolver.TOLERANCE * abs(ROOT)
+    # the stop follows a back-off: the halved point is the last one called
+    assert calls[-2] == ROOT and calls[-1] == 0.5 * (ROOT + calls[-3])
+    _assert_last_call(found, calls)
 
 
 def test_muller_returns_the_step_that_met_the_tolerance():
     # on x - R every step before the last moves by at least TOLERANCE; the
     # last one does not, and its point is returned with nothing evaluated
     # after it
-    root, calls = _polish(lambda x, d: x - ROOT)
+    found, calls = _polish(lambda x, d: x - ROOT)
     steps = [abs(b - a) / abs(b) for a, b in zip(calls[2:], calls[3:])]
     assert all(step >= modesolver.TOLERANCE for step in steps[:-1])
     assert steps[-1] < modesolver.TOLERANCE
-    assert root == calls[-1]
-    assert abs(root - ROOT) <= 1e-15 * abs(ROOT)
+    _assert_last_call(found, calls)
+    assert abs(found[0] - ROOT) <= 1e-15 * abs(ROOT)
+
+
+def test_muller_stops_on_a_zero_step():
+    # a zero seed gives three equal start points: the first difference is
+    # zero, and the seed is returned with its own (third) evaluation
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return x - ROOT, float(len(calls))
+    found = modesolver._muller_polish(fn, 0j)
+    assert calls == [0j, 0j, 0j]
+    _assert_last_call(found, calls)
 
 
 def test_muller_nudges_a_flat_parabola_and_gives_up():
@@ -458,7 +484,7 @@ def test_muller_nudges_a_flat_parabola_and_gives_up():
 
     def flat(x):
         calls.append(x)
-        return 0j
+        return 0j, 1.0
     assert modesolver._muller_polish(flat, ROOT) is None
     assert len(calls) == 3 + modesolver.MAX_ITERATIONS
     assert calls[3] == ROOT * (1.0 + 1e-6) and calls[4] == calls[3] * (1.0 + 1e-6)
@@ -532,6 +558,35 @@ def test_returned_solutions_satisfy_residual_gate():
         q = mode.wavevector
         assert abs(dispersion_residual(stack, q, 2.0 * math.pi * 4e12)) \
             < 1e-10 * residual_scale(stack, q, 2.0 * math.pi * 4e12)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(stack=st.one_of(single_sheet_stacks(), two_sheet_stacks()),
+       f_hz=st.floats(0.5e12, 6e12))
+def test_root_residual_is_the_relative_value_at_the_root(stack, f_hz):
+    # the residual comes from the evaluation Muller's method stopped on, not
+    # from a new one; it equals the relative mode function at the root x
+    # (the classified root that gives the returned q), evaluated afresh
+    omega = 2.0 * math.pi * f_hz
+    classified = []
+    classify = modesolver._classify_root
+
+    def recording(stack, x):
+        reason = classify(stack, x)
+        classified.append((x, reason))
+        return reason
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(modesolver, "_classify_root", recording)
+        mode = _mode_or_error(stack, omega)
+    if isinstance(mode, type):
+        return
+    term, geometry = modesolver._mode_problem(stack, omega)
+    x = next(x for x, reason in classified
+             if reason is None and x * geometry[0] == mode.wavevector)
+    expected = modesolver._relative_value(
+        term, modesolver._sheet_free_parts(geometry, x))
+    assert mode.residual.hex() == expected.hex()
 
 
 def test_mode_solution_derived_quantities():
@@ -663,6 +718,28 @@ def test_quasi_static_seed_rejects_overflowing_conductivity():
         quasi_static_wavevector(stack, 2.0 * math.pi * 1e-300)
 
 
+def test_quasi_static_seed_survives_an_overflowing_product():
+    # on a 1e300 substrate i eps_sum w overflows before the division by
+    # sigma brings the estimate back to about 1.5e304 rad/m; q0 is linear in
+    # eps_sum, so it is the 3.8-substrate estimate scaled
+    sheet = GrapheneSheet(0.2, 1e-12)
+    stack = graphene_on_substrate(sheet, 1e300)
+    q0 = quasi_static_wavevector(stack, OMEGA_1THZ)
+    scaled = (quasi_static_wavevector(graphene_on_substrate(sheet, 3.8), OMEGA_1THZ)
+              * ((1e300 + 1.0) / (3.8 + 1.0)))
+    assert cmath.isfinite(q0) and abs(q0 - scaled) <= 1e-14 * abs(scaled)
+
+    def cold():
+        # the finite seed changes no outcome: every seed still fails
+        with pytest.raises(ConvergenceError):
+            find_mode(stack, OMEGA_1THZ)
+    assert oracles.count_evals(cold) == 30
+    # where even eps_sum times w eps0 / sigma overflows, the estimate is an
+    # error rather than nan
+    with pytest.raises(ValueError, match="^the quasi-static wavevector overflows$"):
+        quasi_static_wavevector(graphene_on_substrate(sheet, 1.7e308), OMEGA_1THZ)
+
+
 def test_underflowing_wavenumber_is_rejected():
     # w = 2 pi 5e-324 rad/s is positive, but w / c0 underflows to 0, which
     # the seeds divide by
@@ -767,8 +844,8 @@ def test_stack_sweep_rows_equal_lone_find_mode_bit_for_bit(preset, f_thz):
     ("H1G", 0.05, 1.5), ("H1G", 0.4, 4.0), ("H2G", 0.2, 7.0), ("H2G", 1.0, 0.5)])
 def test_shared_scan_values_equal_direct_evaluations(preset, ef, f_thz):
     # the sheet term applied to the sheet-free parts gives every scan value
-    # and every value the root finder iterates on bit for bit, not merely
-    # the same seeds
+    # and every (value, scale) pair the root finder iterates on bit for bit,
+    # not merely the same seeds
     stack = preset_stack(preset, GrapheneSheet(ef, 0.6e-12))
     points = [complex(p, modesolver._SCAN_IMAG_FRAC * p)
               for p in np.linspace(1.0, 60.0, 400)]
@@ -806,9 +883,10 @@ def _single_pass_relative(z, term, geometry) -> float:
 
 
 def _outcome(call):
-    # a value's bits, or the arithmetic error that stopped it
+    # a (value, scale) pair's bits, or the arithmetic error that stopped it
     try:
-        return _hex(call())
+        value, scale = call()
+        return _hex(value), scale.hex()
     except (OverflowError, ZeroDivisionError) as err:
         return type(err).__name__
 
@@ -829,8 +907,9 @@ def _solver_fn(stack, omega):
 
 
 def _assert_single_pass_bits(stack, omega, points):
-    # the scan's relative values and the values Muller's method iterates on
-    # equal the single-pass form's bits, overflow included
+    # the scan's relative values and the (value, scale) pairs Muller's
+    # method iterates on and stops with equal the single-pass form's bits,
+    # overflow included
     term, geometry = modesolver._mode_problem(stack, omega)
     scan = [modesolver._relative_value(
         term, modesolver._sheet_free_parts(geometry, z)) for z in points]
@@ -838,7 +917,7 @@ def _assert_single_pass_bits(stack, omega, points):
         _single_pass_relative(z, term, geometry).hex() for z in points]
     fn = _solver_fn(stack, omega)
     assert [_outcome(lambda: fn(z)) for z in points] == [
-        _outcome(lambda: _single_pass(z, term, geometry)[0]) for z in points]
+        _outcome(lambda: _single_pass(z, term, geometry)) for z in points]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -870,7 +949,7 @@ def test_overflowing_points_agree_with_the_single_pass_form():
     for stack, f_hz, points in cases:
         omega = 2.0 * math.pi * f_hz
         term, geometry = modesolver._mode_problem(stack, omega)
-        raised = [_outcome(lambda: _single_pass(z, term, geometry)[0])
+        raised = [_outcome(lambda: _single_pass(z, term, geometry))
                   for z in points].count("OverflowError")
         assert 0 < raised < len(points)
         _assert_single_pass_bits(stack, omega, points)
@@ -899,7 +978,7 @@ def test_two_sheet_stack_sweep_scans_every_row():
     assert all(row.status == "ok" for row in rows)
 
 
-@pytest.mark.parametrize("preset, expected", [("H1G", 3843), ("H2G", 4320)],
+@pytest.mark.parametrize("preset, expected", [("H1G", 3742), ("H2G", 4235)],
                          ids=["H1G", "H2G"])
 def test_stack_sweep_evaluation_count(preset, expected):
     # 9 points, 0.2-1.0 eV, 0.6 ps, 4 THz: the rows share the 200-point band

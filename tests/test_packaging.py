@@ -16,7 +16,7 @@ import oracles
 import thzplasmon
 from thzplasmon import (CODATA, DipoleGeometry, GrapheneSheet,
                         NoResonanceInBandError, find_mode, preset_stack,
-                        resonance_frequency)
+                        resonance_frequency, trace_dispersion)
 
 SRC = str(Path(thzplasmon.__file__).resolve().parent.parent)
 
@@ -50,7 +50,7 @@ def test_resonance_evaluation_budget():
 
 
 @pytest.mark.parametrize("preset, expected", [
-    ("G", 8), ("H1G", 1199), ("H2G", 1291)], ids=["G", "H1G", "H2G"])
+    ("G", 7), ("H1G", 1197), ("H2G", 1290)], ids=["G", "H1G", "H2G"])
 def test_cold_solve_evaluation_count(preset, expected):
     # exact and deterministic: every evaluation must pass through
     # modesolver._mode_function
@@ -59,10 +59,32 @@ def test_cold_solve_evaluation_count(preset, expected):
     assert evals == expected
 
 
+def test_guessed_solve_evaluation_count():
+    # a continued solve: the root is 1.6146e5 + 9.956e3j rad/m, and the
+    # guess is 1 % above it
+    stack = preset_stack("G", GrapheneSheet(0.4, 1e-12))
+    guess = 1.6307e5 + 1.0056e4j
+    evals = oracles.count_evals(
+        lambda: find_mode(stack, 2.0 * math.pi * 2e12, guess))
+    assert evals == 6
+
+
+def test_trace_evaluation_count():
+    # 50 points, 0.6-5 THz: one cold solve, then each point continued from
+    # the last root
+    stack = preset_stack("H1G", GrapheneSheet(0.4, 1e-12))
+    freqs = [0.6e12 + i * 4.4e12 / 49 for i in range(50)]
+    points = []
+    evals = oracles.count_evals(
+        lambda: points.extend(trace_dispersion(stack, freqs)))
+    assert all(point.ok for point in points)
+    assert evals == 1047
+
+
 def test_resonance_evaluation_count():
     dipole = DipoleGeometry(8e-6, 20e-6, 3e-6, 3.8)
     sheet = GrapheneSheet(0.2, 1e-12)
-    assert oracles.count_evals(lambda: resonance_frequency(dipole, sheet)) == 35
+    assert oracles.count_evals(lambda: resonance_frequency(dipole, sheet)) == 30
 
 
 def test_too_short_dipole_evaluation_count():
@@ -73,10 +95,10 @@ def test_too_short_dipole_evaluation_count():
         with pytest.raises(NoResonanceInBandError):
             resonance_frequency(too_short, sheet)
 
-    # the cold solve at the top of the band (6), then the low edge's status:
-    # a continued solve (17) and a cold one (147) that both raise; the
+    # the cold solve at the top of the band (5), then the low edge's status:
+    # a continued solve (16) and a cold one (137) that both raise; the
     # 48-point band scan took 1 644
-    assert oracles.count_evals(call) == 170
+    assert oracles.count_evals(call) == 158
 
 
 # the parameter names of every exported callable; None for an exception

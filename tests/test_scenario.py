@@ -83,6 +83,17 @@ def test_underflowing_footprint_rejected():
         fits_footprint(1e-306, 1e-306, scenario_by_name("WNSN"))
 
 
+@pytest.mark.parametrize("length_m, width_m, name, message", [
+    # 5e-324 m2 is positive, but the budget over it overflows
+    (5e-324, 1.0, "SDM", "margin must be finite"),
+    (1e300, 1e10, "WNoC", "antenna footprint must be finite"),
+])
+def test_overflowing_footprint_or_margin_rejected(length_m, width_m, name,
+                                                  message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        fits_footprint(length_m, width_m, scenario_by_name(name))
+
+
 def test_budget_fraction_shrinks_margin():
     scenario = scenario_by_name("WNoC")
     full = fits_footprint(100e-6, 8e-6, scenario, budget_fraction=1.0)
@@ -115,3 +126,6 @@ def test_sdm_cell_size_values():
     assert sdm_cell_size(1e12) == pytest.approx(CODATA.light_speed / 1e12 / 10.0)
     with pytest.raises(ValueError):
         sdm_cell_size(0.0)
+    # c0 / 5e-324 Hz is inf
+    with pytest.raises(ValueError, match="^free-space wavelength must be finite$"):
+        sdm_cell_size(5e-324)
