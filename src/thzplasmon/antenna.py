@@ -14,16 +14,16 @@ from dataclasses import dataclass
 
 from .conductivity import GrapheneSheet
 from .constants import C0, _check_range
-from .modesolver import (ModeSolution, ModeSolverError, find_mode,
+from .modesolver import (RESIDUAL_GATE, TOLERANCE, ModeSolution,
+                         ModeSolverError, _classify_root,
+                         _form_with_derivatives, _relative_value, find_mode,
                          quasi_static_wavevector)
 from .stacks import LayeredStack, graphene_on_substrate
 
 BAND_HZ = (0.1e12, 10e12)  # the resonance search band, Hz
-_RESONANCE_GATE = 1e-9  # |Re q * alpha L - pi| at the returned frequency
-_QS_SLOPE = 2.0         # d log Re q / d log f of the quasi-static plasmon
-_SECANT_STEPS = 40      # refinement steps before the band scan takes over
+_NEWTON_STEPS = 40      # damped Newton steps before the band scan takes over
+_MAX_STEP = 0.3         # the largest |d f| / f of one Newton step
 _SCAN_POINTS = 48       # log-spaced points of that band scan
-_STEP_ULPS = 4.0        # a step this many ulp of f or shorter ends the search
 
 
 class NoResonanceInBandError(RuntimeError):
@@ -98,89 +98,107 @@ def miniaturization_factor(prediction: ResonancePrediction) -> float:
     return prediction.metal_reference_hz / prediction.resonance_frequency_hz
 
 
-def _log_offset(g: float) -> float:
-    """log(g + pi); -inf where g + pi <= 0, which happens when
-    Re q * alpha * L is below half an ulp of pi."""
-    shifted = g + math.pi
-    return math.log(shifted) if shifted > 0.0 else -math.inf
-
-
-def _secant_root(gap, lo: float, hi: float, points, f_a: float | None = None,
-                 f_b: float | None = None) -> tuple[float, float, bool]:
-    """Root of the increasing g(f) by a secant on log(g + pi) against log f.
-
-    ``points`` holds one or two evaluated (f, g) pairs, the latest last; from
-    a single point the first step takes the quasi-static slope 2.  The
-    bracket f_a < root <= f_b tightens with every evaluation, and a step that
-    would leave it takes the bracket's geometric midpoint instead, so g is
-    never evaluated outside [lo, hi].  Returns the last evaluated (f, g) and
-    whether the search converged: it has not when a step would leave the
-    band while one side of the bracket is still unknown, or when the steps
-    run out.
-    """
-    span = math.log(hi / lo)
-    f, g = points[-1]
-    slope = _QS_SLOPE
-    if len(points) > 1:
-        f_prev, g_prev = points[-2]
-        slope = (_log_offset(g) - _log_offset(g_prev)) / math.log(f / f_prev)
-    for _ in range(_SECANT_STEPS):
-        if g < 0.0:
-            f_a = f if f_a is None else max(f_a, f)
-        else:
-            f_b = f if f_b is None else min(f_b, f)
-        if g == 0.0:
-            return f, g, True
-        if slope > 0.0:
-            step = (math.log(math.pi) - _log_offset(g)) / slope
-            # a step longer than the band leaves it anyway; the cap keeps
-            # exp finite
-            f_new = f * math.exp(max(-span, min(span, step)))
-        else:
-            f_new = math.nan  # no secant: bisect, or stop while half-open
-        above = f_new > f_a if f_a is not None else f_new >= lo
-        below = f_new < f_b if f_b is not None else f_new <= hi
-        if not (above and below):
-            if f_a is None or f_b is None:
-                return f, g, False
-            f_new = math.sqrt(f_a * f_b)
-        if abs(f_new - f) <= _STEP_ULPS * math.ulp(f):
-            return f, g, True
-        g_new = gap(f_new)
-        slope = (_log_offset(g_new) - _log_offset(g)) / math.log(f_new / f)
-        f, g = f_new, g_new
-    return f, g, False
-
-
-def _edge_status(gap, f_hz: float) -> tuple[float | None, str]:
-    """g at one frequency and "ok", or None and why no bound mode exists."""
+def _edge_status(stack: LayeredStack, f_hz: float) -> str:
+    """"ok" where a cold solve at f_hz finds a bound mode, else why not."""
     try:
-        return gap(f_hz), "ok"
+        find_mode(stack, 2.0 * math.pi * f_hz)
+        return "ok"
     except ModeSolverError as err:
-        return None, str(err)
+        return str(err)
 
 
-def _no_resonance(lo: float, hi: float, low_status: str,
-                  high_status: str) -> NoResonanceInBandError:
+def _no_resonance(stack: LayeredStack,
+                  statuses: dict[float, str]) -> NoResonanceInBandError:
+    """The error naming both band edges' statuses: those known by
+    frequency, else a cold solve's at the edge."""
+    lo, hi = BAND_HZ
+    low, high = (statuses.get(f) or _edge_status(stack, f) for f in BAND_HZ)
     return NoResonanceInBandError(
         f"no half-wavelength resonance in [{lo:.3e}, {hi:.3e}] Hz "
-        f"(low edge {lo:.3e} Hz: {low_status}; "
-        f"high edge {hi:.3e} Hz: {high_status})")
+        f"(low edge {lo:.3e} Hz: {low}; high edge {hi:.3e} Hz: {high})")
 
 
-def _scan_bracket(gap, lo: float, hi: float):
-    """First sign change g1 < 0 <= g2 of a log-spaced band scan, as two
-    (f, g) pairs.  Band edges where no bound mode exists are reported in the
-    error when no bracket is found."""
+def _scan_bracket(stack: LayeredStack, length: float):
+    """The first sign change g1 < 0 <= g2 of g(f) = Re q(f) alpha L - pi on
+    a log-spaced band scan of cold solves, as its two (f, mode) ends.  g
+    increases with f, so the scan stops at the first bound point with
+    g >= 0; without a bracket, the error names both band edges' statuses."""
+    lo, hi = BAND_HZ
     ratio = (hi / lo) ** (1.0 / (_SCAN_POINTS - 1))
     grid = [lo * ratio**i for i in range(_SCAN_POINTS)]
     grid[-1] = hi
-    values, statuses = zip(*(_edge_status(gap, f) for f in grid))
-    for i in range(_SCAN_POINTS - 1):
-        g1, g2 = values[i], values[i + 1]
-        if g1 is not None and g2 is not None and g1 < 0.0 <= g2:
-            return (grid[i], g1), (grid[i + 1], g2)
-    raise _no_resonance(lo, hi, statuses[0], statuses[-1])
+    previous, statuses = None, {}
+    for f in grid:
+        try:
+            mode = find_mode(stack, 2.0 * math.pi * f)
+        except ModeSolverError as err:
+            previous, statuses[f] = None, str(err)
+            continue
+        statuses[f] = "ok"
+        if mode.wavevector.real * length - math.pi < 0.0:
+            previous = (f, mode)
+        elif previous is not None:
+            return previous, (f, mode)
+        else:
+            break
+    raise _no_resonance(stack, statuses)
+
+
+def _newton(stack: LayeredStack, length: float, f_hz: float,
+            mode: ModeSolution):
+    """Damped Newton iteration on the two real unknowns (beta = Im q, f) of
+    F(pi / (alpha L) + i beta, 2 pi f) = 0, from a mode at f_hz moved to
+    the target Re q along q ~ w^2.
+
+    Each step solves dF/dbeta d_beta + dF/df d_f = -F for real d_beta and
+    d_f, shortened to |d_f| <= _MAX_STEP f and to keep beta > 0.  Returns
+    f and the mode at the last point evaluated, with that evaluation's
+    residual, once a step shorter than TOLERANCE relative reached it
+    (Newton converges quadratically, so the point is at rounding level);
+    None where the steps run out, a value is not finite or the residual
+    fails RESIDUAL_GATE.
+    """
+    q_re = math.pi / length
+    shift = q_re / mode.wavevector.real
+    f, beta = f_hz * math.sqrt(shift), mode.wavevector.imag * shift
+    done = False
+    for _ in range(_NEWTON_STEPS + 1):
+        omega = 2.0 * math.pi * f
+        k0 = omega / C0
+        q = complex(q_re, beta)
+        try:
+            value, scale, d_x, d_w = _form_with_derivatives(stack, omega,
+                                                            q / k0)
+            if done:
+                rel = _relative_value(None, (value, scale))
+                return ((f, ModeSolution(omega, q, rel))
+                        if rel < RESIDUAL_GATE else None)
+            d_beta = 1j * d_x / k0
+            d_f = 2.0 * math.pi * d_w
+            det = (d_beta.conjugate() * d_f).imag
+            step_beta = (d_f.conjugate() * value).imag / det
+            step_f = -(d_beta.conjugate() * value).imag / det
+        except (OverflowError, ZeroDivisionError):
+            return None
+        if not (math.isfinite(step_beta) and math.isfinite(step_f)):
+            return None
+        t = 1.0
+        if abs(step_f) > _MAX_STEP * f:
+            t = _MAX_STEP * f / abs(step_f)
+        if beta + t * step_beta <= 0.0:
+            t = 0.5 * beta / -step_beta
+        f_new, beta_new = f + t * step_f, beta + t * step_beta
+        done = (abs(f_new - f) < TOLERANCE * f
+                and abs(beta_new - beta) < TOLERANCE * abs(q))
+        f, beta = f_new, beta_new
+    return None
+
+
+def _bound_in_band(stack: LayeredStack, f_hz: float,
+                   mode: ModeSolution) -> bool:
+    """Whether Newton's root is a bound mode inside the band."""
+    return (BAND_HZ[0] <= f_hz <= BAND_HZ[1]
+            and _classify_root(stack, mode.wavevector / mode.k0) is None)
 
 
 def resonance_frequency(dipole: DipoleGeometry,
@@ -189,75 +207,59 @@ def resonance_frequency(dipole: DipoleGeometry,
     half a guided wavelength long, for the sheet on a semi-infinite
     substrate under vacuum.
 
-    g(f) = Re q(f) * alpha * L - pi increases with frequency.  The search
-    starts from the quasi-static root: for the intraband sheet,
+    At resonance Re q = pi / (alpha L) is known, so the complex mode
+    condition F(pi / (alpha L) + i beta, w) = 0 is two real equations in
+    two real unknowns, beta = Im q and f, solved by a damped Newton
+    iteration with closed-form derivatives.  It starts from one cold mode
+    solve at the quasi-static root: for the intraband sheet,
     Re q_qs = (eps1 + eps2) eps0 w^2 / A exactly, so
-    f0 = f_p * sqrt(pi / (Re q_qs(f_p) * alpha * L)) for any probe f_p.  One
-    cold mode solve at f0 (clamped to the band) is followed by a
-    bracket-safeguarded secant on log(g + pi) against log f, a nearly
-    straight line of slope about 2; every further solve is continued from
-    the nearest root found so far.  A 20 um dipole on quartz at 0.2 eV and
-    1 ps takes 5 solves and 30 mode-function evaluations, against 1643 for a
-    full band scan followed by Brent's method.
+    f0 = f_p * sqrt(pi / (Re q_qs(f_p) * alpha * L)) for any probe f_p,
+    clamped to the band; the root found there is moved to the target Re q
+    along q ~ w^2.  A 20 um dipole on quartz at 0.2 eV and 1 ps takes one
+    mode solve and 12 mode-function evaluations.
 
-    When the fast path stops at the top of the band with g(hi) < 0, the
-    dipole is too short: the error is raised at once, after one solve at the
-    low edge for its status.  When the fast path fails otherwise (Re q_qs
-    underflows to 0 or f0 overflows, a solve raises, a step would leave the
-    band or the steps run out), a 48-point log-spaced band scan brackets the
-    first sign change and the same secant refines it.  Band edges where no
-    bound mode exists are reported in the error when no bracket is found;
-    the returned root satisfies |g| < 1e-9.
+    g(f) = Re q(f) * alpha * L - pi increases with frequency, so no
+    resonance lies in the band when g has the wrong sign at a clamped f0,
+    or when Newton's root is outside the band or not a bound mode; the
+    error names both band edges' statuses.  When the quasi-static seed
+    fails (Re q_qs underflows to 0 or f0 overflows), the cold solve raises
+    or the Newton steps run out, a 48-point log-spaced band scan of cold
+    solves brackets the first sign change of g and Newton starts from the
+    bracket end nearer the root.  The returned mode is the last point
+    Newton evaluated, with that evaluation's residual.
     """
     lo, hi = BAND_HZ
     stack = graphene_on_substrate(sheet, dipole.substrate_permittivity)
     length = dipole.end_correction * dipole.total_length_m
-    cache: dict[float, ModeSolution] = {}
-
-    def solve(f_hz: float) -> ModeSolution:
-        guess = None
-        if cache:
-            nearest = min(cache, key=lambda fk: abs(fk - f_hz))
-            # scale to the new light cone so the seed stays a bound guess
-            guess = cache[nearest].wavevector * (f_hz / nearest)
-        try:
-            mode = find_mode(stack, 2.0 * math.pi * f_hz, guess)
-        except ModeSolverError:
-            if guess is None:
-                raise
-            mode = find_mode(stack, 2.0 * math.pi * f_hz)
-        cache[f_hz] = mode
-        return mode
-
-    def gap(f_hz: float) -> float:
-        return solve(f_hz).wavevector.real * length - math.pi
 
     q_lo = quasi_static_wavevector(stack, 2.0 * math.pi * lo).real
     # Re q_qs is 0 where Im sigma underflows: no seed, the band scan decides
     f_seed = (min(max(lo * math.sqrt(math.pi / q_lo / length), lo), hi)
               if q_lo > 0.0 else math.inf)
-    f_res, converged = None, False
+    found = None
     if math.isfinite(f_seed):
         try:
-            f_res, g_res, converged = _secant_root(gap, lo, hi,
-                                                   [(f_seed, gap(f_seed))])
+            mode = find_mode(stack, 2.0 * math.pi * f_seed)
         except ModeSolverError:
-            pass
-    if not converged:
-        if f_res == hi and g_res < 0.0:
-            # g increases with f: the resonance lies above the band, where
-            # no scan can bracket it; the scan's first point would see this
-            # cache
-            raise _no_resonance(lo, hi, _edge_status(gap, lo)[1], "ok")
-        low, high = _scan_bracket(gap, lo, hi)
-        # start from the end nearer the root; the other end fixes the slope
-        points = sorted((low, high), key=lambda point: -abs(point[1]))
-        f_res, g_res, converged = _secant_root(gap, lo, hi, points,
-                                               low[0], high[0])
-    if not converged or abs(g_res) > _RESONANCE_GATE:
-        raise NoResonanceInBandError(
-            f"bracketing stalled at |g| = {abs(g_res):.3e} > {_RESONANCE_GATE:.0e}")
-    mode = cache[f_res]
+            mode = None
+        if mode is not None:
+            g = mode.wavevector.real * length - math.pi
+            # g increases with f: at a clamped seed with the wrong sign the
+            # resonance lies beyond that band edge
+            if (f_seed == hi and g < 0.0) or (f_seed == lo and g > 0.0):
+                raise _no_resonance(stack, {f_seed: "ok"})
+            found = _newton(stack, length, f_seed, mode)
+            if found is not None and not _bound_in_band(stack, *found):
+                raise _no_resonance(stack, {f_seed: "ok"})
+    if found is None:
+        low, high = _scan_bracket(stack, length)
+        found = _newton(stack, length, *min((low, high), key=lambda end: abs(
+            end[1].wavevector.real * length - math.pi)))
+        if found is None or not _bound_in_band(stack, *found):
+            raise NoResonanceInBandError(
+                f"the Newton iteration stalled between {low[0]:.3e} and "
+                f"{high[0]:.3e} Hz")
+    f_res, mode = found
     f_metal = metal_dipole_resonance(dipole.total_length_m,
                                      dipole.substrate_permittivity)
     return ResonancePrediction(

@@ -29,9 +29,10 @@ the zero of D collides with a pole.  The bilinear form has the same zeros
 off the branch cuts and stays finite.  Neither walk crosses the top sheet,
 so the form is affine in that sheet's term: _mode_function evaluates the
 sheet-free parts of a point once, and one _with_term adds the term for
-every consumer (the root finder, the seed scans, dispersion_residual and
-residual_scale).  A root's residual is the evaluation Muller's method
-stopped on.
+every consumer (the root finder, the seed scans, dispersion_residual,
+residual_scale and the resonance search's Newton step, whose closed-form
+derivatives for two half-spaces reuse the same parts).  A root's residual
+is the evaluation Muller's method stopped on.
 """
 from __future__ import annotations
 
@@ -219,6 +220,33 @@ def _with_term(term: complex, parts) -> tuple[complex, float]:
     return value + sheet, scale
 
 
+def _form_with_derivatives(stack: LayeredStack, angular_frequency: float,
+                           x: complex):
+    """(F, its term scale, dF/dx, dF/dw at fixed q) at x = q/k0 for one
+    Drude sheet between two half-spaces, where both walks are empty, the
+    denominators are k_bot and k_top and
+    F = eps_bot k_top + eps_top k_bot + term k_bot k_top.  With x = q c0/w
+    and term'(w) = -term / (w + i/tau), the derivatives are closed forms in
+    the parts of the one evaluation of F."""
+    if len(stack.layers) != 2:
+        raise ValueError("closed-form derivatives need exactly two layers")
+    term, geometry = _mode_problem(stack, angular_frequency)
+    parts = _mode_function(x, geometry)
+    value, scale = _with_term(term, parts)
+    k_bot, k_top = parts[2], parts[3]
+    eps_bot, eps_top = geometry[1][0], geometry[2][0]
+    d_x = x * (eps_bot / k_top + eps_top / k_bot
+               + term * (k_top / k_bot + k_bot / k_top))
+    tau = stack.sheets[stack.top_sheet_interface].relaxation_time_s
+    d_w = (-d_x * x / angular_frequency
+           - term * k_bot * k_top / (angular_frequency + 1j / tau))
+    return value, scale, d_x, d_w
+
+
+def _quotients_finite(value: complex, scale: float, denom: complex) -> bool:
+    return cmath.isfinite(value / denom) and scale / abs(denom) < math.inf
+
+
 def _checked_form(term: complex, geometry, x: complex):
     """(bilinear form, term scale, the walks' denominator product) at x for
     the public residuals, which divide the first two by the third.  They
@@ -229,8 +257,14 @@ def _checked_form(term: complex, geometry, x: complex):
         parts = _mode_function(x, geometry)
         value, scale = _with_term(term, parts)
         denom = parts[2] * parts[3]
-        if denom == 0.0 or (cmath.isfinite(value / denom)
-                            and scale / abs(denom) < math.inf):
+        if denom == 0.0 or _quotients_finite(value, scale, denom):
+            return value, scale, denom
+        # Python's complex division forms a.real + a.imag * r with |r| <= 1,
+        # which overflows where a part of the form tops half the float
+        # range although the quotient is finite; a quarter of all three
+        # divides exactly and cannot
+        value, scale, denom = 0.25 * value, 0.25 * scale, 0.25 * denom
+        if _quotients_finite(value, scale, denom):
             return value, scale, denom
     except OverflowError:
         pass

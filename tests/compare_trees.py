@@ -21,8 +21,8 @@ printed.  The exit code is 0 when no case differs and 1 otherwise.
 
 ``--classify`` sorts what differs instead of printing it (``classify``):
 each changed row of an emitted CSV is ulp-level (its solver root moved by
-less than ``ULP_LEVEL`` relative), a larger change, failed -> ok or ok ->
-failed; everything else (an exit code, stderr, a header, a conductivity or
+less than ``ULP_LEVEL`` relative, and so did an antenna row's efficiency
+proxy, which rests on Im q), a larger change, failed -> ok or ok -> failed; everything else (an exit code, stderr, a header, a conductivity or
 scenario row, plot data) is "other".  It prints the count of each class
 and the case of each larger change or flip.
 
@@ -405,6 +405,9 @@ def _short(value, width: int = 160) -> str:
 # --- sorting what a change moves (--classify) ---------------------------------
 
 ULP_LEVEL = 1e-14   # a root that moves by less, relative, moved by rounding
+# columns judged with a row's root: an antenna row's f_res and its
+# efficiency proxy are the two unknowns (f, Im q) of the resonance solve
+JUDGED_ALSO = ("efficiency_proxy(1)",)
 ULP, LARGER, FIXED, BROKEN, OTHER = (
     "ulp-level", "larger change", "failed -> ok", "ok -> failed", "other")
 CLASSES = (ULP, LARGER, FIXED, BROKEN, OTHER)
@@ -413,7 +416,8 @@ CLASSES = (ULP, LARGER, FIXED, BROKEN, OTHER)
 class Change(NamedTuple):
     kind: str          # one of CLASSES
     what: str          # the root or the item that changed
-    relative: float    # its relative change; nan where it is not a number
+    relative: float    # its relative change (a row's largest of its root's
+                       # and JUDGED_ALSO's); nan where it is not a number
     old: object = None
     new: object = None
 
@@ -456,6 +460,7 @@ def _csv_changes(name: str, old_text: str, new_text: str) -> list[Change]:
     if old_lines[0] != new_lines[0] or len(old_lines) != len(new_lines):
         return [Change(OTHER, f"header or row count of {name}", math.nan)]
     header = old_lines[0].split(",")
+    judged = [header.index(column) for column in JUDGED_ALSO if column in header]
     other = "conductivity row" if "sigma_real(S)" in header else "scenario row"
     changes = []
     for old_line, new_line in zip(old_lines[1:], new_lines[1:]):
@@ -473,7 +478,8 @@ def _csv_changes(name: str, old_text: str, new_text: str) -> list[Change]:
         else:
             what, a = roots
             b = _root(header, new)[1]
-            relative = _relative(a, b)
+            relative = max([_relative(a, b)] + [
+                _relative(float(old[i]), float(new[i])) for i in judged])
             changes.append(Change(ULP if relative < ULP_LEVEL else LARGER,
                                   what, relative, a, b))
     return changes

@@ -4,8 +4,10 @@ Everything here deliberately avoids the package's solver path: conductivity
 checks run through mpmath at 50 digits, two-half-space modes come from a
 vectorized brute-force scan of the complex wavevector plane, from an
 algebraic quartic reduction solved with numpy's eigenvalue-based root
-finder and from mpmath's root finder at 30 digits.  Frozen constants below
-were produced by these same routines.
+finder and from mpmath's root finder at 30 digits, which also evaluates
+the two-half-space mode condition and its bilinear form for value and
+derivative checks.  Frozen constants below were produced by these same
+routines.
 The one helper that touches the package, count_evals, only counts its
 mode-function evaluations, for the tests that pin them.
 """
@@ -205,6 +207,36 @@ def mp_two_half_space_mode(eps1, eps2, chemical_potential_ev,
         raise AssertionError("the extended-precision root is not bound")
     q = x * k0
     return complex(q.real, q.imag)
+
+
+def mp_sheet_condition(eps1, eps2, chemical_potential_ev, relaxation_time_s,
+                       temperature_k=300.0, dps=30):
+    """The thin-sheet TM condition of one Drude sheet between half-spaces
+    eps1 and eps2 at dps digits, as two mpmath functions of (x, omega)
+    with x = q/k0: the admittance mismatch
+    D = eps1/k1 + eps2/k2 + i sigma(omega)/(eps0 c0) and its pole-free
+    bilinear form F = k1 k2 D = eps1 k2 + eps2 k1 + i sigma k1 k2/(eps0 c0),
+    with principal roots k_i = sqrt(x^2 - eps_i) and
+    sigma(omega) = A i / (omega + i/tau), A from mp_drude_weight."""
+    from mpmath import mp, mpc, mpf, sqrt
+    mp.dps = dps
+    weight = mp_drude_weight(chemical_potential_ev, temperature_k, dps)
+    tau = mpf(repr(float(relaxation_time_s)))
+    c0, eps0 = mpf(repr(sc.c)), mpf(repr(sc.epsilon_0))
+    e1, e2 = mpf(repr(float(eps1))), mpf(repr(float(eps2)))
+
+    def term(omega):
+        sigma = weight * mpc(0, 1) / (omega + mpc(0, 1) / tau)
+        return mpc(0, 1) * sigma / (eps0 * c0)
+
+    def mismatch(x, omega):
+        return e1 / sqrt(x * x - e1) + e2 / sqrt(x * x - e2) + term(omega)
+
+    def form(x, omega):
+        k1, k2 = sqrt(x * x - e1), sqrt(x * x - e2)
+        return e1 * k2 + e2 * k1 + term(omega) * k1 * k2
+
+    return mismatch, form
 
 
 def resonance_frequency_oracle(total_length_m, eps_substrate, sigma_of_omega,

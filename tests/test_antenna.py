@@ -3,7 +3,7 @@ import math
 import pytest
 
 import oracles
-from thzplasmon import antenna
+from thzplasmon import antenna, modesolver
 from thzplasmon import (CODATA, ConvergenceError, DipoleGeometry,
                         GrapheneSheet, ModeSolution,
                         NoResonanceInBandError, efficiency_proxy, find_mode,
@@ -163,10 +163,17 @@ def test_resonance_matches_oracle_over_grid(length_um, ef, tau_ps, alpha):
     sheet = GrapheneSheet(ef, tau_ps * 1e-12)
     dipole = DipoleGeometry(total_length_m=length_um * 1e-6,
                             end_correction=alpha, **QUARTZ_DIPOLE)
-    value = resonance_frequency(dipole, sheet).resonance_frequency_hz
+    prediction = resonance_frequency(dipole, sheet)
+    value = prediction.resonance_frequency_hz
     # the condition involves only the product alpha * L
     reference = _oracle_resonance(alpha * length_um * 1e-6, sheet)
     assert abs(value - reference) < 1e-9 * reference
+    # both Newton unknowns: at the returned frequency the 30-digit bound
+    # plasmon is half a wavelength long and has the returned Im q
+    q = oracles.mp_two_half_space_mode(1.0, 3.8, ef, tau_ps * 1e-12, value)
+    length = alpha * (length_um * 1e-6)
+    assert abs(q.real * length - math.pi) < 1e-12 * math.pi
+    assert abs(q.imag - prediction.mode.wavevector.imag) < 1e-12 * q.imag
 
 
 @pytest.mark.parametrize("length_m", [2e-3, 0.2e-6])
@@ -210,8 +217,8 @@ def test_underflowing_seed_goes_to_the_band_scan():
 
 @pytest.mark.parametrize("length_m", [1e-23, 1e-30])
 def test_tiny_dipole_is_too_short(length_m):
-    # Re q * L falls below half an ulp of pi, so g + pi rounds to 0: the
-    # secant's log(g + pi) is -inf, and the error is the too-short one
+    # Re q * L is far below pi (g + pi even rounds to pi) at the top of the
+    # band, where the seed is clamped: the error is the too-short one
     def message(length):
         with pytest.raises(NoResonanceInBandError) as info:
             resonance_frequency(DipoleGeometry(8e-6, length, length / 10, 3.8),
@@ -247,77 +254,90 @@ def test_too_short_dipole_message_unchanged(eps, ef, tau_ps, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("ef, re_x", [(0.6, "0.237033"), (1.0, "0.897886")])
+def test_too_long_dipole_raises_at_once(ef, re_x):
+    # Newton converges to a root below the cladding index (x = 1.945 + 1.30i
+    # at 0.6 eV, 1.833 + 0.447i at 1.0 eV); Re x only grows with f, so no
+    # bound sign change is left in the band.  The message is the band
+    # scan's, which took 16 637 evaluations at 0.6 eV
+    dipole = DipoleGeometry(total_length_m=40e-6, end_correction=1.5,
+                            **QUARTZ_DIPOLE)
+    messages = []
+
+    def call():
+        with pytest.raises(NoResonanceInBandError) as info:
+            resonance_frequency(dipole, GrapheneSheet(ef, 0.1e-12))
+        messages.append(str(info.value))
+
+    evals = oracles.count_evals(call)
+    assert messages == [_LOW_NOT_BOUND.format(re_x, "1.94936")]
+    if ef == 0.6:
+        # the cold solves at f0 and at both band edges, and 6 Newton steps
+        assert evals <= 500
+
+
 def test_resonance_fallback_scan_returns_oracle_root(monkeypatch):
-    calls = []
+    # the seed's cold solve fails, so the band scan brackets the root and
+    # Newton starts from the bracket end nearer it
+    dipole = DipoleGeometry(total_length_m=20e-6, **QUARTZ_DIPOLE)
+    fast = resonance_frequency(dipole, SHEET_02)
+    omegas = []
     real_find_mode = antenna.find_mode
 
-    def first_cold_solve_fails(stack, omega, guess=None, **kwargs):
-        calls.append(guess is None)
-        if len(calls) == 1:
+    def first_cold_solve_fails(stack, omega, guess=None):
+        omegas.append(omega)
+        if len(omegas) == 1:
             raise ConvergenceError("injected failure of the seed solve")
-        return real_find_mode(stack, omega, guess, **kwargs)
+        return real_find_mode(stack, omega, guess)
 
     monkeypatch.setattr(antenna, "find_mode", first_cold_solve_fails)
-    dipole = DipoleGeometry(total_length_m=20e-6, **QUARTZ_DIPOLE)
     value = resonance_frequency(dipole, SHEET_02).resonance_frequency_hz
-    assert calls[0] is True
-    assert len(calls) > 48            # the band scan ran
+    # the scan's cold solves run up from the band's low edge
+    assert omegas[1] == 2.0 * math.pi * antenna.BAND_HZ[0]
+    assert omegas[1:] == sorted(omegas[1:]) and len(omegas) > 3
     reference = _oracle_resonance(20e-6, SHEET_02)
     assert abs(value - reference) < 1e-9 * reference
+    assert value == pytest.approx(fast.resonance_frequency_hz, rel=1e-14)
 
 
 def test_resonance_reports_a_stalled_bracketing(monkeypatch):
-    # one secant step leaves |g| far above the gate, on the fast path and
-    # after the band scan alike
-    monkeypatch.setattr(antenna, "_SECANT_STEPS", 1)
+    # one Newton step cannot converge, on the fast path and from the band
+    # scan's bracket alike
+    monkeypatch.setattr(antenna, "_NEWTON_STEPS", 1)
     dipole = DipoleGeometry(total_length_m=20e-6, **QUARTZ_DIPOLE)
     with pytest.raises(NoResonanceInBandError,
-                       match=r"^bracketing stalled at \|g\| = \d\.\d{3}e[+-]\d\d > 1e-09$"):
+                       match=r"^the Newton iteration stalled between "
+                             r"\d\.\d{3}e\+12 and \d\.\d{3}e\+12 Hz$"):
         resonance_frequency(dipole, SHEET_02)
 
 
-# _secant_root on synthetic gap functions: g jumps from -1 to +1 at f = 2
-JUMP_AT = 2.0
+@pytest.mark.parametrize("ef, tau_ps, eps, f_hz, x", [
+    (0.2, 1.0, 3.8, 1.2e12, 2.3 + 0.2j),
+    (0.6, 0.1, 3.8, 1.28e12, 1.945 + 1.30j),  # below the cladding index
+    (1.0, 0.5, 11.9, 5e12, 4.0 + 0.05j),
+    (0.4, 2.0, 1.0, 3e12, 30.0 + 2.0j),
+])
+def test_newton_jacobian_matches_extended_precision(ef, tau_ps, eps, f_hz, x):
+    # dF/dx, and dF/dw at fixed q = x w / c0, of the bilinear form against
+    # mpmath's numerical derivatives of a 30-digit transcription
+    from mpmath import diff, mpc, mpf
+    stack = graphene_on_substrate(GrapheneSheet(ef, tau_ps * 1e-12), eps)
+    omega = 2.0 * math.pi * f_hz
+    got = modesolver._form_with_derivatives(stack, omega, x)
+    _, form = oracles.mp_sheet_condition(1.0, eps, ef, tau_ps * 1e-12)
+    x_mp, w_mp = mpc(x.real, x.imag), mpf(omega)
+    expected = (form(x_mp, w_mp), diff(lambda z: form(z, w_mp), x_mp),
+                diff(lambda w: form(x_mp * w_mp / w, w), w_mp))
+    for value, reference in zip((got[0], got[2], got[3]), expected):
+        reference = complex(reference)
+        assert abs(value - reference) < 1e-10 * abs(reference)
 
 
-def _jump(evaluated):
-    def gap(f):
-        evaluated.append(f)
-        return -1.0 if f < JUMP_AT else 1.0
-    return gap
-
-
-def test_secant_stops_when_g_falls_and_the_bracket_is_half_open():
-    # a falling g has no secant step; with no upper bracket end there is
-    # nothing to bisect, so the search stops unconverged without evaluating
-    def never(f):
-        raise AssertionError("g evaluated")
-    assert antenna._secant_root(never, 1.0, 4.0, [(1.0, 0.5), (2.0, -0.5)]) \
-        == (2.0, -0.5, False)
-
-
-def test_secant_bisects_inside_a_known_bracket():
-    evaluated = []
-    f_a, f_b = JUMP_AT * (1 - 1e-9), JUMP_AT * (1 + 1e-9)
-    f, g, converged = antenna._secant_root(_jump(evaluated), 1.0, 4.0,
-                                           [(f_a, -1.0), (f_b, 1.0)], f_a, f_b)
-    # a jump leaves the secant flat, so the bracket is halved until a step
-    # is no longer than 4 ulp
-    assert converged and g == 1.0
-    assert 0.0 <= f - JUMP_AT <= 8 * math.ulp(JUMP_AT)
-    assert len(evaluated) < antenna._SECANT_STEPS
-    assert all(f_a < x < f_b for x in evaluated)
-
-
-def test_secant_runs_out_of_steps_on_a_wide_bracket():
-    # 40 bisections of [1, 4] cannot close it to 4 ulp
-    evaluated = []
-    f, _, converged = antenna._secant_root(_jump(evaluated), 1.0, 4.0,
-                                           [(1.0, -1.0), (4.0, 1.0)], 1.0, 4.0)
-    assert not converged
-    assert len(evaluated) == antenna._SECANT_STEPS
-    assert all(1.0 < x < 4.0 for x in evaluated) and f == evaluated[-1]
-    assert abs(f - JUMP_AT) < 1e-9
+def test_closed_form_derivatives_need_two_layers():
+    with pytest.raises(ValueError,
+                       match="^closed-form derivatives need exactly two layers$"):
+        modesolver._form_with_derivatives(preset_stack("H1G", SHEET_02),
+                                          OMEGA_1THZ, 3.0 + 0.1j)
 
 
 @pytest.mark.parametrize("field", ["width_m", "total_length_m", "gap_m",

@@ -724,6 +724,7 @@ def test_cli_corpus_unchanged():
 DISPERSION = "frequency(THz),q_real(rad/m),q_imag(rad/m),residual(1),status(-)"
 STACK = "chemical_potential(eV),n_eff(1),normalized_lp(1),status(-)"
 ANTENNA = "length(um),f_res(THz),f_metal(THz),status(-)"
+ANTENNA_PROXY = "length(um),f_res(THz),f_metal(THz),efficiency_proxy(1),status(-)"
 CONDUCTIVITY = "frequency(THz),sigma_real(S),sigma_imag(S),status(-)"
 SCENARIO = "length(um),footprint(m2),fits(1),status(-)"
 ULP_UP = repr(math.nextafter(7.2e5, math.inf))
@@ -751,8 +752,17 @@ def _run(*rows, code=0, stderr="", name="out.csv"):
      (compare_trees.OTHER, "scenario row")),
     (_run(STACK, "0.2,2.1,77.3,ok"), _run(ANTENNA, "0.2,2.1,77.3,ok"),
      (compare_trees.OTHER, "header or row count of out.csv")),
+    # f_res and the efficiency proxy are judged alike: (f, Im q) are the two
+    # unknowns of the resonance solve
+    (_run(ANTENNA_PROXY, "10,2.06,9.6,0.52,ok"),
+     _run(ANTENNA_PROXY, f"10,2.06,9.6,{math.nextafter(0.52, 1.0)!r},ok"),
+     (compare_trees.ULP, "antenna f_res")),
+    (_run(ANTENNA_PROXY, "10,2.06,9.6,0.52,ok"),
+     _run(ANTENNA_PROXY, "10,2.06,9.6,0.53,ok"),
+     (compare_trees.LARGER, "antenna f_res")),
 ], ids=["ulp-level", "larger", "failed-to-ok", "ok-to-failed", "conductivity",
-        "scenario", "header"])
+        "scenario", "header", "antenna proxy ulp-level",
+        "antenna proxy larger"])
 def test_classify_sorts_each_changed_row(old, new, expected):
     assert [change[:2] for change in compare_trees.classify(old, new)] == [expected]
 

@@ -4,6 +4,7 @@ import math
 import re
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -252,15 +253,40 @@ def test_residuals_reject_an_overflowing_term(entry):
 
 
 @pytest.mark.parametrize("entry", [dispersion_residual, residual_scale])
-@pytest.mark.parametrize("s", [1.2e8, 2e8])
+@pytest.mark.parametrize("s", [2e8])
 def test_residuals_reject_an_overflowing_quotient(entry, s):
-    # on the same stack the form is finite at 1.2e8 (1 + 1j) k0 but D, its
-    # quotient by the denominators, overflows (-0-infj); at 2e8 (1 + 1j) k0
-    # the parts overflow to inf without raising (nan-infj, scale inf)
+    # on the same stack at 2e8 (1 + 1j) k0 the parts overflow to inf
+    # without raising (nan-infj, scale inf)
     stack = graphene_on_substrate(SHEET_02, 1e300)
     q = s * (1.0 + 1.0j) * OMEGA_1THZ / C0
     with pytest.raises(ValueError, match=re.escape(f"terms overflow at q/k0 = {s:.6g}")):
         entry(stack, q, OMEGA_1THZ)
+
+
+def _mp_residual(x, omega):
+    mismatch, _ = oracles.mp_sheet_condition(1.0, 1e300, 0.2, 1e-12)
+    return complex(mismatch(x, omega))
+
+
+def _mp_largest_term(x, omega):
+    # the largest term is eps2 / |k2| = 1e300 / |sqrt(x^2 - 1e300)|
+    return float(1e300 / abs(mpmath.sqrt(x * x - mpmath.mpf(1e300))))
+
+
+@pytest.mark.parametrize("entry, oracle",
+                         [(dispersion_residual, _mp_residual),
+                          (residual_scale, _mp_largest_term)],
+                         ids=["dispersion_residual", "residual_scale"])
+@pytest.mark.parametrize("s", [1.05e8, 1.1e8, 1.15e8, 1.2e8])
+def test_residuals_survive_a_division_overflow(entry, oracle, s):
+    # on the same stack the form is finite at these q = s (1 + 1j) k0 and
+    # D is about -1e150j, but dividing the form by the denominators
+    # directly overflows inside Python's complex division (-0-infj)
+    stack = graphene_on_substrate(SHEET_02, 1e300)
+    q = s * (1.0 + 1.0j) * OMEGA_1THZ / C0
+    x = q / (OMEGA_1THZ / C0)
+    expected = oracle(mpmath.mpc(x.real, x.imag), mpmath.mpf(OMEGA_1THZ))
+    assert abs(entry(stack, q, OMEGA_1THZ) - expected) < 1e-12 * abs(expected)
 
 
 # --- find_mode ---------------------------------------------------------------
@@ -998,7 +1024,10 @@ def test_stack_sweep_evaluation_count(preset, expected):
     lambda: stack_metrics_sweep(preset_stack("H1G", GrapheneSheet(0.2, 0.6e-12)),
                                 4e12, (0.2, 0.5, 0.8)),
     lambda: stack_metrics_sweep(_two_sheet_stack(), 3e12, (0.2, 0.5, 0.8)),
-], ids=["find_mode H1G", "find_mode H2G", "sweep H1G", "sweep two sheets"])
+    lambda: resonance_frequency(DipoleGeometry(8e-6, 20e-6, 3e-6, 3.8),
+                                GrapheneSheet(0.2, 1e-12)),
+], ids=["find_mode H1G", "find_mode H2G", "sweep H1G", "sweep two sheets",
+        "resonance"])
 def test_every_walk_pair_is_a_counted_evaluation(monkeypatch, call):
     # _walk runs only inside _mode_function, so the evaluation counter that
     # tests and the benchmark tracer patch sees every walk pair

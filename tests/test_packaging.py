@@ -84,7 +84,10 @@ def test_trace_evaluation_count():
 def test_resonance_evaluation_count():
     dipole = DipoleGeometry(8e-6, 20e-6, 3e-6, 3.8)
     sheet = GrapheneSheet(0.2, 1e-12)
-    assert oracles.count_evals(lambda: resonance_frequency(dipole, sheet)) == 30
+    # the cold solve at the quasi-static f0 (7), then Newton on (Im q, f):
+    # the moved seed and four steps, the last shorter than TOLERANCE (5);
+    # the secant on nested mode solves took 30
+    assert oracles.count_evals(lambda: resonance_frequency(dipole, sheet)) == 12
 
 
 def test_too_short_dipole_evaluation_count():
@@ -95,10 +98,11 @@ def test_too_short_dipole_evaluation_count():
         with pytest.raises(NoResonanceInBandError):
             resonance_frequency(too_short, sheet)
 
-    # the cold solve at the top of the band (5), then the low edge's status:
-    # a continued solve (16) and a cold one (137) that both raise; the
-    # 48-point band scan took 1 644
-    assert oracles.count_evals(call) == 158
+    # the cold solve at f0, clamped to the top of the band (5), where
+    # Re q alpha L < pi, then the low edge's status, a cold solve that
+    # raises (137); no Newton step.  A continued solve at the low edge
+    # added 16, and the 48-point band scan took 1 644
+    assert oracles.count_evals(call) == 142
 
 
 # the parameter names of every exported callable; None for an exception
