@@ -98,50 +98,40 @@ def miniaturization_factor(prediction: ResonancePrediction) -> float:
     return prediction.metal_reference_hz / prediction.resonance_frequency_hz
 
 
-def _edge_status(stack: LayeredStack, f_hz: float) -> str:
-    """"ok" where a cold solve at f_hz finds a bound mode, else why not."""
-    try:
-        find_mode(stack, 2.0 * math.pi * f_hz)
-        return "ok"
-    except ModeSolverError as err:
-        return str(err)
-
-
-def _no_resonance(stack: LayeredStack,
-                  statuses: dict[float, str]) -> NoResonanceInBandError:
-    """The error naming both band edges' statuses: those known by
-    frequency, else a cold solve's at the edge."""
+def _no_resonance(solve) -> NoResonanceInBandError:
+    """The error naming both band edges' statuses: "ok" where the search's
+    cold solve there found a bound mode, else the text of its error."""
     lo, hi = BAND_HZ
-    low, high = (statuses.get(f) or _edge_status(stack, f) for f in BAND_HZ)
+    low, high = ("ok" if isinstance(mode, ModeSolution) else mode
+                 for mode in map(solve, BAND_HZ))
     return NoResonanceInBandError(
         f"no half-wavelength resonance in [{lo:.3e}, {hi:.3e}] Hz "
         f"(low edge {lo:.3e} Hz: {low}; high edge {hi:.3e} Hz: {high})")
 
 
-def _scan_bracket(stack: LayeredStack, length: float):
+def _scan_bracket(solve, length: float):
     """The first sign change g1 < 0 <= g2 of g(f) = Re q(f) alpha L - pi on
-    a log-spaced band scan of cold solves, as its two (f, mode) ends.  g
-    increases with f, so the scan stops at the first bound point with
-    g >= 0; without a bracket, the error names both band edges' statuses."""
+    a log-spaced band scan of the search's cold solves, as its two
+    (f, mode) ends.  g increases with f, so the scan stops at the first
+    bound point with g >= 0; a frequency the search already solved is not
+    solved again.  Without a bracket, the error names both band edges'
+    statuses."""
     lo, hi = BAND_HZ
     ratio = (hi / lo) ** (1.0 / (_SCAN_POINTS - 1))
     grid = [lo * ratio**i for i in range(_SCAN_POINTS)]
     grid[-1] = hi
-    previous, statuses = None, {}
+    previous = None
     for f in grid:
-        try:
-            mode = find_mode(stack, 2.0 * math.pi * f)
-        except ModeSolverError as err:
-            previous, statuses[f] = None, str(err)
-            continue
-        statuses[f] = "ok"
-        if mode.wavevector.real * length - math.pi < 0.0:
+        mode = solve(f)
+        if not isinstance(mode, ModeSolution):
+            previous = None
+        elif mode.wavevector.real * length - math.pi < 0.0:
             previous = (f, mode)
         elif previous is not None:
             return previous, (f, mode)
         else:
             break
-    raise _no_resonance(stack, statuses)
+    raise _no_resonance(solve)
 
 
 def _newton(stack: LayeredStack, length: float, f_hz: float,
@@ -222,37 +212,46 @@ def resonance_frequency(dipole: DipoleGeometry,
     resonance lies in the band when g has the wrong sign at a clamped f0,
     or when Newton's root is outside the band or not a bound mode; the
     error names both band edges' statuses.  When the quasi-static seed
-    fails (Re q_qs underflows to 0 or f0 overflows), the cold solve raises
-    or the Newton steps run out, a 48-point log-spaced band scan of cold
-    solves brackets the first sign change of g and Newton starts from the
-    bracket end nearer the root.  The returned mode is the last point
-    Newton evaluated, with that evaluation's residual.
+    fails (Re q_qs underflows to 0), the cold solve raises or the Newton
+    steps run out, a 48-point log-spaced band scan of cold solves brackets
+    the first sign change of g and Newton starts from the bracket end
+    nearer the root.  The seed, the scan and the band-edge statuses share
+    one record of cold solves, so each frequency is solved at most once
+    per search.  The returned mode is the last point Newton evaluated,
+    with that evaluation's residual.
     """
     lo, hi = BAND_HZ
     stack = graphene_on_substrate(sheet, dipole.substrate_permittivity)
     length = dipole.end_correction * dipole.total_length_m
 
+    record = {}
+
+    def solve(f_hz):
+        """The cold solve at f_hz, made once: its mode, or its error's text."""
+        if f_hz not in record:
+            try:
+                record[f_hz] = find_mode(stack, 2.0 * math.pi * f_hz)
+            except ModeSolverError as err:
+                record[f_hz] = str(err)
+        return record[f_hz]
+
     q_lo = quasi_static_wavevector(stack, 2.0 * math.pi * lo).real
-    # Re q_qs is 0 where Im sigma underflows: no seed, the band scan decides
-    f_seed = (min(max(lo * math.sqrt(math.pi / q_lo / length), lo), hi)
-              if q_lo > 0.0 else math.inf)
     found = None
-    if math.isfinite(f_seed):
-        try:
-            mode = find_mode(stack, 2.0 * math.pi * f_seed)
-        except ModeSolverError:
-            mode = None
-        if mode is not None:
+    # Re q_qs is 0 where Im sigma underflows: no seed, the band scan decides
+    if q_lo > 0.0:
+        f_seed = min(max(lo * math.sqrt(math.pi / q_lo / length), lo), hi)
+        mode = solve(f_seed)
+        if isinstance(mode, ModeSolution):
             g = mode.wavevector.real * length - math.pi
             # g increases with f: at a clamped seed with the wrong sign the
             # resonance lies beyond that band edge
             if (f_seed == hi and g < 0.0) or (f_seed == lo and g > 0.0):
-                raise _no_resonance(stack, {f_seed: "ok"})
+                raise _no_resonance(solve)
             found = _newton(stack, length, f_seed, mode)
             if found is not None and not _bound_in_band(stack, *found):
-                raise _no_resonance(stack, {f_seed: "ok"})
+                raise _no_resonance(solve)
     if found is None:
-        low, high = _scan_bracket(stack, length)
+        low, high = _scan_bracket(solve, length)
         found = _newton(stack, length, *min((low, high), key=lambda end: abs(
             end[1].wavevector.real * length - math.pi)))
         if found is None or not _bound_in_band(stack, *found):

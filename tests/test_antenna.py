@@ -190,8 +190,9 @@ def test_no_resonance_message_names_band_edges(length_m):
 
 
 def test_overflowing_seed_goes_to_the_band_scan():
-    # on eps_r = 1e300 the quasi-static estimate overflows to a NaN
-    # frequency; the band scan reports both edges instead of solving there
+    # on eps_r = 1e300, q_qs at 0.1 THz is finite (1.48e302 + 2.36e302j
+    # rad/m), so f0 = 3.3e-138 Hz clamps to the low edge; the cold solve
+    # there fails, so the band scan runs and reports both edges
     dipole = DipoleGeometry(8e-6, 20e-6, 1e-6, 1e300)
     with pytest.raises(NoResonanceInBandError) as info:
         resonance_frequency(dipole, SHEET_02)
@@ -274,6 +275,73 @@ def test_too_long_dipole_raises_at_once(ef, re_x):
     if ef == 0.6:
         # the cold solves at f0 and at both band edges, and 6 Newton steps
         assert evals <= 500
+
+
+# 20 mm: f0 clamps to the low edge, whose cold solve raises, and the band
+# scan starts at that same edge
+LONG_DIPOLE = DipoleGeometry(0.05e-6, 20e-3, 1e-6, 3.8)
+
+
+def test_long_dipole_message():
+    with pytest.raises(NoResonanceInBandError) as info:
+        resonance_frequency(LONG_DIPOLE, SHEET_02)
+    assert str(info.value) == _LOW_NOT_BOUND.format("1.90996", "1.94936")
+
+
+@pytest.mark.parametrize("dipole, sheet, fail_seed", [
+    (LONG_DIPOLE, SHEET_02, False),
+    (DipoleGeometry(8e-6, 20e-6, 1e-6, 1e300), SHEET_02, False),
+    (DipoleGeometry(0.05e-6, 2e-3, 0.05e-6, 3.8), SHEET_02, False),
+    (DipoleGeometry(total_length_m=40e-6, end_correction=1.5, **QUARTZ_DIPOLE),
+     GrapheneSheet(0.6, 0.1e-12), False),
+    (DipoleGeometry(0.05e-6, 0.2e-6, 0.05e-6, 3.8), SHEET_02, False),
+    (DipoleGeometry(total_length_m=20e-6, **QUARTZ_DIPOLE), SHEET_02, True),
+], ids=["20mm", "eps1e300", "2mm", "too-long-40um", "too-short",
+        "failed-seed"])
+def test_no_frequency_is_solved_twice_in_one_search(monkeypatch, dipole,
+                                                    sheet, fail_seed):
+    # the seed, the band scan and the band-edge statuses read one record
+    # of cold solves
+    omegas = []
+    real_find_mode = antenna.find_mode
+
+    def recorded(stack, omega, guess=None):
+        omegas.append(omega)
+        if fail_seed and len(omegas) == 1:
+            raise ConvergenceError("injected failure of the seed solve")
+        return real_find_mode(stack, omega, guess)
+
+    monkeypatch.setattr(antenna, "find_mode", recorded)
+    if fail_seed:
+        resonance_frequency(dipole, sheet)
+    else:
+        with pytest.raises(NoResonanceInBandError):
+            resonance_frequency(dipole, sheet)
+    assert len(omegas) == len(set(omegas)) > 1
+
+
+def test_newton_step_is_damped(monkeypatch):
+    # the moved seed lies far from the root: the first step is shortened to
+    # |d f| = _MAX_STEP f; undamped, it steps below f = 0
+    dipole = DipoleGeometry(1e-6, 40e-6, 1e-6, 11.9)
+    sheet = GrapheneSheet(1.5, 0.5e-12)
+    freqs = []
+    real_form = antenna._form_with_derivatives
+
+    def recorded(stack, omega, x):
+        freqs.append(omega / (2.0 * math.pi))
+        return real_form(stack, omega, x)
+
+    monkeypatch.setattr(antenna, "_form_with_derivatives", recorded)
+    value = resonance_frequency(dipole, sheet).resonance_frequency_hz
+    reference = oracles.resonance_frequency_oracle(
+        40e-6, 11.9, lambda omega: intraband_conductivity(sheet, omega))
+    assert abs(value - reference) < 1e-9 * reference
+    steps = [abs(b - a) / a for a, b in zip(freqs, freqs[1:])]
+    assert any(abs(step - antenna._MAX_STEP) < 1e-12 for step in steps)
+    monkeypatch.setattr(antenna, "_MAX_STEP", math.inf)
+    with pytest.raises(ValueError, match="^angular_frequency must be > 0$"):
+        resonance_frequency(dipole, sheet)
 
 
 def test_resonance_fallback_scan_returns_oracle_root(monkeypatch):

@@ -105,6 +105,22 @@ def test_too_short_dipole_evaluation_count():
     assert oracles.count_evals(call) == 142
 
 
+def test_long_dipole_evaluation_count():
+    long_dipole = DipoleGeometry(0.05e-6, 20e-3, 1e-6, 3.8)
+    sheet = GrapheneSheet(0.2, 1e-12)
+
+    def call():
+        with pytest.raises(NoResonanceInBandError):
+            resonance_frequency(long_dipole, sheet)
+
+    # f0 clamps to the low edge, whose cold solve raises (137); the band
+    # scan reads that failure from the search's record, then solves five
+    # more non-bound points (681) and the first bound one, where
+    # g >= 0 (39), and the high edge's status is one more cold solve (5).
+    # Solving the low edge again in the scan made it 999
+    assert oracles.count_evals(call) == 862
+
+
 # the parameter names of every exported callable; None for an exception
 # class that keeps its builtin constructor
 EXPORTED_PARAMETERS = {

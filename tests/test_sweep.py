@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thzplasmon import modesolver, sweep
+from thzplasmon import cli, modesolver, sweep
 from thzplasmon import (Column, ConfigError, ResultTable, SweepSpec,
                         UnknownColumnError, emit_csv, emit_plotdata,
                         parse_config, parse_result_csv, run_sweep)
@@ -308,6 +308,31 @@ def test_conductivity_sweep_monotone_in_chemical_potential():
     magnitudes = table.column_values("sigma_abs")
     assert all(a < b for a, b in zip(magnitudes, magnitudes[1:]))
     assert table.all_ok
+
+
+def test_non_finite_cell_fails_its_row(monkeypatch, tmp_path):
+    # no natural input reaches this guard (a tiny frequency_thz fails
+    # earlier, in the mode solver), so one conductivity overflows by hand
+    real_conductivity = sweep.intraband_conductivity
+
+    def overflowing(sheet, omega):
+        if sheet.chemical_potential_ev == 0.6:
+            return complex(math.inf, 1.0)
+        return real_conductivity(sheet, omega)
+
+    monkeypatch.setattr(sweep, "intraband_conductivity", overflowing)
+    table = run_sweep(parse_config(MINIMAL_CONDUCTIVITY))
+    assert table.statuses == ["ok", "ok", "failed:non-finite sigma_real",
+                              "ok", "ok"]
+    assert table.rows[2] == [0.6, None, None, None, None]
+    assert all(None not in row for i, row in enumerate(table.rows) if i != 2)
+    config = tmp_path / "sigma.cfg"
+    config.write_text(MINIMAL_CONDUCTIVITY)
+    out = tmp_path / "sigma.csv"
+    assert cli.main(["sweep", "--config", str(config), "--out", str(out),
+                     "--quiet"]) == 2
+    assert out.read_text().splitlines()[3].endswith(
+        ",,,,failed:non-finite sigma_real")
 
 
 def test_sweep_row_count_matches_grid_with_failures(monkeypatch):
