@@ -2,10 +2,10 @@
 
 A graphene dipole resonates where half a guided plasmon wavelength fits the
 radiating length: Re q(f) * (alpha * L) = pi, with a configurable end
-correction alpha (default 1).  The gap is treated as feed region and is not
-part of the resonant length.  The efficiency proxy below orders designs by
-normalized propagation length only; it is not an absolute radiation
-efficiency.
+correction alpha (default 1).  L is the total length, feed gap included;
+the gap and the width enter only the geometry's validation.  The efficiency
+proxy below orders designs by normalized propagation length only; it is not
+an absolute radiation efficiency.
 """
 from __future__ import annotations
 

@@ -86,6 +86,10 @@ class ModeSolution:
         _check_range("Re wavevector", self.wavevector.real, 0.0)
         _check_range("Im wavevector", self.wavevector.imag, 0.0)
         _check_range("residual", self.residual, 0.0, ends="[)")
+        # 0 where 2 pi / Re q overflows, and inf where 1 / (2 Im q) or the
+        # quotient of the two does
+        _check_range("normalized propagation length",
+                     self.normalized_propagation_length, 0.0)
 
     @property
     def frequency_hz(self) -> float:
@@ -243,28 +247,23 @@ def _form_with_derivatives(stack: LayeredStack, angular_frequency: float,
     return value, scale, d_x, d_w
 
 
-def _quotients_finite(value: complex, scale: float, denom: complex) -> bool:
-    return cmath.isfinite(value / denom) and scale / abs(denom) < math.inf
-
-
 def _checked_form(term: complex, geometry, x: complex):
-    """(bilinear form, term scale, the walks' denominator product) at x for
-    the public residuals, which divide the first two by the third.  They
-    raise ValueError where the form, its scale or a quotient is not finite
-    (a modulus overflows); the solver reads such a point as no value
-    instead.  A zero denominator product is a pole of D."""
+    """(bilinear form, term scale, the walks' denominator product), each
+    quartered, at x for the public residuals, which divide the first two by
+    the third.  They raise ValueError where the form, its scale or a
+    quotient is not finite (a modulus overflows); the solver reads such a
+    point as no value instead.  A zero denominator product is a pole of D."""
     try:
         parts = _mode_function(x, geometry)
         value, scale = _with_term(term, parts)
-        denom = parts[2] * parts[3]
-        if denom == 0.0 or _quotients_finite(value, scale, denom):
-            return value, scale, denom
         # Python's complex division forms a.real + a.imag * r with |r| <= 1,
         # which overflows where a part of the form tops half the float
         # range although the quotient is finite; a quarter of all three
-        # divides exactly and cannot
-        value, scale, denom = 0.25 * value, 0.25 * scale, 0.25 * denom
-        if _quotients_finite(value, scale, denom):
+        # cannot, and divides to the same bits unless a quarter is subnormal
+        value, scale = 0.25 * value, 0.25 * scale
+        denom = 0.25 * (parts[2] * parts[3])
+        if denom == 0.0 or (cmath.isfinite(value / denom)
+                            and scale / abs(denom) < math.inf):
             return value, scale, denom
     except OverflowError:
         pass

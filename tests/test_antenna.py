@@ -368,6 +368,42 @@ def test_resonance_fallback_scan_returns_oracle_root(monkeypatch):
     assert value == pytest.approx(fast.resonance_frequency_hz, rel=1e-14)
 
 
+@pytest.mark.parametrize("fault", ["overflow", "nan-derivative"])
+def test_newton_gives_up_to_the_band_scan(monkeypatch, fault):
+    # Newton's first evaluation overflows, or hands back a NaN dF/dx and so
+    # a non-finite step: the iteration gives up, and the band scan's cold
+    # solves bracket the root it then reaches
+    dipole = DipoleGeometry(total_length_m=20e-6, **QUARTZ_DIPOLE)
+    fast = resonance_frequency(dipole, SHEET_02)
+    real_form = antenna._form_with_derivatives
+    forms = []
+
+    def first_form_fails(stack, omega, x):
+        forms.append(omega)
+        value, scale, d_x, d_w = real_form(stack, omega, x)
+        if len(forms) == 1:
+            if fault == "overflow":
+                raise OverflowError("injected overflow of the first form")
+            d_x = complex(math.nan, math.nan)
+        return value, scale, d_x, d_w
+
+    omegas = []
+    real_find_mode = antenna.find_mode
+
+    def recorded(stack, omega, guess=None):
+        omegas.append(omega)
+        return real_find_mode(stack, omega, guess)
+
+    monkeypatch.setattr(antenna, "_form_with_derivatives", first_form_fails)
+    monkeypatch.setattr(antenna, "find_mode", recorded)
+    value = resonance_frequency(dipole, SHEET_02).resonance_frequency_hz
+    # the seed's solve, then the scan's, up from the band's low edge
+    assert omegas[1] == 2.0 * math.pi * antenna.BAND_HZ[0]
+    assert omegas[1:] == sorted(omegas[1:]) and len(omegas) > 3
+    assert len(forms) > 1
+    assert value == pytest.approx(fast.resonance_frequency_hz, rel=1e-14)
+
+
 def test_resonance_reports_a_stalled_bracketing(monkeypatch):
     # one Newton step cannot converge, on the fast path and from the band
     # scan's bracket alike

@@ -7,7 +7,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -287,6 +287,103 @@ def test_residuals_survive_a_division_overflow(entry, oracle, s):
     x = q / (OMEGA_1THZ / C0)
     expected = oracle(mpmath.mpc(x.real, x.imag), mpmath.mpf(OMEGA_1THZ))
     assert abs(entry(stack, q, OMEGA_1THZ) - expected) < 1e-12 * abs(expected)
+
+
+def _two_attempt_checked_form(term, geometry, x):
+    # the residuals' form as it was checked before every division used the
+    # quartered values: divided directly first, and by a quarter of all
+    # three only where a direct quotient was not finite
+    def quotients_finite(value, scale, denom):
+        return cmath.isfinite(value / denom) and scale / abs(denom) < math.inf
+
+    try:
+        parts = modesolver._mode_function(x, geometry)
+        value, scale = modesolver._with_term(term, parts)
+        denom = parts[2] * parts[3]
+        if denom == 0.0 or quotients_finite(value, scale, denom):
+            return value, scale, denom
+        value, scale, denom = 0.25 * value, 0.25 * scale, 0.25 * denom
+        if quotients_finite(value, scale, denom):
+            return value, scale, denom
+    except OverflowError:
+        pass
+    raise ValueError(f"the mode condition's terms overflow at q/k0 = {x:.6g}")
+
+
+def _residual_outcomes(stack, omega, points):
+    # the bits of both residuals at each x = q/k0, or each one's exception
+    # type and text
+    outcomes = []
+    for x in points:
+        for entry in (dispersion_residual, residual_scale):
+            try:
+                result = entry(stack, x * omega / C0, omega)
+                outcomes.append(result.hex() if isinstance(result, float)
+                                else _hex(result))
+            except (ArithmeticError, ValueError, ModeSolverError) as err:
+                outcomes.append((type(err).__name__, str(err)))
+    return outcomes
+
+
+# on a 1e300 substrate the direct division overflows from 1.05e8 (1 + 1j)
+# on, the form itself from 1.3e8 (1 + 1j), its parts by 2e8 (1 + 1j)
+OVERFLOW_BAND = st.floats(1.05e8, 2e8).map(lambda s: s * (1.0 + 1.0j))
+
+
+@example(stack=graphene_on_substrate(SHEET_02, 1e300), f_hz=1e12,
+         points=[s * (1.0 + 1.0j) for s in (1.05e8, 1.2e8, 1.3e8, 2e8)])
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(stack=st.one_of(single_sheet_stacks(), two_sheet_stacks(),
+                       st.builds(graphene_on_substrate, st.just(SHEET_02),
+                                 st.just(1e300))),
+       f_hz=st.floats(0.1e12, 10e12),
+       points=st.lists(st.one_of(
+           st.complex_numbers(max_magnitude=1e200, allow_nan=False,
+                              allow_infinity=False), OVERFLOW_BAND),
+           min_size=1, max_size=6))
+def test_quartered_residuals_equal_the_two_attempt_division(stack, f_hz, points):
+    # a quarter of the form, its scale and the denominators divides to the
+    # bits the direct division gave wherever that was finite, and to those
+    # of the old retry elsewhere (these sheets keep every part of the form
+    # normal); errors keep their type and text
+    omega = 2.0 * math.pi * f_hz
+    quartered = _residual_outcomes(stack, omega, points)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(modesolver, "_checked_form", _two_attempt_checked_form)
+        assert quartered == _residual_outcomes(stack, omega, points)
+
+
+def test_residual_scale_is_infinite_where_the_quartered_denominators_underflow(
+        monkeypatch):
+    # denominators of 3e-162 multiply to 1e-323, twice the smallest
+    # subnormal, and a quarter of that rounds to 0: to the division, a pole
+    # of D (a direct attempt, then a quartered retry, raised
+    # ZeroDivisionError in residual_scale)
+    monkeypatch.setattr(modesolver, "_mode_function", lambda x, geometry: (
+        1.0 + 1.0j, 2.0, 3e-162 + 0j, 3e-162 + 0j))
+    stack = graphene_on_substrate(SHEET_02, 3.8)
+    q = 3.0 * OMEGA_1THZ / C0
+    assert residual_scale(stack, q, OMEGA_1THZ) == math.inf
+    with pytest.raises(ZeroDivisionError):
+        dispersion_residual(stack, q, OMEGA_1THZ)
+
+
+def test_quartering_rounds_only_a_subnormal_part_of_the_form():
+    # with tau = 1e300 s the sheet is lossless to within a subnormal: on
+    # the real axis Im D is about 1e-320, and its quarter loses low bits,
+    # so Im D moves here by a few of the smallest subnormals, while Re D
+    # and the scale keep the bits of the direct division
+    stack = free_standing_sheet(GrapheneSheet(0.2, 1e300))
+    q = 2.0032160556962575 * OMEGA_1THZ / C0
+    value = dispersion_residual(stack, q, OMEGA_1THZ)
+    scale = residual_scale(stack, q, OMEGA_1THZ)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(modesolver, "_checked_form", _two_attempt_checked_form)
+        direct = dispersion_residual(stack, q, OMEGA_1THZ)
+        assert residual_scale(stack, q, OMEGA_1THZ) == scale
+    assert value.real == direct.real
+    assert 0.0 < abs(direct.imag) < 2.2250738585072014e-308
+    assert abs(value.imag - direct.imag) < 1e-321
 
 
 # --- find_mode ---------------------------------------------------------------

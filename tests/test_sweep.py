@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 import math
 import re
@@ -275,9 +277,13 @@ def test_hand_built_spec_holds_floats():
     assert type(spec.fixed["width_um"]) is float
 
 
-def _readme_example() -> str:
+def _readme_block(language: str) -> str:
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    return re.search(r"```ini\n(.*?)```", readme, re.DOTALL).group(1)
+    return re.search(rf"```{language}\n(.*?)```", readme, re.DOTALL).group(1)
+
+
+def _readme_example() -> str:
+    return _readme_block("ini")
 
 
 def _docstring_example() -> str:
@@ -293,6 +299,15 @@ def test_documented_config_example_parses(example):
     spec = parse_config(example())
     assert (spec.target, spec.fixed["preset"], len(spec.grid)) == ("stack", "H1G", 9)
     assert (spec.output_path, spec.output_format) == ("h1g.csv", "csv")
+
+
+def test_readme_quick_start_runs():
+    # the library quick start, run as written
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        exec(_readme_block("python"), {})
+    factor = re.search(r"miniaturization (\S+)", printed.getvalue()).group(1)
+    assert float(factor) > 1.0
 
 
 def test_fig2_style_spec_parses():
