@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import CODATA, _check_range
+from .constants import CODATA, _check_range, _memoized
 
 DEFAULT_TEMPERATURE_K = 300.0
 
@@ -45,6 +45,12 @@ class GrapheneSheet:
         return GrapheneSheet(chemical_potential_ev, self.relaxation_time_s,
                              self.temperature_k)
 
+    @_memoized
+    def _drude_weight(self) -> float:
+        """drude_weight(self), kept from its first use; a weight that
+        overflows raises at every use."""
+        return drude_weight(self)
+
 
 def drude_weight(sheet: GrapheneSheet) -> float:
     """Drude weight A (S rad/s) of the intraband conductivity.
@@ -74,8 +80,8 @@ def intraband_conductivity(sheet: GrapheneSheet,
     both tiny; such a sheet is rejected.
     """
     _check_range("angular_frequency", angular_frequency, 0.0, ends="[)")
-    weight = drude_weight(sheet)
-    sigma = weight * 1j / (angular_frequency + 1j / sheet.relaxation_time_s)
+    sigma = (sheet._drude_weight * 1j
+             / (angular_frequency + 1j / sheet.relaxation_time_s))
     # hypot is inf where a part is, and never raises where abs(sigma) would
     _check_range("|sigma|", math.hypot(sigma.real, sigma.imag))
     return sigma

@@ -8,6 +8,8 @@ literals against ``scipy.constants`` and eta0 eps0 c0 = 1.
 
 ``_check_range`` is the one validation rule for every physical input of the
 package: a value must be finite, and then lie in its interval.
+``_memoized`` keeps a frozen dataclass's derived facts, computed once per
+object at first use.
 """
 from __future__ import annotations
 
@@ -30,6 +32,26 @@ def _check_range(name: str, value: float, low: float = -math.inf,
         if high == math.inf:
             raise ValueError(f"{name} must be {'>' if ends[0] == '(' else '>='} {low:g}")
         raise ValueError(f"{name} must lie in {ends[0]}{low:g}, {high:g}{ends[1]}")
+
+
+class _memoized:
+    """A read-only property computed at first use and stored in the
+    instance's ``__dict__``, which later reads find before the class
+    attribute; it is not a field, so a dataclass's ==, hash, repr and
+    ``dataclasses.replace`` ignore it, and a value that raises is not kept.
+    ``functools.cached_property`` does the same under a lock, which on
+    Python 3.11 makes a first read several times dearer, and a solve on
+    new objects makes several first reads."""
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 class PhysicalConstants:

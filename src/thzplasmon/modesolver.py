@@ -143,7 +143,9 @@ def _mode_problem(stack: LayeredStack, angular_frequency: float):
     geometry).  The geometry is (k0, the walk from the bottom cladding, the
     walk from the top cladding); a walk is a cladding permittivity, the
     complex start of the numerator and the (sheet term or None, eps_i, d_i)
-    steps toward the top sheet, the reference interface."""
+    steps toward the top sheet, the reference interface.  The walks are
+    the stack's layout, kept on the stack; only where other sheets sit in
+    the bottom walk are their terms filled in at this frequency."""
     _check_range("angular_frequency", angular_frequency, 0.0)
     k0 = angular_frequency / C0
     # a subnormal w underflows to k0 = 0, which the seeds divide by
@@ -151,18 +153,12 @@ def _mode_problem(stack: LayeredStack, angular_frequency: float):
     # i sigma k0 / (w eps0) = i sigma / (eps0 c0), dimensionless
     terms = {i: 1j * intraband_conductivity(sheet, angular_frequency) / (EPS0 * C0)
              for i, sheet in stack.sheets.items()}
-    layers = stack.layers
-
-    def walk(cladding, steps):
-        eps = cladding.relative_permittivity
-        return eps, complex(eps), tuple(
-            (terms.get(i), layer.relative_permittivity, layer.thickness_m)
-            for i, layer in steps)
-
-    ref = stack.top_sheet_interface
-    bottom = walk(layers[-1],
-                  ((i, layers[i]) for i in range(len(layers) - 2, ref, -1)))
-    top = walk(layers[0], ((i, layers[i + 1]) for i in range(ref)))
+    bottom, top, ref = stack._walk_layout
+    if len(terms) > 1:
+        eps, start, steps = bottom
+        bottom = eps, start, tuple(
+            (None if i is None else terms[i], eps_i, d_i)
+            for i, eps_i, d_i in steps)
     return terms[ref], (k0, bottom, top)
 
 

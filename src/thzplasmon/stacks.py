@@ -19,7 +19,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .conductivity import GrapheneSheet
-from .constants import _check_range
+from .constants import _check_range, _memoized
 
 LIM_PERMITTIVITY = 3.8     # quartz-like low-index material
 HIM_PERMITTIVITY = 11.9    # silicon-like high-index material
@@ -75,17 +75,42 @@ class LayeredStack:
                 raise ValueError(f"sheet interface {index} outside 0..{len(layers) - 2}")
         object.__setattr__(self, "sheets", MappingProxyType(sheets))
 
-    @property
+    # the frequency-free facts below are kept from their first use
+
+    @_memoized
     def max_cladding_index(self) -> float:
         return max(self.layers[0].refractive_index, self.layers[-1].refractive_index)
 
-    @property
+    @_memoized
     def max_layer_index(self) -> float:
         return max(layer.refractive_index for layer in self.layers)
 
-    @property
+    @_memoized
     def top_sheet_interface(self) -> int:
         return min(self.sheets)
+
+    @_memoized
+    def _walk_layout(self):
+        """(the walk from the bottom cladding, the walk from the top
+        cladding, the reference interface, which holds the top sheet).  A
+        walk is its cladding's permittivity, as a float and as a complex
+        number, and the steps toward the reference interface: (the
+        interface crossed if a sheet sits on it, else None, eps_i, d_i).
+        Only the bottom walk can cross a sheet."""
+        layers = self.layers
+        ref = self.top_sheet_interface
+
+        def walk(cladding, steps):
+            eps = cladding.relative_permittivity
+            return eps, complex(eps), tuple(
+                (i if i in self.sheets else None, layer.relative_permittivity,
+                 layer.thickness_m)
+                for i, layer in steps)
+
+        bottom = walk(layers[-1],
+                      ((i, layers[i]) for i in range(len(layers) - 2, ref, -1)))
+        top = walk(layers[0], ((i, layers[i + 1]) for i in range(ref)))
+        return bottom, top, ref
 
     def with_chemical_potential(self, chemical_potential_ev: float) -> "LayeredStack":
         """Same geometry with every sheet retuned to the given chemical

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 import oracles
 from thzplasmon import (CODATA, DegenerateConductivityError, DipoleGeometry,
                         GrapheneSheet, chemical_potential_from_bias,
-                        drude_weight, intraband_conductivity, preset_stack,
+                        drude_weight, find_mode, graphene_on_substrate,
+                        intraband_conductivity, preset_stack,
                         resonance_frequency, stack_metrics_sweep,
                         surface_impedance)
 
@@ -98,6 +99,21 @@ def test_drude_weight_that_overflows_is_rejected():
             call()
     rows = stack_metrics_sweep(preset_stack("H1G", sheet), 4e12, [2e297])
     assert rows[0].status == "failed:drude_weight must be finite"
+
+
+def test_drude_weight_stays_lazy_and_keeps_the_error_order():
+    # the sheet keeps its weight from the first use on, but computes it only
+    # then: a sheet whose weight overflows still constructs, a weight that
+    # raised is not kept, and a bad frequency is still reported first
+    sheet = GrapheneSheet(1e300, 1e-12)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^drude_weight must be finite$"):
+            intraband_conductivity(sheet, OMEGA_1THZ)
+    stack = graphene_on_substrate(sheet, 3.8)
+    with pytest.raises(ValueError, match="^angular_frequency must be > 0$"):
+        find_mode(stack, -1.0)
+    with pytest.raises(ValueError, match="^drude_weight must be finite$"):
+        find_mode(stack, OMEGA_1THZ)
 
 
 # a finite weight, but w and 1/tau are both tiny: A tau (the real part)

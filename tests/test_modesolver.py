@@ -1,6 +1,9 @@
 import cmath
+import copy
+import dataclasses
 import json
 import math
+import pickle
 import re
 from pathlib import Path
 
@@ -11,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from thzplasmon import modesolver
+from thzplasmon import conductivity, modesolver
 from thzplasmon import (BranchCutProximityError, CODATA, ConvergenceError,
                         DegenerateConductivityError, DielectricLayer,
                         DipoleGeometry, GrapheneSheet, LayeredStack,
@@ -1152,6 +1155,140 @@ def test_stack_sweep_rejects_a_non_numeric_grid_before_solving():
         assert info.value.__context__ is None
 
     assert oracles.count_evals(sweep) == 0
+
+
+# --- facts kept per sheet and per stack --------------------------------------
+
+def _rebuilt_mode_problem(stack, angular_frequency):
+    """The mode problem rebuilt from the stack's fields at every call, with
+    each sheet's Drude weight computed anew: the reference for the sheet's
+    kept weight and the stack's kept walks (valid inputs only)."""
+    k0 = angular_frequency / C0
+    terms = {}
+    for i, sheet in stack.sheets.items():
+        sigma = (conductivity.drude_weight(sheet) * 1j
+                 / (angular_frequency + 1j / sheet.relaxation_time_s))
+        terms[i] = 1j * sigma / (EPS0 * C0)
+    layers = stack.layers
+
+    def walk(cladding, steps):
+        eps = cladding.relative_permittivity
+        return eps, complex(eps), tuple(
+            (terms.get(i), layer.relative_permittivity, layer.thickness_m)
+            for i, layer in steps)
+
+    ref = min(stack.sheets)
+    bottom = walk(layers[-1],
+                  ((i, layers[i]) for i in range(len(layers) - 2, ref, -1)))
+    top = walk(layers[0], ((i, layers[i + 1]) for i in range(ref)))
+    return terms[ref], (k0, bottom, top)
+
+
+@st.composite
+def multi_sheet_stacks(draw):
+    """2-5 layers drawn like single_sheet_stacks', with 1-3 sheets at
+    distinct interfaces."""
+    eps = draw(st.lists(st.floats(1.0, 12.0), min_size=2, max_size=5))
+    inner = [DielectricLayer(e, draw(st.floats(1e-8, 1e-5))) for e in eps[1:-1]]
+    layers = (DielectricLayer(eps[0]), *inner, DielectricLayer(eps[-1]))
+    interfaces = draw(st.lists(st.integers(0, len(layers) - 2), min_size=1,
+                               max_size=3, unique=True))
+    return LayeredStack(layers, {i: _sheet(draw) for i in interfaces})
+
+
+# the top sheet at interface 0 and a second one inside the bottom walk
+SHEET_IN_BOTTOM_WALK = LayeredStack(
+    (DielectricLayer(1.0), DielectricLayer(11.9, 5e-6),
+     DielectricLayer(2.25, 3e-6), DielectricLayer(3.8)),
+    {0: GrapheneSheet(0.3, 0.6e-12), 2: GrapheneSheet(0.5, 0.2e-12)})
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(stack=multi_sheet_stacks(), f_hz=st.floats(1e9, 1e14),
+       f_hz_2=st.floats(1e9, 1e14))
+@example(stack=SHEET_IN_BOTTOM_WALK, f_hz=1e12, f_hz_2=4e12)
+def test_kept_walks_give_the_rebuilt_mode_problem(stack, f_hz, f_hz_2):
+    # the same stack object at two frequencies: a sheet inside the bottom
+    # walk gets each frequency's term, and no term outlives its call
+    for f in (f_hz, f_hz_2, f_hz):
+        omega = 2.0 * math.pi * f
+        assert (repr(modesolver._mode_problem(stack, omega))
+                == repr(_rebuilt_mode_problem(stack, omega)))
+
+
+def test_multi_sheet_example_has_a_sheet_in_the_bottom_walk():
+    # the example above reaches the one branch no preset takes
+    _, (_, bottom, top) = modesolver._mode_problem(SHEET_IN_BOTTOM_WALK,
+                                                   OMEGA_1THZ)
+    assert [type(step[0]) for step in bottom[2]] == [complex, type(None)]
+    assert all(step[0] is None for step in top[2])
+
+
+def _kept(obj):
+    # what an object keeps beyond its fields
+    fields = {f.name for f in dataclasses.fields(obj)}
+    return sorted(set(vars(obj)) - fields)
+
+
+def _mode_bits(stack, omega):
+    mode = find_mode(stack, omega)
+    return (mode.wavevector.real.hex(), mode.wavevector.imag.hex(),
+            mode.residual.hex(),
+            repr(modesolver._mode_problem(stack, omega)))
+
+
+def _two_sheet_h2g(ef):
+    film = DielectricLayer(11.9, 5e-6)
+    return LayeredStack(
+        (DielectricLayer(1.0), film, film, DielectricLayer(3.8)),
+        {1: GrapheneSheet(ef, 1e-12), 2: GrapheneSheet(0.3, 0.5e-12)})
+
+
+def test_kept_facts_are_invisible():
+    # solving fills what the sheet and the stack keep; equality, hash and
+    # repr see only the fields
+    stack = _two_sheet_h2g(0.4)
+    sheet = stack.sheets[1]
+    seen = repr(stack), repr(sheet), hash(sheet)
+    omega = 2.0 * math.pi * 2e12
+    find_mode(stack, omega)
+    assert _kept(sheet) == ["_drude_weight"]
+    assert _kept(stack) == ["_walk_layout", "max_cladding_index",
+                            "max_layer_index", "top_sheet_interface"]
+    assert (repr(stack), repr(sheet), hash(sheet)) == seen
+    assert stack == _two_sheet_h2g(0.4)
+    assert sheet == GrapheneSheet(0.4, 1e-12)
+
+
+def test_new_objects_do_not_inherit_kept_facts():
+    # every way of making a new sheet or stack from a solved one gives the
+    # bits a stack built from scratch gives; a copy of a sheet carries its
+    # kept weight, which depends on the fields alone
+    omega = 2.0 * math.pi * 2e12
+    stack = _two_sheet_h2g(0.4)
+    find_mode(stack, omega)
+    sheet = stack.sheets[1]
+    retuned = stack.with_chemical_potential(0.7)
+    replaced = LayeredStack(stack.layers, {
+        1: dataclasses.replace(sheet, chemical_potential_ev=0.7),
+        2: dataclasses.replace(stack.sheets[2], chemical_potential_ev=0.7)})
+    flipped = stack.reversed()
+    for new in (retuned, replaced, flipped):
+        assert _kept(new) == []
+    for new in (retuned.sheets[1], replaced.sheets[1]):
+        assert _kept(new) == []
+    fresh = LayeredStack(stack.layers, {1: GrapheneSheet(0.7, 1e-12),
+                                        2: GrapheneSheet(0.7, 0.5e-12)})
+    assert _mode_bits(retuned, omega) == _mode_bits(fresh, omega)
+    assert _mode_bits(replaced, omega) == _mode_bits(fresh, omega)
+    assert (_mode_bits(flipped, omega)
+            == _mode_bits(_two_sheet_h2g(0.4).reversed(), omega))
+    for copied in (copy.deepcopy(sheet), pickle.loads(pickle.dumps(sheet))):
+        assert copied == sheet and hash(copied) == hash(sheet)
+        assert copied._drude_weight == conductivity.drude_weight(sheet)
+        rebuilt = LayeredStack(stack.layers, {1: copied, 2: stack.sheets[2]})
+        assert _mode_bits(rebuilt, omega) == _mode_bits(_two_sheet_h2g(0.4),
+                                                        omega)
 
 
 # --- bit identity ------------------------------------------------------------

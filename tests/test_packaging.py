@@ -14,9 +14,11 @@ import scipy.constants as sc
 
 import oracles
 import thzplasmon
+from thzplasmon import conductivity
 from thzplasmon import (CODATA, DipoleGeometry, GrapheneSheet,
                         NoResonanceInBandError, find_mode, preset_stack,
-                        resonance_frequency, trace_dispersion)
+                        resonance_frequency, stack_metrics_sweep,
+                        trace_dispersion)
 
 SRC = str(Path(thzplasmon.__file__).resolve().parent.parent)
 
@@ -119,6 +121,47 @@ def test_long_dipole_evaluation_count():
     # g >= 0 (39), and the high edge's status is one more cold solve (5).
     # Solving the low edge again in the scan made it 999
     assert oracles.count_evals(call) == 862
+
+
+def _drude_weight_calls(call) -> int:
+    """Drude weights computed by call(), counted at the module attribute
+    that a sheet's kept weight is computed by."""
+    original = conductivity.drude_weight
+    calls = 0
+
+    def counted(sheet):
+        nonlocal calls
+        calls += 1
+        return original(sheet)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(conductivity, "drude_weight", counted)
+        call()
+    return calls
+
+
+def test_resonance_drude_weight_count():
+    # one sheet: its weight serves the quasi-static seed, the cold solve and
+    # every Newton step; rebuilding it per mode problem took 8
+    dipole = DipoleGeometry(8e-6, 20e-6, 3e-6, 3.8)
+    sheet = GrapheneSheet(0.2, 1e-12)
+    assert _drude_weight_calls(lambda: resonance_frequency(dipole, sheet)) == 1
+
+
+def test_trace_drude_weight_count():
+    # 50 points of one stack; rebuilding per point took 51
+    stack = preset_stack("H1G", GrapheneSheet(0.4, 1e-12))
+    freqs = [0.6e12 + i * 4.4e12 / 49 for i in range(50)]
+    assert _drude_weight_calls(lambda: trace_dispersion(stack, freqs)) == 1
+
+
+def test_sweep_drude_weight_count():
+    # one retuned sheet per row; its seed and its solve computed one each,
+    # 18 in all
+    stack = preset_stack("H1G", GrapheneSheet(0.4, 0.6e-12))
+    grid = [0.2 + 0.1 * i for i in range(9)]
+    assert _drude_weight_calls(
+        lambda: stack_metrics_sweep(stack, 4e12, grid)) == 9
 
 
 # the parameter names of every exported callable; None for an exception
