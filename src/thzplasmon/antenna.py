@@ -21,13 +21,14 @@ from .modesolver import (RESIDUAL_GATE, TOLERANCE, ModeSolution,
 from .stacks import LayeredStack, graphene_on_substrate
 
 BAND_HZ = (0.1e12, 10e12)  # the resonance search band, Hz
-_NEWTON_STEPS = 40      # damped Newton steps before the band scan takes over
+_NEWTON_STEPS = 40      # damped Newton steps before a start is given up
 _MAX_STEP = 0.3         # the largest |d f| / f of one Newton step
-_SCAN_POINTS = 48       # log-spaced points of that band scan
 
 
 class NoResonanceInBandError(RuntimeError):
-    """The half-wavelength condition has no solution in the search band."""
+    """The half-wavelength condition has no solution in the search band, or
+    the resonance search found none: its error names the mode status at
+    both band edges."""
 
 
 @dataclass(frozen=True)
@@ -109,36 +110,9 @@ def _no_resonance(solve) -> NoResonanceInBandError:
         f"(low edge {lo:.3e} Hz: {low}; high edge {hi:.3e} Hz: {high})")
 
 
-def _scan_bracket(solve, length: float):
-    """The first sign change g1 < 0 <= g2 of g(f) = Re q(f) alpha L - pi on
-    a log-spaced band scan of the search's cold solves, as its two
-    (f, mode) ends.  g increases with f, so the scan stops at the first
-    bound point with g >= 0; a frequency the search already solved is not
-    solved again.  Without a bracket, the error names both band edges'
-    statuses."""
-    lo, hi = BAND_HZ
-    ratio = (hi / lo) ** (1.0 / (_SCAN_POINTS - 1))
-    grid = [lo * ratio**i for i in range(_SCAN_POINTS)]
-    grid[-1] = hi
-    previous = None
-    for f in grid:
-        mode = solve(f)
-        if not isinstance(mode, ModeSolution):
-            previous = None
-        elif mode.wavevector.real * length - math.pi < 0.0:
-            previous = (f, mode)
-        elif previous is not None:
-            return previous, (f, mode)
-        else:
-            break
-    raise _no_resonance(solve)
-
-
-def _newton(stack: LayeredStack, length: float, f_hz: float,
-            mode: ModeSolution):
+def _newton(stack: LayeredStack, length: float, f: float, beta: float):
     """Damped Newton iteration on the two real unknowns (beta = Im q, f) of
-    F(pi / (alpha L) + i beta, 2 pi f) = 0, from a mode at f_hz moved to
-    the target Re q along q ~ w^2.
+    F(pi / (alpha L) + i beta, 2 pi f) = 0, from the start (f, beta).
 
     Each step solves dF/dbeta d_beta + dF/df d_f = -F for real d_beta and
     d_f, shortened to |d_f| <= _MAX_STEP f and to keep beta > 0.  Returns
@@ -149,8 +123,6 @@ def _newton(stack: LayeredStack, length: float, f_hz: float,
     fails RESIDUAL_GATE.
     """
     q_re = math.pi / length
-    shift = q_re / mode.wavevector.real
-    f, beta = f_hz * math.sqrt(shift), mode.wavevector.imag * shift
     done = False
     for _ in range(_NEWTON_STEPS + 1):
         omega = 2.0 * math.pi * f
@@ -184,13 +156,6 @@ def _newton(stack: LayeredStack, length: float, f_hz: float,
     return None
 
 
-def _bound_in_band(stack: LayeredStack, f_hz: float,
-                   mode: ModeSolution) -> bool:
-    """Whether Newton's root is a bound mode inside the band."""
-    return (BAND_HZ[0] <= f_hz <= BAND_HZ[1]
-            and _classify_root(stack, mode.wavevector / mode.k0) is None)
-
-
 def resonance_frequency(dipole: DipoleGeometry,
                         sheet: GrapheneSheet) -> ResonancePrediction:
     """Smallest frequency in ``BAND_HZ`` (0.1-10 THz) where the dipole is
@@ -210,15 +175,17 @@ def resonance_frequency(dipole: DipoleGeometry,
 
     g(f) = Re q(f) * alpha * L - pi increases with frequency, so no
     resonance lies in the band when g has the wrong sign at a clamped f0,
-    or when Newton's root is outside the band or not a bound mode; the
-    error names both band edges' statuses.  When the quasi-static seed
-    fails (Re q_qs underflows to 0), the cold solve raises or the Newton
-    steps run out, a 48-point log-spaced band scan of cold solves brackets
-    the first sign change of g and Newton starts from the bracket end
-    nearer the root.  The seed, the scan and the band-edge statuses share
-    one record of cold solves, so each frequency is solved at most once
-    per search.  The returned mode is the last point Newton evaluated,
-    with that evaluation's residual.
+    or when Newton's root is outside the band or not a bound mode.  Where
+    Newton from that start gives up, it starts once more from the same
+    root moved along the light line, q ~ w, which a weakly confined mode
+    follows (f0 times the ratio of the Re q); dipoles of about 50 um and
+    longer need it, because there the quasi-static move lands below the
+    cladding light line.  When both starts give up, Re q_qs underflows to
+    0 or the cold solve raises, the search has no resonance either.  Every
+    such error names both band edges' statuses; the seed and the edges
+    read one record of cold solves, so each frequency is solved at most
+    once per search.  The returned mode is the last point Newton
+    evaluated, with that evaluation's residual.
     """
     lo, hi = BAND_HZ
     stack = graphene_on_substrate(sheet, dipole.substrate_permittivity)
@@ -236,29 +203,28 @@ def resonance_frequency(dipole: DipoleGeometry,
         return record[f_hz]
 
     q_lo = quasi_static_wavevector(stack, 2.0 * math.pi * lo).real
-    found = None
-    # Re q_qs is 0 where Im sigma underflows: no seed, the band scan decides
-    if q_lo > 0.0:
-        f_seed = min(max(lo * math.sqrt(math.pi / q_lo / length), lo), hi)
-        mode = solve(f_seed)
-        if isinstance(mode, ModeSolution):
-            g = mode.wavevector.real * length - math.pi
-            # g increases with f: at a clamped seed with the wrong sign the
-            # resonance lies beyond that band edge
-            if (f_seed == hi and g < 0.0) or (f_seed == lo and g > 0.0):
-                raise _no_resonance(solve)
-            found = _newton(stack, length, f_seed, mode)
-            if found is not None and not _bound_in_band(stack, *found):
-                raise _no_resonance(solve)
+    # Re q_qs is 0 where Im sigma underflows: there is no seed
+    if not q_lo > 0.0:
+        raise _no_resonance(solve)
+    f_seed = min(max(lo * math.sqrt(math.pi / q_lo / length), lo), hi)
+    mode = solve(f_seed)
+    if not isinstance(mode, ModeSolution):
+        raise _no_resonance(solve)
+    g = mode.wavevector.real * length - math.pi
+    # g increases with f: at a clamped seed with the wrong sign the
+    # resonance lies beyond that band edge
+    if (f_seed == hi and g < 0.0) or (f_seed == lo and g > 0.0):
+        raise _no_resonance(solve)
+    shift = math.pi / length / mode.wavevector.real
+    beta = mode.wavevector.imag * shift
+    found = (_newton(stack, length, f_seed * math.sqrt(shift), beta)
+             or _newton(stack, length, f_seed * shift, beta))
     if found is None:
-        low, high = _scan_bracket(solve, length)
-        found = _newton(stack, length, *min((low, high), key=lambda end: abs(
-            end[1].wavevector.real * length - math.pi)))
-        if found is None or not _bound_in_band(stack, *found):
-            raise NoResonanceInBandError(
-                f"the Newton iteration stalled between {low[0]:.3e} and "
-                f"{high[0]:.3e} Hz")
+        raise _no_resonance(solve)
     f_res, mode = found
+    if not (lo <= f_res <= hi
+            and _classify_root(stack, mode.wavevector / mode.k0) is None):
+        raise _no_resonance(solve)
     f_metal = metal_dipole_resonance(dipole.total_length_m,
                                      dipole.substrate_permittivity)
     return ResonancePrediction(

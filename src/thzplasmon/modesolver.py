@@ -508,11 +508,16 @@ def find_mode(stack: LayeredStack, angular_frequency: float,
               initial_guess: complex | None = None) -> ModeSolution:
     """Fundamental bound TM mode of the stack at one angular frequency.
 
-    Without a guess, candidate seeds are the quasi-static estimate plus
-    deterministic scans of the mode function (the dielectric-guided band
-    between the cladding and the densest layer, then a coarse wider sweep);
-    of all converged bound roots, the one with smallest Re q is returned.
-    With a guess, only that seed is iterated (continuation use).
+    Without a guess, the cold seeds are, in order: the quasi-static
+    estimate; a nine-rung ladder just above the cladding light line,
+    x = n_clad (1 + d + 0.5i d) for d from 1e-4 to 3, for weakly confined
+    modes; where a layer is denser than the claddings, the deepest minima
+    of a 200-point scan of the dielectric-guided band between the cladding
+    and the densest layer; and, on a stack of more than two layers only,
+    those of a 48-point scan above it.  Of all converged bound roots, the
+    one with smallest Re q is returned; a sheet between two half-spaces
+    has one bound TM root, so there the search stops at the first.  With a
+    guess, only that seed is iterated (continuation use).
     """
     return _solve(stack, angular_frequency, initial_guess, {})
 

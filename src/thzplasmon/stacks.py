@@ -75,6 +75,11 @@ class LayeredStack:
                 raise ValueError(f"sheet interface {index} outside 0..{len(layers) - 2}")
         object.__setattr__(self, "sheets", MappingProxyType(sheets))
 
+    def __reduce__(self):
+        # pickle and copy rebuild from the fields through __post_init__: the
+        # sheets' read-only view cannot be pickled, and no kept fact travels
+        return (LayeredStack, (self.layers, dict(self.sheets)))
+
     # the frequency-free facts below are kept from their first use
 
     @_memoized

@@ -22,9 +22,13 @@ printed.  The exit code is 0 when no case differs and 1 otherwise.
 ``--classify`` sorts what differs instead of printing it (``classify``):
 each changed row of an emitted CSV is ulp-level (its solver root moved by
 less than ``ULP_LEVEL`` relative, and so did an antenna row's efficiency
-proxy, which rests on Im q), a larger change, failed -> ok or ok -> failed; everything else (an exit code, stderr, a header, a conductivity or
-scenario row, plot data) is "other".  It prints the count of each class
-and the case of each larger change or flip.
+proxy, which rests on Im q), a larger change (below ``BRANCH_LEVEL``), a
+branch change (both rows ok, but the root moved by ``BRANCH_LEVEL`` or
+more, where ``find_mode`` tells two roots apart), failed -> ok or
+ok -> failed; everything else (an exit code, stderr, a header, a
+conductivity or scenario row, plot data) is "other".  It prints the count
+of each class, and the case and both roots or statuses of each larger
+change, branch change or flip.
 
 Not collected by pytest: run it by hand before and after a change that must
 keep the command line's behaviour.  ``tests/test_cli.py`` runs its worker
@@ -405,12 +409,14 @@ def _short(value, width: int = 160) -> str:
 # --- sorting what a change moves (--classify) ---------------------------------
 
 ULP_LEVEL = 1e-14   # a root that moves by less, relative, moved by rounding
+BRANCH_LEVEL = 1e-8  # one that moves by more is another root to find_mode
 # columns judged with a row's root: an antenna row's f_res and its
 # efficiency proxy are the two unknowns (f, Im q) of the resonance solve
 JUDGED_ALSO = ("efficiency_proxy(1)",)
-ULP, LARGER, FIXED, BROKEN, OTHER = (
-    "ulp-level", "larger change", "failed -> ok", "ok -> failed", "other")
-CLASSES = (ULP, LARGER, FIXED, BROKEN, OTHER)
+ULP, LARGER, BRANCH, FIXED, BROKEN, OTHER = (
+    "ulp-level", "larger change", "branch change", "failed -> ok",
+    "ok -> failed", "other")
+CLASSES = (ULP, LARGER, BRANCH, FIXED, BROKEN, OTHER)
 
 
 class Change(NamedTuple):
@@ -480,8 +486,9 @@ def _csv_changes(name: str, old_text: str, new_text: str) -> list[Change]:
             b = _root(header, new)[1]
             relative = max([_relative(a, b)] + [
                 _relative(float(old[i]), float(new[i])) for i in judged])
-            changes.append(Change(ULP if relative < ULP_LEVEL else LARGER,
-                                  what, relative, a, b))
+            kind = (ULP if relative < ULP_LEVEL else
+                    LARGER if relative < BRANCH_LEVEL else BRANCH)
+            changes.append(Change(kind, what, relative, a, b))
     return changes
 
 
@@ -530,9 +537,9 @@ def classify(old: dict, new: dict) -> list[Change]:
 
 
 def _print_classes(cases: list[dict], old: list[dict], new: list[dict]) -> int:
-    """Print each class's count, the case of every larger change or flip,
-    and the count and largest relative change of each root and other item;
-    1 where a case differs, as without --classify."""
+    """Print each class's count, the case of every larger or branch change
+    or flip, and the count and largest relative change of each root and
+    other item; 1 where a case differs, as without --classify."""
     groups: dict[tuple[str, str], list[float]] = {}
     counts = dict.fromkeys(CLASSES, 0)
     differ = [(case, a, b) for case, a, b in zip(cases, old, new) if a != b]
@@ -541,7 +548,7 @@ def _print_classes(cases: list[dict], old: list[dict], new: list[dict]) -> int:
         for change in classify(a, b):
             counts[change.kind] += 1
             groups.setdefault(change[:2], []).append(change.relative)
-            if change.kind in (LARGER, FIXED, BROKEN):
+            if change.kind in (LARGER, BRANCH, FIXED, BROKEN):
                 print(f"{change.kind}: {case['id']}: {change.what} "
                       f"old {change.old!r} new {change.new!r}")
     for (kind, what), relatives in sorted(groups.items()):

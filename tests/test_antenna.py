@@ -189,10 +189,10 @@ def test_no_resonance_message_names_band_edges(length_m):
     assert message.endswith("; high edge 1.000e+13 Hz: ok)")
 
 
-def test_overflowing_seed_goes_to_the_band_scan():
+def test_overflowing_seed_names_both_band_edges():
     # on eps_r = 1e300, q_qs at 0.1 THz is finite (1.48e302 + 2.36e302j
     # rad/m), so f0 = 3.3e-138 Hz clamps to the low edge; the cold solve
-    # there fails, so the band scan runs and reports both edges
+    # there fails, so there is no start and the error reports both edges
     dipole = DipoleGeometry(8e-6, 20e-6, 1e-6, 1e300)
     with pytest.raises(NoResonanceInBandError) as info:
         resonance_frequency(dipole, SHEET_02)
@@ -204,9 +204,9 @@ def test_overflowing_seed_goes_to_the_band_scan():
         f"high edge 1.000e+13 Hz: {edge.format('1e+13')})")
 
 
-def test_underflowing_seed_goes_to_the_band_scan():
+def test_underflowing_seed_names_both_band_edges():
     # Im sigma underflows, so Re q_qs at the band's low edge is 0 and the
-    # quasi-static seed would divide by it
+    # quasi-static seed would divide by it: there is no start
     dipole = DipoleGeometry(8e-6, 20e-6, 3e-6, 3.8)
     with pytest.raises(NoResonanceInBandError) as info:
         resonance_frequency(dipole, GrapheneSheet(1e266, 1e-307))
@@ -277,8 +277,8 @@ def test_too_long_dipole_raises_at_once(ef, re_x):
         assert evals <= 500
 
 
-# 20 mm: f0 clamps to the low edge, whose cold solve raises, and the band
-# scan starts at that same edge
+# 20 mm: f0 clamps to the low edge, whose cold solve raises, so there is no
+# start
 LONG_DIPOLE = DipoleGeometry(0.05e-6, 20e-3, 1e-6, 3.8)
 
 
@@ -300,8 +300,8 @@ def test_long_dipole_message():
         "failed-seed"])
 def test_no_frequency_is_solved_twice_in_one_search(monkeypatch, dipole,
                                                     sheet, fail_seed):
-    # the seed, the band scan and the band-edge statuses read one record
-    # of cold solves
+    # the seed and the band-edge statuses read one record of cold solves;
+    # a seed whose solve fails leaves no start
     omegas = []
     real_find_mode = antenna.find_mode
 
@@ -312,11 +312,8 @@ def test_no_frequency_is_solved_twice_in_one_search(monkeypatch, dipole,
         return real_find_mode(stack, omega, guess)
 
     monkeypatch.setattr(antenna, "find_mode", recorded)
-    if fail_seed:
+    with pytest.raises(NoResonanceInBandError):
         resonance_frequency(dipole, sheet)
-    else:
-        with pytest.raises(NoResonanceInBandError):
-            resonance_frequency(dipole, sheet)
     assert len(omegas) == len(set(omegas)) > 1
 
 
@@ -344,35 +341,11 @@ def test_newton_step_is_damped(monkeypatch):
         resonance_frequency(dipole, sheet)
 
 
-def test_resonance_fallback_scan_returns_oracle_root(monkeypatch):
-    # the seed's cold solve fails, so the band scan brackets the root and
-    # Newton starts from the bracket end nearer it
-    dipole = DipoleGeometry(total_length_m=20e-6, **QUARTZ_DIPOLE)
-    fast = resonance_frequency(dipole, SHEET_02)
-    omegas = []
-    real_find_mode = antenna.find_mode
-
-    def first_cold_solve_fails(stack, omega, guess=None):
-        omegas.append(omega)
-        if len(omegas) == 1:
-            raise ConvergenceError("injected failure of the seed solve")
-        return real_find_mode(stack, omega, guess)
-
-    monkeypatch.setattr(antenna, "find_mode", first_cold_solve_fails)
-    value = resonance_frequency(dipole, SHEET_02).resonance_frequency_hz
-    # the scan's cold solves run up from the band's low edge
-    assert omegas[1] == 2.0 * math.pi * antenna.BAND_HZ[0]
-    assert omegas[1:] == sorted(omegas[1:]) and len(omegas) > 3
-    reference = _oracle_resonance(20e-6, SHEET_02)
-    assert abs(value - reference) < 1e-9 * reference
-    assert value == pytest.approx(fast.resonance_frequency_hz, rel=1e-14)
-
-
 @pytest.mark.parametrize("fault", ["overflow", "nan-derivative"])
-def test_newton_gives_up_to_the_band_scan(monkeypatch, fault):
+def test_newton_gives_up_to_the_light_line_start(monkeypatch, fault):
     # Newton's first evaluation overflows, or hands back a NaN dF/dx and so
-    # a non-finite step: the iteration gives up, and the band scan's cold
-    # solves bracket the root it then reaches
+    # a non-finite step: the first start gives up, and the start on the
+    # light line reaches the same root from the seed's one cold solve
     dipole = DipoleGeometry(total_length_m=20e-6, **QUARTZ_DIPOLE)
     fast = resonance_frequency(dipole, SHEET_02)
     real_form = antenna._form_with_derivatives
@@ -387,32 +360,69 @@ def test_newton_gives_up_to_the_band_scan(monkeypatch, fault):
             d_x = complex(math.nan, math.nan)
         return value, scale, d_x, d_w
 
-    omegas = []
+    seeds = []
     real_find_mode = antenna.find_mode
 
     def recorded(stack, omega, guess=None):
-        omegas.append(omega)
-        return real_find_mode(stack, omega, guess)
+        seeds.append(real_find_mode(stack, omega, guess))
+        return seeds[-1]
 
     monkeypatch.setattr(antenna, "_form_with_derivatives", first_form_fails)
     monkeypatch.setattr(antenna, "find_mode", recorded)
     value = resonance_frequency(dipole, SHEET_02).resonance_frequency_hz
-    # the seed's solve, then the scan's, up from the band's low edge
-    assert omegas[1] == 2.0 * math.pi * antenna.BAND_HZ[0]
-    assert omegas[1:] == sorted(omegas[1:]) and len(omegas) > 3
-    assert len(forms) > 1
-    assert value == pytest.approx(fast.resonance_frequency_hz, rel=1e-14)
+    assert len(seeds) == 1
+    # the starts move f0 by sqrt(shift) and by shift, shift being the
+    # ratio of the target Re q to the seed root's
+    shift = math.pi / 20e-6 / seeds[0].wavevector.real
+    assert forms[1] / forms[0] == pytest.approx(math.sqrt(shift), rel=1e-12)
+    assert value == fast.resonance_frequency_hz
 
 
 def test_resonance_reports_a_stalled_bracketing(monkeypatch):
-    # one Newton step cannot converge, on the fast path and from the band
-    # scan's bracket alike
+    # one Newton step cannot converge from either start, so the search
+    # ends in the band-edge error
     monkeypatch.setattr(antenna, "_NEWTON_STEPS", 1)
     dipole = DipoleGeometry(total_length_m=20e-6, **QUARTZ_DIPOLE)
-    with pytest.raises(NoResonanceInBandError,
-                       match=r"^the Newton iteration stalled between "
-                             r"\d\.\d{3}e\+12 and \d\.\d{3}e\+12 Hz$"):
+    with pytest.raises(NoResonanceInBandError) as info:
         resonance_frequency(dipole, SHEET_02)
+    assert str(info.value) == _LOW_NOT_BOUND.format("1.90996", "1.94936")
+
+
+# dipoles whose quasi-static move lands below the cladding light line: the
+# first start gives up and the one on the light line converges
+LIGHT_LINE_DIPOLES = [(200e-6, 3.8, 0.6), (100e-6, 11.9, 1.0)]
+
+
+@pytest.mark.parametrize("length_m, eps, ef", LIGHT_LINE_DIPOLES,
+                         ids=["200um-quartz", "100um-silicon"])
+def test_long_dipole_restarts_on_the_light_line(monkeypatch, length_m, eps,
+                                                ef):
+    sheet = GrapheneSheet(ef, 1e-12)
+    dipole = DipoleGeometry(8e-6, length_m, 3e-6, eps)
+    results = []
+    real_newton = antenna._newton
+
+    def recorded(*args):
+        results.append(real_newton(*args))
+        return results[-1]
+
+    omegas = []
+    real_find_mode = antenna.find_mode
+
+    def cold(stack, omega, guess=None):
+        omegas.append(omega)
+        return real_find_mode(stack, omega, guess)
+
+    monkeypatch.setattr(antenna, "_newton", recorded)
+    monkeypatch.setattr(antenna, "find_mode", cold)
+    prediction = resonance_frequency(dipole, sheet)
+    # both starts come from the seed's one cold solve
+    assert len(omegas) == 1
+    assert results[0] is None and len(results) == 2
+    assert results[1][0] == prediction.resonance_frequency_hz
+    reference = oracles.resonance_frequency_oracle(
+        length_m, eps, lambda omega: intraband_conductivity(sheet, omega))
+    assert abs(prediction.resonance_frequency_hz - reference) < 1e-9 * reference
 
 
 @pytest.mark.parametrize("ef, tau_ps, eps, f_hz, x", [

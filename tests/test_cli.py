@@ -740,8 +740,11 @@ def _run(*rows, code=0, stderr="", name="out.csv"):
     (_run(DISPERSION, "1,7.2e5,5.5e4,1e-17,ok"),
      _run(DISPERSION, f"1,{ULP_UP},5.5e4,3e-17,ok"),
      (compare_trees.ULP, "dispersion q")),
-    (_run(STACK, "0.2,2.1,77.3,ok"), _run(STACK, "0.2,2.1,77.4,ok"),
+    (_run(STACK, "0.2,2.1,77.3,ok"), _run(STACK, "0.2,2.1,77.30001,ok"),
      (compare_trees.LARGER, "stack x")),
+    # a root moved by 1e-8 or more is another root to find_mode
+    (_run(STACK, "0.2,2.1,77.3,ok"), _run(STACK, "0.2,2.1,77.4,ok"),
+     (compare_trees.BRANCH, "stack x")),
     (_run(ANTENNA, "10,,,failed:no resonance"), _run(ANTENNA, "10,2.06,9.6,ok"),
      (compare_trees.FIXED, "out.csv")),
     (_run(ANTENNA, "10,2.06,9.6,ok"), _run(ANTENNA, "10,,,failed:no resonance"),
@@ -758,10 +761,10 @@ def _run(*rows, code=0, stderr="", name="out.csv"):
      _run(ANTENNA_PROXY, f"10,2.06,9.6,{math.nextafter(0.52, 1.0)!r},ok"),
      (compare_trees.ULP, "antenna f_res")),
     (_run(ANTENNA_PROXY, "10,2.06,9.6,0.52,ok"),
-     _run(ANTENNA_PROXY, "10,2.06,9.6,0.53,ok"),
+     _run(ANTENNA_PROXY, "10,2.06,9.6,0.520000001,ok"),
      (compare_trees.LARGER, "antenna f_res")),
-], ids=["ulp-level", "larger", "failed-to-ok", "ok-to-failed", "conductivity",
-        "scenario", "header", "antenna proxy ulp-level",
+], ids=["ulp-level", "larger", "branch", "failed-to-ok", "ok-to-failed",
+        "conductivity", "scenario", "header", "antenna proxy ulp-level",
         "antenna proxy larger"])
 def test_classify_sorts_each_changed_row(old, new, expected):
     assert [change[:2] for change in compare_trees.classify(old, new)] == [expected]
@@ -772,11 +775,11 @@ def test_classify_measures_the_root_of_a_row():
     ulp, = compare_trees.classify(_run(DISPERSION, "1,7.2e5,5.5e4,1e-17,ok"),
                                   _run(DISPERSION, f"1,{ULP_UP},5.5e4,0,ok"))
     assert ulp.relative == math.ulp(7.2e5) / abs(7.2e5 + 5.5e4j)
-    larger, = compare_trees.classify(_run(STACK, "0.2,2.1,77.3,ok"),
-                                     _run(STACK, "0.2,2.1,77.4,ok"))
+    moved, = compare_trees.classify(_run(STACK, "0.2,2.1,77.3,ok"),
+                                    _run(STACK, "0.2,2.1,77.4,ok"))
     im_x = [2.1 / (4.0 * math.pi * lp) for lp in (77.3, 77.4)]
-    assert (larger.old, larger.new) == (complex(2.1, im_x[0]), complex(2.1, im_x[1]))
-    assert larger.relative == pytest.approx((im_x[0] - im_x[1]) / abs(larger.old))
+    assert (moved.old, moved.new) == (complex(2.1, im_x[0]), complex(2.1, im_x[1]))
+    assert moved.relative == pytest.approx((im_x[0] - im_x[1]) / abs(moved.old))
 
 
 def test_classify_sorts_other_items():
@@ -794,16 +797,19 @@ def test_classify_sorts_other_items():
 
 def test_classify_prints_one_count_per_class(capsys):
     olds = [_run(DISPERSION, "1,7.2e5,5.5e4,1e-17,ok", "2,9e5,6e4,1e-17,ok"),
-            _run(ANTENNA, "10,2.06,9.6,ok"), _run(ANTENNA, "10,2.06,9.6,ok")]
+            _run(ANTENNA, "10,2.06,9.6,ok", "20,1.03,4.8,ok"),
+            _run(ANTENNA, "10,2.06,9.6,ok")]
     news = [_run(DISPERSION, f"1,{ULP_UP},5.5e4,1e-17,ok", "2,9e5,6e4,2e-17,ok"),
-            _run(ANTENNA, "10,2.07,9.6,ok"), olds[2]]
+            _run(ANTENNA, "10,2.0600000001,9.6,ok", "20,1.04,4.8,ok"), olds[2]]
     cases = [{"id": "a"}, {"id": "b"}, {"id": "c"}]
     assert compare_trees._print_classes(cases, olds, news) == 1
     out = capsys.readouterr().out.splitlines()
-    assert out[:2] == ["2 of 3 cases differ",
-                       "larger change: b: antenna f_res old 2.06 new 2.07"]
-    assert out[-5:] == ["ulp-level: 2", "larger change: 1", "failed -> ok: 0",
-                        "ok -> failed: 0", "other: 0"]
+    assert out[:3] == [
+        "2 of 3 cases differ",
+        "larger change: b: antenna f_res old 2.06 new 2.0600000001",
+        "branch change: b: antenna f_res old 1.03 new 1.04"]
+    assert out[-6:] == ["ulp-level: 2", "larger change: 1", "branch change: 1",
+                        "failed -> ok: 0", "ok -> failed: 0", "other: 0"]
     assert compare_trees._print_classes(cases, olds, olds) == 0
 
 if __name__ == "__main__":

@@ -1291,6 +1291,27 @@ def test_new_objects_do_not_inherit_kept_facts():
                                                         omega)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: preset_stack("G", GrapheneSheet(0.4, 1e-12)),
+    lambda: preset_stack("H1G", GrapheneSheet(0.4, 1e-12)),
+    lambda: preset_stack("H2G", GrapheneSheet(0.4, 1e-12)),
+    lambda: _two_sheet_h2g(0.4),
+], ids=["G", "H1G", "H2G", "two-sheet"])
+def test_stack_copies_rebuild_from_the_fields(make):
+    # a solved stack pickles and copies; each copy is rebuilt through
+    # __post_init__, so it keeps nothing beyond its fields and solves to
+    # the same bits
+    omega = 2.0 * math.pi * 4e12
+    stack = make()
+    expected = _mode_bits(make(), omega)
+    find_mode(stack, omega)
+    for copied in (pickle.loads(pickle.dumps(stack)), copy.copy(stack),
+                   copy.deepcopy(stack)):
+        assert copied == stack and repr(copied) == repr(stack)
+        assert sorted(vars(copied)) == ["layers", "sheets"]
+        assert _mode_bits(copied, omega) == expected
+
+
 # --- bit identity ------------------------------------------------------------
 
 SOLVER_BITS = Path(__file__).parent / "data" / "solver_bits.json"

@@ -115,12 +115,23 @@ def test_long_dipole_evaluation_count():
         with pytest.raises(NoResonanceInBandError):
             resonance_frequency(long_dipole, sheet)
 
-    # f0 clamps to the low edge, whose cold solve raises (137); the band
-    # scan reads that failure from the search's record, then solves five
-    # more non-bound points (681) and the first bound one, where
-    # g >= 0 (39), and the high edge's status is one more cold solve (5).
-    # Solving the low edge again in the scan made it 999
-    assert oracles.count_evals(call) == 862
+    # f0 clamps to the low edge, whose cold solve raises (137), so there is
+    # no start; the high edge's status is one more cold solve (5).  The
+    # 48-point band scan that once followed took 862, and 999 when it
+    # solved the low edge again
+    assert oracles.count_evals(call) == 142
+
+
+@pytest.mark.parametrize("length_m, eps, ef, expected", [
+    (200e-6, 3.8, 0.6, 163), (100e-6, 11.9, 1.0, 160)],
+    ids=["200um-quartz", "100um-silicon"])
+def test_light_line_restart_evaluation_count(length_m, eps, ef, expected):
+    # the seed's cold solve, the first start, which gives up, and the
+    # start on the light line; the 48-point band scan took 2 142 and 2 407
+    dipole = DipoleGeometry(8e-6, length_m, 3e-6, eps)
+    sheet = GrapheneSheet(ef, 1e-12)
+    assert oracles.count_evals(
+        lambda: resonance_frequency(dipole, sheet)) == expected
 
 
 def _drude_weight_calls(call) -> int:

@@ -181,8 +181,8 @@ def test_public_api_is_finite_or_raises_a_documented_error(
                    end_correction)
     if dipole is not None:
         # on a sheet of the physical ranges: one far outside them has no
-        # bound mode in the band, and its band scan of 48 cold solves then
-        # takes about 0.2 s
+        # bound mode in the band, so its search would end at the band-edge
+        # error every time
         check(resonance_frequency, dipole, dipole_sheet)
     sheet = check(GrapheneSheet, ef, tau, temperature)
     if sheet is None:
