@@ -417,19 +417,16 @@ def _relative_value(term: complex | None, parts) -> float:
         return math.inf
 
 
-def _scan_seeds(term: complex, geometry, store: dict, lo: float, hi: float,
-                count: int) -> list[complex]:
-    """Local minima of the relative mode function along a near-real segment
-    (Im x = _SCAN_IMAG_FRAC Re x), the deepest six first.  The values are
-    the row's sheet term applied to the sheet-free parts that ``store``
-    keeps for this scan size; they are built anew when the stored ones are
-    for another (lo, hi, geometry)."""
-    if hi <= lo:
-        return []
-    step = (hi - lo) / (count - 1)
-    points = [complex(p, _SCAN_IMAG_FRAC * p)
-              for p in [lo + i * step for i in range(count)]]
-    key = (lo, hi, geometry)
+def _scan_seeds(term: complex, geometry, store: dict,
+                reals: list[float]) -> list[complex]:
+    """Local minima of the relative mode function at the given real parts
+    along a near-real line (Im x = _SCAN_IMAG_FRAC Re x), the deepest six
+    first.  The values are the row's sheet term applied to the sheet-free
+    parts that ``store`` keeps for this scan size; they are built anew when
+    the stored ones are for other points or another geometry."""
+    count = len(reals)
+    points = [complex(p, _SCAN_IMAG_FRAC * p) for p in reals]
+    key = (reals, geometry)
     stored = store.get(count)
     if stored is None or stored[0] != key:
         stored = store[count] = (
@@ -440,6 +437,14 @@ def _scan_seeds(term: complex, geometry, store: dict, lo: float, hi: float,
               and math.isfinite(values[i])]
     minima.sort(key=lambda item: item[0])
     return [z for _, z in minima[:6]]
+
+
+def _linear(lo: float, hi: float, count: int) -> list[float]:
+    """count evenly spaced points from lo to hi, none if hi <= lo."""
+    if hi <= lo:
+        return []
+    step = (hi - lo) / (count - 1)
+    return [lo + i * step for i in range(count)]
 
 
 def _solve(stack: LayeredStack, angular_frequency: float,
@@ -456,29 +461,53 @@ def _solve(stack: LayeredStack, angular_frequency: float,
         return _with_term(term, _mode_function(x, geometry))
 
     n_clad = stack.max_cladding_index
+    layers = stack.layers
     if initial_guess is not None:
         seeds = [initial_guess / k0]
+        late = 1
     else:
         seeds = [quasi_static_wavevector(stack, angular_frequency) / k0]
+        if len(layers) > 2:
+            # at large q the sheet sees the layers next to it, not the
+            # claddings the quasi-static estimate sums
+            ref = stack.top_sheet_interface
+            seeds.append(seeds[0] * (
+                (layers[ref].relative_permittivity
+                 + layers[ref + 1].relative_permittivity)
+                / (layers[0].relative_permittivity
+                   + layers[-1].relative_permittivity)))
         # weakly confined modes hug the cladding light line; a geometric
         # offset ladder reaches them when the quasi-static seed is far off
-        seeds += [n_clad * (1.0 + d + 0.5j * d)
+        ladder = [n_clad * (1.0 + d + 0.5j * d)
                   for d in (1e-4, 1e-3, 3e-3, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0)]
+        seeds.append(ladder[0])
         n_max = stack.max_layer_index
         if n_max > n_clad:
-            # dielectric-guided band: sharp minima live here for hybrid stacks
-            seeds += _scan_seeds(term, geometry, store, n_clad * 1.000001,
-                                 n_max + 1.0, 200)
-        if len(stack.layers) > 2:
+            # dielectric-guided band: sharp minima live here for hybrid
+            # stacks, the weakly guided ones close to the light line, so
+            # 16 log-spaced offsets n_clad (1 + 1e-6 ... 1e-1) lead in, the
+            # last of them the first point of the linear part
+            hi = n_max + 1.0
+            reals = [n_clad * (1.0 + 10.0 ** (k / 3.0 - 6.0)) for k in range(15)]
+            reals = [r for r in reals if r < hi] + _linear(n_clad * 1.1, hi, 200)
+            seeds += _scan_seeds(term, geometry, store, reals)
+        if len(layers) > 2:
             hi = max(2.0 * abs(seeds[0]), n_max + 2.0, 50.0)
-            seeds += _scan_seeds(term, geometry, store, n_max + 1.0, hi, 48)
+            seeds += _scan_seeds(term, geometry, store,
+                                 _linear(n_max + 1.0, hi, 48))
+        late = len(seeds)
+        seeds += ladder[1:]
 
     # a single sheet between two half-spaces has exactly one bound TM root,
-    # so the first bound hit is the fundamental and the search can stop
-    single_root = len(stack.layers) == 2
+    # so the first bound hit is the fundamental and the search can stop;
+    # elsewhere the seeds from index late on, the ladder's last eight
+    # rungs, only look for a root while none was found
+    single_root = len(layers) == 2
     bound: list[tuple[complex, float]] = []
     unbound_reason: str | None = None
-    for seed in seeds:
+    for i, seed in enumerate(seeds):
+        if bound and (single_root or i >= late):
+            break
         found = _muller_polish(fn, seed)
         if found is None:
             continue
@@ -491,8 +520,6 @@ def _solve(stack: LayeredStack, angular_frequency: float,
             continue
         if not any(abs(root - r) < 1e-8 * abs(r) for r, _ in bound):
             bound.append((root, rel))
-            if single_root:
-                break
 
     if not bound:
         if unbound_reason is not None:
@@ -509,15 +536,20 @@ def find_mode(stack: LayeredStack, angular_frequency: float,
     """Fundamental bound TM mode of the stack at one angular frequency.
 
     Without a guess, the cold seeds are, in order: the quasi-static
-    estimate; a nine-rung ladder just above the cladding light line,
-    x = n_clad (1 + d + 0.5i d) for d from 1e-4 to 3, for weakly confined
-    modes; where a layer is denser than the claddings, the deepest minima
-    of a 200-point scan of the dielectric-guided band between the cladding
-    and the densest layer; and, on a stack of more than two layers only,
-    those of a 48-point scan above it.  Of all converged bound roots, the
-    one with smallest Re q is returned; a sheet between two half-spaces
-    has one bound TM root, so there the search stops at the first.  With a
-    guess, only that seed is iterated (continuation use).
+    estimate; on a stack of more than two layers, that estimate scaled by
+    (eps above + eps below the top sheet) / (eps top + eps bottom cladding),
+    since a tightly confined plasmon sees the layers next to it; the first
+    rung of a ladder just above the cladding light line,
+    x = n_clad (1 + d + 0.5i d) with d = 1e-4; where a layer is denser than
+    the claddings, the deepest minima of a 215-point scan of the
+    dielectric-guided band (16 log-spaced points n_clad (1 + 1e-6 ... 1e-1),
+    then linear up to the densest layer's index + 1); on a stack of more
+    than two layers, those of a 48-point scan above it; and the ladder's
+    other eight rungs, d from 1e-3 to 3, only while no bound root has been
+    found.  Of all converged bound roots, the one with smallest Re q is
+    returned; a sheet between two half-spaces has one bound TM root, so
+    there the search stops at the first.  With a guess, only that seed is
+    iterated (continuation use).
     """
     return _solve(stack, angular_frequency, initial_guess, {})
 
@@ -526,8 +558,10 @@ def trace_dispersion(stack: LayeredStack, frequencies_hz) -> list[TracePoint]:
     """Solve the stack across a frequency grid with continuation.
 
     The first point starts from the default seeds; each later point starts
-    from the last converged root.  Solver errors and invalid points
-    (ValueError) are recorded as failed points and do not abort the trace.
+    from the last converged root, and where that continued solve raises a
+    ModeSolverError the point is solved again with the cold seeds.  Solver
+    errors and invalid points (ValueError) are recorded as failed points
+    and do not abort the trace.
     """
     freqs = [float(f) for f in frequencies_hz]
     if not freqs:
@@ -541,7 +575,13 @@ def trace_dispersion(stack: LayeredStack, frequencies_hz) -> list[TracePoint]:
         # the bound region (q/k0 would otherwise drop below the claddings)
         guess = guess_index * (2.0 * math.pi * f / C0) if guess_index else None
         try:
-            solution = find_mode(stack, 2.0 * math.pi * f, guess)
+            try:
+                solution = find_mode(stack, 2.0 * math.pi * f, guess)
+            except ModeSolverError:
+                if guess is None:
+                    raise
+                # the continued seed lost the root: solve this point cold
+                solution = find_mode(stack, 2.0 * math.pi * f)
             guess_index = solution.wavevector / solution.k0
             points.append(TracePoint(f, solution, "ok"))
         except (ModeSolverError, ValueError) as err:

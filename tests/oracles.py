@@ -6,8 +6,9 @@ vectorized brute-force scan of the complex wavevector plane, from an
 algebraic quartic reduction solved with numpy's eigenvalue-based root
 finder and from mpmath's root finder at 30 digits, which also evaluates
 the two-half-space mode condition and its bilinear form for value and
-derivative checks.  Frozen constants below were produced by these same
-routines.
+derivative checks.  Layered stacks get an mpmath field transfer-matrix
+residual of the mode condition.  Frozen constants below were produced by
+these same routines.
 The one helper that touches the package, count_evals, only counts its
 mode-function evaluations, for the tests that pin them.
 """
@@ -274,6 +275,66 @@ def resonance_frequency_oracle(total_length_m, eps_substrate, sigma_of_omega,
         else:
             f2 = mid
     return 0.5 * (f1 + f2)
+
+
+# ---------------------------------------------------------------------------
+# layered stacks (any number of layers and sheets)
+
+def layered_mode_residual(layers, sheets, q, omega, dps=40):
+    """Relative residual of the TM guided-mode condition of a layered stack
+    at in-plane wavevector q (rad/m), from field transfer matrices at dps
+    digits.
+
+    layers: ((eps, thickness m or None), ...) from the top cladding to the
+    bottom one; sheets: {interface i: sigma (S)}, interface i lying below
+    layers[i].  With z upward, H_y = A e^{kz} + B e^{-kz} in each layer,
+    k = sqrt(q^2 - eps k0^2) with Re k >= 0, and F = (dH_y/dz) / eps, which
+    is continuous (it is proportional to E_x); crossing a sheet upward
+    raises H_y by g F, g = i sigma / (w eps0).  Each cladding's decaying
+    field, (H_y, F) = (1, k/eps) below and (1, -k/eps) above, is carried
+    through the layers to the uppermost sheet with the cosh/sinh matrix,
+    the direction in which a bound field grows, so no leg cancels.  A mode
+    makes the lower leg, raised across that sheet, parallel to the upper
+    leg: det[(h_b + g f_b, f_b), (h_a, f_a)] = 0, returned as |det| over the
+    sum of the magnitudes of its terms."""
+    from mpmath import cosh, mp, mpc, mpf, sinh, sqrt
+    mp.dps = dps
+    omega = mpf(repr(float(omega)))
+    k0 = omega / mpf(repr(sc.c))
+    q = mpc(repr(complex(q).real), repr(complex(q).imag))
+
+    def mp_float(value):
+        return mpf(repr(float(value)))
+
+    def decay(eps):
+        k = sqrt(q * q - mp_float(eps) * k0 * k0)
+        return -k if k.real < 0 else k
+
+    def jump(i):
+        sigma = complex(sheets[i])
+        return (mpc(0, 1) * mpc(repr(sigma.real), repr(sigma.imag))
+                / (omega * mp_float(sc.epsilon_0)))
+
+    def carry(h, f, eps, thickness, sign):
+        # across one layer, up (sign +1) or down (sign -1)
+        k, e = decay(eps), mp_float(eps)
+        kd = k * mp_float(thickness)
+        c, s = cosh(kd), sign * sinh(kd)
+        return c * h + e / k * s * f, k / e * s * h + c * f
+
+    ref = min(sheets)
+    eps = layers[-1][0]
+    h_b, f_b = mpc(1), decay(eps) / mp_float(eps)
+    for i in range(len(layers) - 2, ref, -1):
+        if i in sheets:
+            h_b += jump(i) * f_b
+        h_b, f_b = carry(h_b, f_b, *layers[i], 1)
+    eps = layers[0][0]
+    h_a, f_a = mpc(1), -decay(eps) / mp_float(eps)
+    for i in range(1, ref + 1):
+        h_a, f_a = carry(h_a, f_a, *layers[i], -1)
+    terms = (h_b * f_a, jump(ref) * f_b * f_a, -f_b * h_a)
+    return float(abs(sum(terms)) / sum(abs(t) for t in terms))
 
 
 # ---------------------------------------------------------------------------
