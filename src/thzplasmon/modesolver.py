@@ -417,21 +417,19 @@ def _relative_value(term: complex | None, parts) -> float:
         return math.inf
 
 
-def _scan_seeds(term: complex, geometry, store: dict,
+def _scan_seeds(term: complex, geometry, store: list,
                 reals: list[float]) -> list[complex]:
     """Local minima of the relative mode function at the given real parts
     along a near-real line (Im x = _SCAN_IMAG_FRAC Re x), the deepest six
     first.  The values are the row's sheet term applied to the sheet-free
-    parts that ``store`` keeps for this scan size; they are built anew when
-    the stored ones are for other points or another geometry."""
+    parts that ``store``, a one-slot list, keeps for the last scan; they
+    are built anew when those are for other points or another geometry."""
     count = len(reals)
     points = [complex(p, _SCAN_IMAG_FRAC * p) for p in reals]
     key = (reals, geometry)
-    stored = store.get(count)
-    if stored is None or stored[0] != key:
-        stored = store[count] = (
-            key, [_sheet_free_parts(geometry, x) for x in points])
-    values = [_relative_value(term, parts) for parts in stored[1]]
+    if not store or store[0][0] != key:
+        store[:] = [(key, [_sheet_free_parts(geometry, x) for x in points])]
+    values = [_relative_value(term, parts) for parts in store[0][1]]
     minima = [(values[i], points[i]) for i in range(1, count - 1)
               if values[i] < values[i - 1] and values[i] < values[i + 1]
               and math.isfinite(values[i])]
@@ -448,12 +446,15 @@ def _linear(lo: float, hi: float, count: int) -> list[float]:
 
 
 def _solve(stack: LayeredStack, angular_frequency: float,
-           initial_guess: complex | None, store: dict) -> ModeSolution:
-    """find_mode's seeds, polish and root selection.  A root's residual is
-    the (value, scale) pair Muller's method evaluated it at, so no root is
-    evaluated again.  ``store`` keeps the seed scans' sheet-free parts
-    (_scan_seeds) for later solves: those of stacks with equal walks at this
-    frequency, such as one sweep's single-sheet rows, take them unbuilt."""
+           initial_guess: complex | None, store: list) -> ModeSolution:
+    """find_mode's seeds, polish and root selection: every seed before
+    index ``late`` is polished and the bound root of smallest Re x wins;
+    the seeds from ``late`` on only look for a root while none was found.
+    A root's residual is the (value, scale) pair Muller's method evaluated
+    it at, so no root is evaluated again.  ``store`` keeps the band scan's
+    sheet-free parts (_scan_seeds) for later solves: those of stacks with
+    equal walks at this frequency, such as one sweep's single-sheet rows,
+    take them unbuilt."""
     term, geometry = _mode_problem(stack, angular_frequency)
     k0 = geometry[0]
 
@@ -464,9 +465,13 @@ def _solve(stack: LayeredStack, angular_frequency: float,
     layers = stack.layers
     if initial_guess is not None:
         seeds = [initial_guess / k0]
-        late = 1
+        ladder = []
     else:
         seeds = [quasi_static_wavevector(stack, angular_frequency) / k0]
+        # weakly confined modes hug the cladding light line; a geometric
+        # offset ladder reaches them when the quasi-static seed is far off
+        ladder = [n_clad * (1.0 + d + 0.5j * d)
+                  for d in (1e-4, 1e-3, 3e-3, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0)]
         if len(layers) > 2:
             # at large q the sheet sees the layers next to it, not the
             # claddings the quasi-static estimate sums
@@ -476,11 +481,8 @@ def _solve(stack: LayeredStack, angular_frequency: float,
                  + layers[ref + 1].relative_permittivity)
                 / (layers[0].relative_permittivity
                    + layers[-1].relative_permittivity)))
-        # weakly confined modes hug the cladding light line; a geometric
-        # offset ladder reaches them when the quasi-static seed is far off
-        ladder = [n_clad * (1.0 + d + 0.5j * d)
-                  for d in (1e-4, 1e-3, 3e-3, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0)]
-        seeds.append(ladder[0])
+            seeds.append(ladder.pop(0))
+        # only a stack of more than two layers has a band or a second sheet
         n_max = stack.max_layer_index
         if n_max > n_clad:
             # dielectric-guided band: sharp minima live here for hybrid
@@ -491,22 +493,19 @@ def _solve(stack: LayeredStack, angular_frequency: float,
             reals = [n_clad * (1.0 + 10.0 ** (k / 3.0 - 6.0)) for k in range(15)]
             reals = [r for r in reals if r < hi] + _linear(n_clad * 1.1, hi, 200)
             seeds += _scan_seeds(term, geometry, store, reals)
-        if len(layers) > 2:
+        if len(stack.sheets) > 1:
+            # a second sheet's term in the bottom walk can put the
+            # fundamental root above the band
             hi = max(2.0 * abs(seeds[0]), n_max + 2.0, 50.0)
             seeds += _scan_seeds(term, geometry, store,
                                  _linear(n_max + 1.0, hi, 48))
-        late = len(seeds)
-        seeds += ladder[1:]
+    late = len(seeds)
+    seeds += ladder
 
-    # a single sheet between two half-spaces has exactly one bound TM root,
-    # so the first bound hit is the fundamental and the search can stop;
-    # elsewhere the seeds from index late on, the ladder's last eight
-    # rungs, only look for a root while none was found
-    single_root = len(layers) == 2
     bound: list[tuple[complex, float]] = []
     unbound_reason: str | None = None
     for i, seed in enumerate(seeds):
-        if bound and (single_root or i >= late):
+        if bound and i >= late:
             break
         found = _muller_polish(fn, seed)
         if found is None:
@@ -535,23 +534,23 @@ def find_mode(stack: LayeredStack, angular_frequency: float,
               initial_guess: complex | None = None) -> ModeSolution:
     """Fundamental bound TM mode of the stack at one angular frequency.
 
-    Without a guess, the cold seeds are, in order: the quasi-static
-    estimate; on a stack of more than two layers, that estimate scaled by
+    Without a guess, the early seeds are the quasi-static estimate and, on
+    a stack of more than two layers, in order: that estimate scaled by
     (eps above + eps below the top sheet) / (eps top + eps bottom cladding),
     since a tightly confined plasmon sees the layers next to it; the first
     rung of a ladder just above the cladding light line,
     x = n_clad (1 + d + 0.5i d) with d = 1e-4; where a layer is denser than
     the claddings, the deepest minima of a 215-point scan of the
     dielectric-guided band (16 log-spaced points n_clad (1 + 1e-6 ... 1e-1),
-    then linear up to the densest layer's index + 1); on a stack of more
-    than two layers, those of a 48-point scan above it; and the ladder's
-    other eight rungs, d from 1e-3 to 3, only while no bound root has been
-    found.  Of all converged bound roots, the one with smallest Re q is
-    returned; a sheet between two half-spaces has one bound TM root, so
-    there the search stops at the first.  With a guess, only that seed is
+    then linear up to the densest layer's index + 1); and on a stack with
+    more than one sheet, those of a 48-point scan above it.  Every early
+    seed is polished, and of the bound roots they reach the one with
+    smallest Re q is returned.  The ladder's other rungs, d up to 3 (all
+    nine between two half-spaces), are polished in order only while no
+    bound root has been found.  With a guess, only that seed is
     iterated (continuation use).
     """
-    return _solve(stack, angular_frequency, initial_guess, {})
+    return _solve(stack, angular_frequency, initial_guess, [])
 
 
 def trace_dispersion(stack: LayeredStack, frequencies_hz) -> list[TracePoint]:
@@ -600,9 +599,9 @@ def stack_metrics_sweep(stack: LayeredStack, frequency_hz: float,
     """
     omega = 2.0 * math.pi * frequency_hz
     grid = [float(ef) for ef in chemical_potentials_ev]
-    # the rows share the scans' parts while their walks are equal: with one
-    # sheet, at the reference interface, no walk holds the retuned term
-    store: dict = {}
+    # the rows share the band scan's parts while their walks are equal: with
+    # one sheet, at the reference interface, no walk holds the retuned term
+    store: list = []
     rows: list[StackMetricsRow] = []
     for ef in grid:
         try:

@@ -619,7 +619,8 @@ def test_muller_nudges_a_flat_parabola_and_gives_up():
 def test_inverted_scan_band_is_skipped(monkeypatch):
     # at cladding index 1e7 the dielectric band's first point lies 1e-6
     # above it, past the 1 um film's index + 1, so that scan has no points:
-    # it gives no seeds and evaluates nothing
+    # it gives no seeds and evaluates nothing, and with one sheet it is the
+    # only scan
     scans = []
     scan = modesolver._scan_seeds
 
@@ -634,8 +635,7 @@ def test_inverted_scan_band_is_skipped(monkeypatch):
     stack = LayeredStack((clad, DielectricLayer(1e14 + 1e8, 1e-6), clad),
                          {0: SHEET_02})
     mode = find_mode(stack, OMEGA_1THZ)
-    assert scans[0] == (0, 0, [])
-    assert [(points, evals) for points, evals, _ in scans] == [(0, 0), (48, 48)]
+    assert scans == [(0, 0, [])]
     assert mode.wavevector.real > stack.max_cladding_index * OMEGA_1THZ / C0
 
 
@@ -873,6 +873,24 @@ def test_two_half_space_cold_seeds_are_the_quasi_static_seed_then_the_ladder(
     assert bound == (outcome[0] is not NonBoundModeError)
 
 
+def test_a_second_sheet_root_is_reached_from_the_48_point_scan():
+    # with two sheets the fundamental root can lie above the dielectric
+    # band, where neither quasi-static seed nor a rung converges to a bound
+    # root; only the scan above the band reaches it
+    stack = _sheets_around_silicon(0.1338e-12)
+    f_hz = 0.9887e12
+    mode = find_mode(stack, 2.0 * math.pi * f_hz)
+    x = mode.wavevector / mode.k0
+    assert x.real > math.sqrt(3.8) and x.imag > 0.0
+    assert abs(x - (13.19987 + 6.45230j)) <= 1e-6 * abs(x)
+    sigmas = {i: oracles.mp_conductivity(sheet.chemical_potential_ev,
+                                         sheet.relaxation_time_s, f_hz)
+              for i, sheet in stack.sheets.items()}
+    layers = ((1.0, None), (11.9, 2.808e-6), (3.8, None))
+    assert oracles.layered_mode_residual(
+        layers, sigmas, mode.wavevector, 2.0 * math.pi * f_hz) <= 1e-15
+
+
 # --- dispersion traces -------------------------------------------------------
 
 def test_trace_single_point_equals_find_mode():
@@ -1084,11 +1102,10 @@ def test_stack_sweep_rows_equal_lone_find_mode_bit_for_bit(preset, f_thz):
     lone_evals = oracles.count_evals(lambda: expected.extend(
         _find_mode_rows(stack, f_thz * 1e12, SHARED_SCAN_GRID)))
     assert [_row_bits(row) for row in rows] == expected
-    # the same seeds, polished alike: the valid rows save exactly their 215 +
-    # 48 scan points, less the walk pairs the sweep builds (the 48-point
-    # scan again where its top moves, once at 4 and 7 THz)
-    built = 263 if f_thz == 1.5 else 311
-    assert lone_evals - sweep_evals == 263 * (len(SHARED_SCAN_GRID) - 1) - built
+    # the same seeds, polished alike: every valid row but the one that
+    # builds it saves the 215 walk pairs of the band scan, the one scan a
+    # single-sheet stack runs
+    assert lone_evals - sweep_evals == 215 * (len(SHARED_SCAN_GRID) - 2)
     assert rows[0].status == "failed:chemical_potential_ev must be >= 0"
     assert all(row.status == "ok" for row in rows[1:])
 
@@ -1216,6 +1233,14 @@ def _two_sheet_stack():
         {0: sheet, 2: sheet})
 
 
+def _sheets_around_silicon(tau_s):
+    # vacuum | 0.3935 eV | 2.808 um silicon | 0.592 eV | quartz
+    return LayeredStack(
+        (DielectricLayer(1.0), DielectricLayer(11.9, 2.808e-6),
+         DielectricLayer(3.8)),
+        {0: GrapheneSheet(0.3935, tau_s), 1: GrapheneSheet(0.592, tau_s)})
+
+
 def test_two_sheet_stack_sweep_scans_every_row():
     # a second sheet puts its term into a walk, so no scan can be shared:
     # the sweep makes exactly the evaluations of its rows' lone solves
@@ -1231,12 +1256,12 @@ def test_two_sheet_stack_sweep_scans_every_row():
     assert all(row.status == "ok" for row in rows)
 
 
-@pytest.mark.parametrize("preset, expected", [("H1G", 1518), ("H2G", 1585)],
+@pytest.mark.parametrize("preset, expected", [("H1G", 1378), ("H2G", 1448)],
                          ids=["H1G", "H2G"])
 def test_stack_sweep_evaluation_count(preset, expected):
     # 9 points, 0.2-1.0 eV, 0.6 ps, 4 THz: the rows share the 215-point band
-    # scan and the 48-point scan, whose sheet-free parts are built and
-    # counted once
+    # scan, whose sheet-free parts are built and counted once; with one
+    # sheet there is no 48-point scan
     stack = preset_stack(preset, GrapheneSheet(0.2, 0.6e-12))
     grid = [0.2 + 0.1 * i for i in range(9)]
     evals = oracles.count_evals(lambda: stack_metrics_sweep(stack, 4e12, grid))
@@ -1448,9 +1473,19 @@ def _hex(z: complex) -> str:
     return f"{z.real.hex()} {z.imag.hex()}"
 
 
+def _cold_root_bits(bits: dict, stack, label: str, f_thz: float):
+    key = f"find_mode {label} {f_thz} THz"
+    try:
+        mode = find_mode(stack, 2.0 * math.pi * f_thz * 1e12)
+        bits[key] = [_hex(mode.wavevector), mode.residual.hex()]
+    except ModeSolverError as err:
+        bits[key] = f"{type(err).__name__}: {err}"
+
+
 def solver_bits() -> dict:
-    """float.hex of cold roots (or the error of a solve that raises),
-    off-mode residuals and scales, a dispersion trace and three resonances.
+    """float.hex of cold roots (or the error of a solve that raises) on
+    single- and two-sheet stacks, off-mode residuals and scales, a
+    dispersion trace and three resonances.
     A kernel rewrite that claims the same IEEE operations must reproduce
     every bit."""
     bits = {}
@@ -1462,18 +1497,20 @@ def solver_bits() -> dict:
                     stack = stack.reversed()
                 label = f"{name}{' reversed' if flipped else ''} {ef} eV"
                 for f_thz in (0.5, 1.5, 3.0, 6.0):
-                    key = f"find_mode {label} {f_thz} THz"
-                    try:
-                        mode = find_mode(stack, 2.0 * math.pi * f_thz * 1e12)
-                        bits[key] = [_hex(mode.wavevector), mode.residual.hex()]
-                    except ModeSolverError as err:
-                        bits[key] = f"{type(err).__name__}: {err}"
+                    _cold_root_bits(bits, stack, label, f_thz)
                 omega = 2.0 * math.pi * 2e12
                 for x in (1.2 + 0.05j, 2.5 + 0.3j, 30.0 + 3.0j, 80.0 + 1.0j):
                     q = x * omega / C0
                     key = f"residual {label} 2 THz x={x}"
                     bits[key] = [_hex(dispersion_residual(stack, q, omega)),
                                  residual_scale(stack, q, omega).hex()]
+    for name, stack in (("two sheets", _two_sheet_stack()),
+                        ("sheets around silicon",
+                         _sheets_around_silicon(0.6e-12))):
+        for ef in (0.05, 0.1, 0.4, 0.8):
+            for f_thz in (0.5, 1.5, 3.0, 6.0):
+                _cold_root_bits(bits, stack.with_chemical_potential(ef),
+                                f"{name} {ef} eV", f_thz)
     trace = trace_dispersion(preset_stack("H2G", GrapheneSheet(0.8, 1e-12)),
                              [1.5e12 + i * 0.15e12 for i in range(30)])
     for point in trace:
