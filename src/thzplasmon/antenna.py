@@ -14,15 +14,11 @@ from dataclasses import dataclass
 
 from .conductivity import GrapheneSheet
 from .constants import C0, _check_range
-from .modesolver import (RESIDUAL_GATE, TOLERANCE, ModeSolution,
-                         ModeSolverError, _classify_root,
-                         _form_with_derivatives, _relative_value, find_mode,
+from .modesolver import (ModeSolution, ModeSolverError, _newton, find_mode,
                          quasi_static_wavevector)
 from .stacks import LayeredStack, graphene_on_substrate
 
 BAND_HZ = (0.1e12, 10e12)  # the resonance search band, Hz
-_NEWTON_STEPS = 40      # damped Newton steps before a start is given up
-_MAX_STEP = 0.3         # the largest |d f| / f of one Newton step
 
 
 class NoResonanceInBandError(RuntimeError):
@@ -110,52 +106,6 @@ def _no_resonance(solve) -> NoResonanceInBandError:
         f"(low edge {lo:.3e} Hz: {low}; high edge {hi:.3e} Hz: {high})")
 
 
-def _newton(stack: LayeredStack, length: float, f: float, beta: float):
-    """Damped Newton iteration on the two real unknowns (beta = Im q, f) of
-    F(pi / (alpha L) + i beta, 2 pi f) = 0, from the start (f, beta).
-
-    Each step solves dF/dbeta d_beta + dF/df d_f = -F for real d_beta and
-    d_f, shortened to |d_f| <= _MAX_STEP f and to keep beta > 0.  Returns
-    f and the mode at the last point evaluated, with that evaluation's
-    residual, once a step shorter than TOLERANCE relative reached it
-    (Newton converges quadratically, so the point is at rounding level);
-    None where the steps run out, a value is not finite or the residual
-    fails RESIDUAL_GATE.
-    """
-    q_re = math.pi / length
-    done = False
-    for _ in range(_NEWTON_STEPS + 1):
-        omega = 2.0 * math.pi * f
-        k0 = omega / C0
-        q = complex(q_re, beta)
-        try:
-            value, scale, d_x, d_w = _form_with_derivatives(stack, omega,
-                                                            q / k0)
-            if done:
-                rel = _relative_value(None, (value, scale))
-                return ((f, ModeSolution(omega, q, rel))
-                        if rel < RESIDUAL_GATE else None)
-            d_beta = 1j * d_x / k0
-            d_f = 2.0 * math.pi * d_w
-            det = (d_beta.conjugate() * d_f).imag
-            step_beta = (d_f.conjugate() * value).imag / det
-            step_f = -(d_beta.conjugate() * value).imag / det
-        except (OverflowError, ZeroDivisionError):
-            return None
-        if not (math.isfinite(step_beta) and math.isfinite(step_f)):
-            return None
-        t = 1.0
-        if abs(step_f) > _MAX_STEP * f:
-            t = _MAX_STEP * f / abs(step_f)
-        if beta + t * step_beta <= 0.0:
-            t = 0.5 * beta / -step_beta
-        f_new, beta_new = f + t * step_f, beta + t * step_beta
-        done = (abs(f_new - f) < TOLERANCE * f
-                and abs(beta_new - beta) < TOLERANCE * abs(q))
-        f, beta = f_new, beta_new
-    return None
-
-
 def resonance_frequency(dipole: DipoleGeometry,
                         sheet: GrapheneSheet) -> ResonancePrediction:
     """Smallest frequency in ``BAND_HZ`` (0.1-10 THz) where the dipole is
@@ -175,13 +125,15 @@ def resonance_frequency(dipole: DipoleGeometry,
 
     g(f) = Re q(f) * alpha * L - pi increases with frequency, so no
     resonance lies in the band when g has the wrong sign at a clamped f0,
-    or when Newton's root is outside the band or not a bound mode.  Where
-    Newton from that start gives up, it starts once more from the same
-    root moved along the light line, q ~ w, which a weakly confined mode
-    follows (f0 times the ratio of the Re q); dipoles of about 50 um and
-    longer need it, because there the quasi-static move lands below the
-    cladding light line.  When both starts give up, Re q_qs underflows to
-    0 or the cold solve raises, the search has no resonance either.  Every
+    or when Newton's root is outside the band.  That root counts only by
+    the mode solver's rule for every root: a residual below its gate and a
+    bound mode.  Where the first start finds none, Newton starts once more
+    from the same root moved along the light line, q ~ w, which a weakly
+    confined mode follows (f0 times the ratio of the Re q); dipoles of
+    about 50 um and longer need it, because there the quasi-static move
+    lands below the cladding light line.  When both starts find none,
+    Re q_qs underflows to 0 or the cold solve raises, the search has no
+    resonance either.  Every
     such error names both band edges' statuses; the seed and the edges
     read one record of cold solves, so each frequency is solved at most
     once per search.  The returned mode is the last point Newton
@@ -215,16 +167,14 @@ def resonance_frequency(dipole: DipoleGeometry,
     # resonance lies beyond that band edge
     if (f_seed == hi and g < 0.0) or (f_seed == lo and g > 0.0):
         raise _no_resonance(solve)
-    shift = math.pi / length / mode.wavevector.real
+    q_re = math.pi / length
+    shift = q_re / mode.wavevector.real
     beta = mode.wavevector.imag * shift
-    found = (_newton(stack, length, f_seed * math.sqrt(shift), beta)
-             or _newton(stack, length, f_seed * shift, beta))
-    if found is None:
+    found = (_newton(stack, q_re, f_seed * math.sqrt(shift), beta)
+             or _newton(stack, q_re, f_seed * shift, beta))
+    if found is None or not lo <= found[0] <= hi:
         raise _no_resonance(solve)
     f_res, mode = found
-    if not (lo <= f_res <= hi
-            and _classify_root(stack, mode.wavevector / mode.k0) is None):
-        raise _no_resonance(solve)
     f_metal = metal_dipole_resonance(dipole.total_length_m,
                                      dipole.substrate_permittivity)
     return ResonancePrediction(

@@ -48,6 +48,8 @@ from .stacks import LayeredStack
 TOLERANCE = 1e-12       # relative step |dq|/|q| at convergence
 MAX_ITERATIONS = 100    # Muller steps before a seed is given up
 RESIDUAL_GATE = 1e-10   # |D| relative to its largest term, at a root
+_NEWTON_STEPS = 40      # damped Newton steps before a start is given up
+_MAX_STEP = 0.3         # the largest |d f| / f of one Newton step
 
 _BRANCH_CUT_GUARD = 1e-12     # |x^2 - eps| below this flags branch-cut proximity
 _SCAN_IMAG_FRAC = 1e-4        # seed scans run along Im x = this * Re x
@@ -376,6 +378,53 @@ def _muller_polish(fn, seed: complex):
         f0, f1, f2, s2 = f1, f2, f_new, s_new
         if abs(x2 - x1) < tolerance * abs(x2):
             return x2, f2, s2
+    return None
+
+
+def _newton(stack: LayeredStack, q_re: float, f: float, beta: float):
+    """Damped Newton iteration on the two real unknowns (beta = Im q, f) of
+    F(q_re + i beta, 2 pi f) = 0 for one Drude sheet between two
+    half-spaces, from the start (f, beta).
+
+    Each step solves dF/dbeta d_beta + dF/df d_f = -F for real d_beta and
+    d_f, shortened to |d_f| <= _MAX_STEP f and to keep beta > 0.  Returns
+    f and the mode at the point a step shorter than TOLERANCE relative
+    reached (Newton converges quadratically, so it is at rounding level),
+    with that evaluation's residual, where it meets the rule every Muller
+    root meets: a residual below RESIDUAL_GATE and a bound mode
+    (_classify_root).  None where it fails that rule, the steps run out or
+    a value is not finite.
+    """
+    done = False
+    for _ in range(_NEWTON_STEPS + 1):
+        omega = 2.0 * math.pi * f
+        k0 = omega / C0
+        q = complex(q_re, beta)
+        try:
+            value, scale, d_x, d_w = _form_with_derivatives(stack, omega,
+                                                            q / k0)
+            if done:
+                rel = _relative_value(None, (value, scale))
+                return ((f, ModeSolution(omega, q, rel)) if rel < RESIDUAL_GATE
+                        and _classify_root(stack, q / k0) is None else None)
+            d_beta = 1j * d_x / k0
+            d_f = 2.0 * math.pi * d_w
+            det = (d_beta.conjugate() * d_f).imag
+            step_beta = (d_f.conjugate() * value).imag / det
+            step_f = -(d_beta.conjugate() * value).imag / det
+        except (OverflowError, ZeroDivisionError):
+            return None
+        if not (math.isfinite(step_beta) and math.isfinite(step_f)):
+            return None
+        t = 1.0
+        if abs(step_f) > _MAX_STEP * f:
+            t = _MAX_STEP * f / abs(step_f)
+        if beta + t * step_beta <= 0.0:
+            t = 0.5 * beta / -step_beta
+        f_new, beta_new = f + t * step_f, beta + t * step_beta
+        done = (abs(f_new - f) < TOLERANCE * f
+                and abs(beta_new - beta) < TOLERANCE * abs(q))
+        f, beta = f_new, beta_new
     return None
 
 

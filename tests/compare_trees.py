@@ -13,7 +13,10 @@ Each tree gets one subprocess that imports ``thzplasmon.cli`` from its
 - a seeded corpus of config documents, each valid or carrying up to
   ``--max-faults`` faults (one by default: every document then has at most
   one thing wrong, so any reordering of the checks cannot show);
-- a seeded corpus of direct-subcommand calls, each with at most one fault.
+- a seeded corpus of direct-subcommand calls, each with at most one fault;
+- the dipole grid: one ``antenna`` call per E_F (0.1-2 eV), tau (0.5-10 ps)
+  and substrate (1, 3.8, 11.9), 84 in all, each sweeping ``length_um``
+  over 10-2000 um at width 8 um and gap 3 um.
 
 A case runs in an empty working directory.  Its exit code, stdout, stderr
 and the files it writes are compared, and every case that differs is
@@ -33,7 +36,7 @@ change, branch change or flip.
 Not collected by pytest: run it by hand before and after a change that must
 keep the command line's behaviour.  ``tests/test_cli.py`` runs its worker
 on one tree over the shipped cases and the default seed-1 corpora, without
-the workload rounds, and checks one digest per case.
+the workload rounds and the dipole grid, and checks one digest per case.
 """
 from __future__ import annotations
 
@@ -367,6 +370,19 @@ def workload_cases() -> list[dict]:
     return cases
 
 
+def dipole_grid_cases() -> list[dict]:
+    """The dipole grid, one ``antenna`` call per (E_F, tau, substrate)."""
+    return [{"id": f"dipole grid {ef} eV {tau} ps eps {eps}", "config": None,
+             "argv": ["antenna", "--grid=10 20 40 50 100 200 500 1000 2000",
+                      "--quiet", "--variable=length_um", "--width-um=8",
+                      "--gap-um=3", f"--substrate-permittivity={eps}",
+                      f"--chemical-potential-ev={ef}",
+                      f"--relaxation-time-ps={tau}"]}
+            for ef in ("0.1", "0.2", "0.4", "0.6", "1", "1.5", "2")
+            for tau in ("0.5", "1", "3", "10")
+            for eps in ("1", "3.8", "11.9")]
+
+
 def run_cases(src: str) -> None:
     """Worker: read cases from stdin, write one result per case to stdout."""
     sys.path.insert(0, src)
@@ -580,7 +596,7 @@ def main(argv=None) -> int:
         parser.error("NEW_SRC is required")
     cases = (shipped_cases() + workload_cases()
              + config_documents(args.seed, args.documents, args.max_faults)
-             + direct_calls(args.seed, args.calls))
+             + direct_calls(args.seed, args.calls) + dipole_grid_cases())
     old, new = (_results(str(Path(src).resolve()), cases)
                 for src in (args.old_src, args.new_src))
     if args.classify:

@@ -323,20 +323,20 @@ def test_newton_step_is_damped(monkeypatch):
     dipole = DipoleGeometry(1e-6, 40e-6, 1e-6, 11.9)
     sheet = GrapheneSheet(1.5, 0.5e-12)
     freqs = []
-    real_form = antenna._form_with_derivatives
+    real_form = modesolver._form_with_derivatives
 
     def recorded(stack, omega, x):
         freqs.append(omega / (2.0 * math.pi))
         return real_form(stack, omega, x)
 
-    monkeypatch.setattr(antenna, "_form_with_derivatives", recorded)
+    monkeypatch.setattr(modesolver, "_form_with_derivatives", recorded)
     value = resonance_frequency(dipole, sheet).resonance_frequency_hz
     reference = oracles.resonance_frequency_oracle(
         40e-6, 11.9, lambda omega: intraband_conductivity(sheet, omega))
     assert abs(value - reference) < 1e-9 * reference
     steps = [abs(b - a) / a for a, b in zip(freqs, freqs[1:])]
-    assert any(abs(step - antenna._MAX_STEP) < 1e-12 for step in steps)
-    monkeypatch.setattr(antenna, "_MAX_STEP", math.inf)
+    assert any(abs(step - modesolver._MAX_STEP) < 1e-12 for step in steps)
+    monkeypatch.setattr(modesolver, "_MAX_STEP", math.inf)
     with pytest.raises(ValueError, match="^angular_frequency must be > 0$"):
         resonance_frequency(dipole, sheet)
 
@@ -348,7 +348,7 @@ def test_newton_gives_up_to_the_light_line_start(monkeypatch, fault):
     # light line reaches the same root from the seed's one cold solve
     dipole = DipoleGeometry(total_length_m=20e-6, **QUARTZ_DIPOLE)
     fast = resonance_frequency(dipole, SHEET_02)
-    real_form = antenna._form_with_derivatives
+    real_form = modesolver._form_with_derivatives
     forms = []
 
     def first_form_fails(stack, omega, x):
@@ -367,7 +367,7 @@ def test_newton_gives_up_to_the_light_line_start(monkeypatch, fault):
         seeds.append(real_find_mode(stack, omega, guess))
         return seeds[-1]
 
-    monkeypatch.setattr(antenna, "_form_with_derivatives", first_form_fails)
+    monkeypatch.setattr(modesolver, "_form_with_derivatives", first_form_fails)
     monkeypatch.setattr(antenna, "find_mode", recorded)
     value = resonance_frequency(dipole, SHEET_02).resonance_frequency_hz
     assert len(seeds) == 1
@@ -381,7 +381,7 @@ def test_newton_gives_up_to_the_light_line_start(monkeypatch, fault):
 def test_resonance_reports_a_stalled_bracketing(monkeypatch):
     # one Newton step cannot converge from either start, so the search
     # ends in the band-edge error
-    monkeypatch.setattr(antenna, "_NEWTON_STEPS", 1)
+    monkeypatch.setattr(modesolver, "_NEWTON_STEPS", 1)
     dipole = DipoleGeometry(total_length_m=20e-6, **QUARTZ_DIPOLE)
     with pytest.raises(NoResonanceInBandError) as info:
         resonance_frequency(dipole, SHEET_02)
@@ -389,15 +389,19 @@ def test_resonance_reports_a_stalled_bracketing(monkeypatch):
 
 
 # dipoles whose quasi-static move lands below the cladding light line: the
-# first start gives up and the one on the light line converges
-LIGHT_LINE_DIPOLES = [(200e-6, 3.8, 0.6), (100e-6, 11.9, 1.0)]
+# first start gives up, or (the last two) converges to a point below that
+# line, which fails the bound check inside _newton as a Muller root would;
+# the start on the light line converges
+LIGHT_LINE_DIPOLES = [(200e-6, 3.8, 0.6, 1.0), (100e-6, 11.9, 1.0, 1.0),
+                      (200e-6, 3.8, 1.0, 0.5), (500e-6, 3.8, 0.6, 3.0)]
 
 
-@pytest.mark.parametrize("length_m, eps, ef", LIGHT_LINE_DIPOLES,
-                         ids=["200um-quartz", "100um-silicon"])
+@pytest.mark.parametrize("length_m, eps, ef, tau_ps", LIGHT_LINE_DIPOLES,
+                         ids=["200um-quartz", "100um-silicon",
+                              "200um-quartz-unbound", "500um-quartz-unbound"])
 def test_long_dipole_restarts_on_the_light_line(monkeypatch, length_m, eps,
-                                                ef):
-    sheet = GrapheneSheet(ef, 1e-12)
+                                                ef, tau_ps):
+    sheet = GrapheneSheet(ef, tau_ps * 1e-12)
     dipole = DipoleGeometry(8e-6, length_m, 3e-6, eps)
     results = []
     real_newton = antenna._newton
@@ -420,6 +424,9 @@ def test_long_dipole_restarts_on_the_light_line(monkeypatch, length_m, eps,
     assert len(omegas) == 1
     assert results[0] is None and len(results) == 2
     assert results[1][0] == prediction.resonance_frequency_hz
+    mode = prediction.mode
+    assert modesolver._classify_root(graphene_on_substrate(sheet, eps),
+                                     mode.wavevector / mode.k0) is None
     reference = oracles.resonance_frequency_oracle(
         length_m, eps, lambda omega: intraband_conductivity(sheet, omega))
     assert abs(prediction.resonance_frequency_hz - reference) < 1e-9 * reference

@@ -173,6 +173,41 @@ def test_reversed_stack_same_mode():
     assert abs(q1 - q2) < 1e-9 * abs(q1)
 
 
+# the same stack retuned, where only its reversed() cold solve reaches the
+# root of smallest Re x: (E_F eV, f Hz, that root as q/k0)
+FLIPPED_ROOTS = [(0.4, 3e12, 6.9307 + 0.5194j), (0.8, 6e12, 6.6986 + 0.2698j)]
+TWO_SHEET_LAYERS = ((1.0, None), (11.9, 5e-6), (2.25, 3e-6), (3.8, None))
+
+
+@pytest.mark.parametrize("ef, f_hz, smaller", FLIPPED_ROOTS,
+                         ids=["0.4eV-3THz", "0.8eV-6THz"])
+def test_reversed_root_is_a_bound_mode_of_the_forward_stack(ef, f_hz, smaller):
+    # the flipped stack's root is bound for the forward one and zeroes the
+    # independent transfer-matrix residual on the forward layers
+    stack = _two_sheet_stack().with_chemical_potential(ef)
+    omega = 2.0 * math.pi * f_hz
+    mode = find_mode(stack.reversed(), omega)
+    x = mode.wavevector / mode.k0
+    assert abs(x - smaller) < 1e-4 * abs(x)
+    assert modesolver._classify_root(stack, x) is None
+    sigma = oracles.mp_conductivity(ef, 0.6e-12, f_hz)
+    assert oracles.layered_mode_residual(
+        TWO_SHEET_LAYERS, {0: sigma, 2: sigma}, mode.wavevector, omega) <= 1e-11
+
+
+@pytest.mark.xfail(strict=True, reason="the forward cold solve returns a root "
+                   "of larger Re x (FOUND line on the two-sheet flip in "
+                   "CHANGES.md; ROADMAP items 1 and 13)")
+@pytest.mark.parametrize("ef, f_hz", [case[:2] for case in FLIPPED_ROOTS],
+                         ids=["0.4eV-3THz", "0.8eV-6THz"])
+def test_forward_stack_finds_the_reversed_root(ef, f_hz):
+    stack = _two_sheet_stack().with_chemical_potential(ef)
+    omega = 2.0 * math.pi * f_hz
+    q_forward = find_mode(stack, omega).wavevector
+    q_reversed = find_mode(stack.reversed(), omega).wavevector
+    assert abs(q_forward - q_reversed) < 1e-9 * abs(q_reversed)
+
+
 def _sheet(draw):
     return GrapheneSheet(draw(st.floats(0.05, 1.0)),
                          draw(st.floats(0.1e-12, 1e-12)))
