@@ -498,7 +498,9 @@ def _solve(stack: LayeredStack, angular_frequency: float,
            initial_guess: complex | None, store: list) -> ModeSolution:
     """find_mode's seeds, polish and root selection: every seed before
     index ``late`` is polished and the bound root of smallest Re x wins;
-    the seeds from ``late`` on only look for a root while none was found.
+    the seeds from ``late`` on, the ladder headed by the cladding
+    quasi-static seed, only look for a root while none was found.  Each
+    early seed is popped from that ladder or built beside it.
     A root's residual is the (value, scale) pair Muller's method evaluated
     it at, so no root is evaluated again.  ``store`` keeps the band scan's
     sheet-free parts (_scan_seeds) for later solves: those of stacks with
@@ -516,21 +518,39 @@ def _solve(stack: LayeredStack, angular_frequency: float,
         seeds = [initial_guess / k0]
         ladder = []
     else:
-        seeds = [quasi_static_wavevector(stack, angular_frequency) / k0]
+        qs = quasi_static_wavevector(stack, angular_frequency) / k0
         # weakly confined modes hug the cladding light line; a geometric
-        # offset ladder reaches them when the quasi-static seed is far off
-        ladder = [n_clad * (1.0 + d + 0.5j * d)
-                  for d in (1e-4, 1e-3, 3e-3, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0)]
+        # offset ladder reaches them when the quasi-static seed is far off.
+        # The cladding quasi-static seed heads it: with one sheet, the
+        # adjacent-layer seed below reaches the tightly confined roots, so
+        # the cladding seed runs only while nothing bound was found
+        rungs = [n_clad * (1.0 + d + 0.5j * d)
+                 for d in (1e-4, 1e-3, 3e-3, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0)]
+        ladder = [qs] + rungs
+        seeds = []
+        if len(stack.sheets) > 1:
+            # with a second sheet the cladding seed reaches roots of smaller
+            # Re x that no other seed does, so it stays early, followed by
+            # each lower sheet's own quasi-static estimate: the plasmon bound
+            # to that sheet can have the smaller Re x (a conductivity that
+            # underflowed to 0 gives none)
+            seeds.append(ladder.pop(0))
+            for i in sorted(stack.sheets)[1:]:
+                sigma = intraband_conductivity(stack.sheets[i], angular_frequency)
+                if sigma != 0:
+                    seeds.append(1j * (layers[i].relative_permittivity
+                                       + layers[i + 1].relative_permittivity)
+                                 * angular_frequency * EPS0 / sigma / k0)
         if len(layers) > 2:
             # at large q the sheet sees the layers next to it, not the
             # claddings the quasi-static estimate sums
             ref = stack.top_sheet_interface
-            seeds.append(seeds[0] * (
+            seeds.append(qs * (
                 (layers[ref].relative_permittivity
                  + layers[ref + 1].relative_permittivity)
                 / (layers[0].relative_permittivity
                    + layers[-1].relative_permittivity)))
-            seeds.append(ladder.pop(0))
+            seeds.append(ladder.pop(-len(rungs)))    # the first rung
         # only a stack of more than two layers has a band or a second sheet
         n_max = stack.max_layer_index
         if n_max > n_clad:
@@ -545,7 +565,7 @@ def _solve(stack: LayeredStack, angular_frequency: float,
         if len(stack.sheets) > 1:
             # a second sheet's term in the bottom walk can put the
             # fundamental root above the band
-            hi = max(2.0 * abs(seeds[0]), n_max + 2.0, 50.0)
+            hi = max(2.0 * abs(qs), n_max + 2.0, 50.0)
             seeds += _scan_seeds(term, geometry, store,
                                  _linear(n_max + 1.0, hi, 48))
     late = len(seeds)
@@ -583,20 +603,24 @@ def find_mode(stack: LayeredStack, angular_frequency: float,
               initial_guess: complex | None = None) -> ModeSolution:
     """Fundamental bound TM mode of the stack at one angular frequency.
 
-    Without a guess, the early seeds are the quasi-static estimate and, on
-    a stack of more than two layers, in order: that estimate scaled by
-    (eps above + eps below the top sheet) / (eps top + eps bottom cladding),
-    since a tightly confined plasmon sees the layers next to it; the first
-    rung of a ladder just above the cladding light line,
-    x = n_clad (1 + d + 0.5i d) with d = 1e-4; where a layer is denser than
-    the claddings, the deepest minima of a 215-point scan of the
-    dielectric-guided band (16 log-spaced points n_clad (1 + 1e-6 ... 1e-1),
-    then linear up to the densest layer's index + 1); and on a stack with
-    more than one sheet, those of a 48-point scan above it.  Every early
-    seed is polished, and of the bound roots they reach the one with
-    smallest Re q is returned.  The ladder's other rungs, d up to 3 (all
-    nine between two half-spaces), are polished in order only while no
-    bound root has been found.  With a guess, only that seed is
+    Without a guess, the cold seeds are the quasi-static estimate
+    q0 = i (eps top + eps bottom cladding) w eps0 / sigma and a ladder
+    just above the cladding light line, x = n_clad (1 + d + 0.5i d) for
+    d = 1e-4 ... 3.  Early seeds are all polished, and of the bound roots
+    they reach the one with smallest Re q is returned; late seeds are
+    polished in order only while no bound root has been found.  On a stack
+    with more than one sheet q0 is early, followed by each lower sheet's
+    own estimate i (eps_i + eps_i+1) w eps0 / sigma_i for the sheet at
+    interface i.  On a stack of more than two layers the early seeds go
+    on, in order: the top sheet's estimate with the two layers next to it
+    in place of the claddings, since a tightly confined plasmon sees those;
+    the first rung (d = 1e-4); where a layer is denser than the claddings,
+    the deepest minima of a 215-point scan of the dielectric-guided band
+    (16 log-spaced points n_clad (1 + 1e-6 ... 1e-1), then linear up to the
+    densest layer's index + 1); and on a stack with more than one sheet,
+    those of a 48-point scan above it.  The late seeds are q0 where it is
+    not early, then the ladder's other rungs (all nine between two
+    half-spaces, where no seed is early).  With a guess, only that seed is
     iterated (continuation use).
     """
     return _solve(stack, angular_frequency, initial_guess, [])
