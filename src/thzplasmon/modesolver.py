@@ -466,24 +466,46 @@ def _relative_value(term: complex | None, parts) -> float:
         return math.inf
 
 
-def _scan_seeds(term: complex, geometry, store: list,
-                reals: list[float]) -> list[complex]:
-    """Local minima of the relative mode function at the given real parts
-    along a near-real line (Im x = _SCAN_IMAG_FRAC Re x), the deepest six
-    first.  The values are the row's sheet term applied to the sheet-free
-    parts that ``store``, a one-slot list, keeps for the last scan; they
-    are built anew when those are for other points or another geometry."""
-    count = len(reals)
-    points = [complex(p, _SCAN_IMAG_FRAC * p) for p in reals]
-    key = (reals, geometry)
+def _bracket_seeds(geometry, grid: list[float]) -> list[complex]:
+    """One seed per bracket of the sheet-free mode function on the real
+    points ``grid``: a pair of neighbouring points between which the real
+    or the imaginary part of the sheet-free value changes sign.  With real
+    permittivities the bare stack's guided modes are real roots above the
+    cladding index, so each bracket's midpoint + 1e-6i is a seed for a film
+    root the sheet has pushed off the axis."""
+    values = [_sheet_free_parts(geometry, complex(r)) for r in grid]
+    seeds = []
+    for i in range(1, len(grid)):
+        u, v = values[i - 1], values[i]
+        if u is not None and v is not None and (
+                u[0].real * v[0].real < 0.0 or u[0].imag * v[0].imag < 0.0):
+            seeds.append(complex(0.5 * (grid[i - 1] + grid[i]), 1e-6))
+    return seeds
+
+
+def _scan_seeds(term: complex, geometry, store: list, reals: list[float],
+                grid: list[float]) -> list[complex]:
+    """The bracket seeds of the real points ``grid`` (_bracket_seeds), then
+    the local minima of the relative mode function at the real parts
+    ``reals`` along a near-real line (Im x = _SCAN_IMAG_FRAC Re x), the
+    deepest six first.  None of the scan points, their sheet-free parts and
+    the bracket seeds depends on the sheet term: ``store``, a one-slot list,
+    keeps them for the last scan, and they are built anew for other points
+    or another geometry.  The values are the row's term applied to the
+    kept parts."""
+    key = (reals, grid, geometry)
     if not store or store[0][0] != key:
-        store[:] = [(key, [_sheet_free_parts(geometry, x) for x in points])]
-    values = [_relative_value(term, parts) for parts in store[0][1]]
-    minima = [(values[i], points[i]) for i in range(1, count - 1)
+        points = [complex(p, _SCAN_IMAG_FRAC * p) for p in reals]
+        store[:] = [(key, points,
+                     [_sheet_free_parts(geometry, x) for x in points],
+                     _bracket_seeds(geometry, grid))]
+    _, points, parts, brackets = store[0]
+    values = [_relative_value(term, p) for p in parts]
+    minima = [(values[i], points[i]) for i in range(1, len(points) - 1)
               if values[i] < values[i - 1] and values[i] < values[i + 1]
               and math.isfinite(values[i])]
     minima.sort(key=lambda item: item[0])
-    return [z for _, z in minima[:6]]
+    return brackets + [z for _, z in minima[:6]]
 
 
 def _linear(lo: float, hi: float, count: int) -> list[float]:
@@ -500,10 +522,12 @@ def _solve(stack: LayeredStack, angular_frequency: float,
     index ``late`` is polished and the bound root of smallest Re x wins;
     the seeds from ``late`` on, the ladder headed by the cladding
     quasi-static seed, only look for a root while none was found.  Each
-    early seed is popped from that ladder or built beside it.
-    A root's residual is the (value, scale) pair Muller's method evaluated
-    it at, so no root is evaluated again.  ``store`` keeps the band scan's
-    sheet-free parts (_scan_seeds) for later solves: those of stacks with
+    early seed is popped from that ladder or built beside it; on a
+    single-sheet stack none is popped, and the brackets' seeds stand where
+    the first rung stood.  A root's residual is the (value, scale) pair
+    Muller's method evaluated it at, so no root is evaluated again.
+    ``store`` keeps the band scan's points, their sheet-free parts and the
+    brackets' seeds (_scan_seeds) for later solves: those of stacks with
     equal walks at this frequency, such as one sweep's single-sheet rows,
     take them unbuilt."""
     term, geometry = _mode_problem(stack, angular_frequency)
@@ -522,13 +546,15 @@ def _solve(stack: LayeredStack, angular_frequency: float,
         # weakly confined modes hug the cladding light line; a geometric
         # offset ladder reaches them when the quasi-static seed is far off.
         # The cladding quasi-static seed heads it: with one sheet, the
-        # adjacent-layer seed below reaches the tightly confined roots, so
-        # the cladding seed runs only while nothing bound was found
+        # adjacent-layer seed below reaches the tightly confined roots and
+        # the brackets of the band scan the film roots by the light line, so
+        # the whole ladder runs only while nothing bound was found
         rungs = [n_clad * (1.0 + d + 0.5j * d)
                  for d in (1e-4, 1e-3, 3e-3, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0)]
         ladder = [qs] + rungs
         seeds = []
-        if len(stack.sheets) > 1:
+        one_sheet = len(stack.sheets) == 1
+        if not one_sheet:
             # with a second sheet the cladding seed reaches roots of smaller
             # Re x that no other seed does, so it stays early, followed by
             # each lower sheet's own quasi-static estimate: the plasmon bound
@@ -550,24 +576,30 @@ def _solve(stack: LayeredStack, angular_frequency: float,
                  + layers[ref + 1].relative_permittivity)
                 / (layers[0].relative_permittivity
                    + layers[-1].relative_permittivity)))
-            seeds.append(ladder.pop(-len(rungs)))    # the first rung
+            if not one_sheet:
+                seeds.append(ladder.pop(0))    # the first rung
         # only a stack of more than two layers has a band or a second sheet
         n_max = stack.max_layer_index
         if n_max > n_clad:
             # dielectric-guided band: sharp minima live here for hybrid
             # stacks, the weakly guided ones close to the light line, so
             # 16 log-spaced offsets n_clad (1 + 1e-6 ... 1e-1) lead in, the
-            # last of them the first point of the linear part
+            # last of them the first point of the linear part.  With one
+            # sheet the 16 offsets below n_max, on the real axis, are
+            # bracketed too (a second sheet's lossy term in a walk moves
+            # the bare stack's roots off the axis)
             hi = n_max + 1.0
-            reals = [n_clad * (1.0 + 10.0 ** (k / 3.0 - 6.0)) for k in range(15)]
-            reals = [r for r in reals if r < hi] + _linear(n_clad * 1.1, hi, 200)
-            seeds += _scan_seeds(term, geometry, store, reals)
-        if len(stack.sheets) > 1:
+            log = [n_clad * (1.0 + 10.0 ** (k / 3.0 - 6.0)) for k in range(15)]
+            reals = [r for r in log if r < hi] + _linear(n_clad * 1.1, hi, 200)
+            grid = ([r for r in log + [n_clad * 1.1] if r < n_max]
+                    if one_sheet else [])
+            seeds += _scan_seeds(term, geometry, store, reals, grid)
+        if not one_sheet:
             # a second sheet's term in the bottom walk can put the
             # fundamental root above the band
             hi = max(2.0 * abs(qs), n_max + 2.0, 50.0)
             seeds += _scan_seeds(term, geometry, store,
-                                 _linear(n_max + 1.0, hi, 48))
+                                 _linear(n_max + 1.0, hi, 48), [])
     late = len(seeds)
     seeds += ladder
 
@@ -614,14 +646,18 @@ def find_mode(stack: LayeredStack, angular_frequency: float,
     interface i.  On a stack of more than two layers the early seeds go
     on, in order: the top sheet's estimate with the two layers next to it
     in place of the claddings, since a tightly confined plasmon sees those;
-    the first rung (d = 1e-4); where a layer is denser than the claddings,
-    the deepest minima of a 215-point scan of the dielectric-guided band
-    (16 log-spaced points n_clad (1 + 1e-6 ... 1e-1), then linear up to the
-    densest layer's index + 1); and on a stack with more than one sheet,
-    those of a 48-point scan above it.  The late seeds are q0 where it is
-    not early, then the ladder's other rungs (all nine between two
-    half-spaces, where no seed is early).  With a guess, only that seed is
-    iterated (continuation use).
+    with more than one sheet, the first rung (d = 1e-4); where a layer is
+    denser than the claddings, on a single-sheet stack one seed per
+    bracket of the sheet-free mode function on the 16 real points
+    n_clad (1 + 1e-6 ... 1e-1) below the densest layer's index (a pair of
+    neighbours between which its real or imaginary part changes sign,
+    seeded at the midpoint + 1e-6i), then the deepest minima of a
+    215-point scan of the dielectric-guided band (those 16 log-spaced
+    offsets, then linear up to the densest layer's index + 1); and on a
+    stack with more than one sheet, those of a 48-point scan above it.
+    The late seeds are the rest of the ladder: with one sheet q0 and all
+    nine rungs, with more than one the other eight.  With a guess, only
+    that seed is iterated (continuation use).
     """
     return _solve(stack, angular_frequency, initial_guess, [])
 

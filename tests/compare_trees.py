@@ -16,11 +16,15 @@ Each tree gets one subprocess that imports ``thzplasmon.cli`` from its
 - a seeded corpus of direct-subcommand calls, each with at most one fault;
 - the dipole grid: one ``antenna`` call per E_F (0.1-2 eV), tau (0.5-10 ps)
   and substrate (1, 3.8, 11.9), 84 in all, each sweeping ``length_um``
-  over 10-2000 um at width 8 um and gap 3 um.
+  over 10-2000 um at width 8 um and gap 3 um;
+- the layered family (``layered_cases``): the first 200 rows of the
+  single-sheet and of the two-sheet random-stack samples, each one cold
+  ``find_mode`` called in process, since no command builds such a stack.
 
 A case runs in an empty working directory.  Its exit code, stdout, stderr
 and the files it writes are compared, and every case that differs is
-printed.  The exit code is 0 when no case differs and 1 otherwise.
+printed; a layered case's stdout is a one-row CSV of its root x = q/k0 or
+its failure.  The exit code is 0 when no case differs and 1 otherwise.
 
 ``--classify`` sorts what differs instead of printing it (``classify``):
 each changed row of an emitted CSV is ulp-level (its solver root moved by
@@ -36,7 +40,8 @@ change, branch change or flip.
 Not collected by pytest: run it by hand before and after a change that must
 keep the command line's behaviour.  ``tests/test_cli.py`` runs its worker
 on one tree over the shipped cases and the default seed-1 corpora, without
-the workload rounds and the dipole grid, and checks one digest per case.
+the workload rounds, the dipole grid and the layered family, and checks one
+digest per case.
 """
 from __future__ import annotations
 
@@ -383,6 +388,48 @@ def dipole_grid_cases() -> list[dict]:
             for eps in ("1", "3.8", "11.9")]
 
 
+def layered_cases(count: int = 200) -> list[dict]:
+    """The first count rows of the single-sheet (``random.Random(42)``) and
+    the two-sheet (``random.Random(43)``) samples.  A row draws, in this
+    order: n = ``rng.choice((3, 4))`` layers; n permittivities
+    ``rng.uniform(1, 12)``, top to bottom; n - 2 thicknesses
+    10 ** ``rng.uniform(-8, -5)`` m; the sheets' interfaces,
+    ``rng.sample(range(n - 1), sheets)``; for each interface E_F
+    ``rng.uniform(0.05, 1)`` eV, then tau ``rng.uniform(0.1, 1)`` ps; and
+    f = 10 ** ``rng.uniform(log10 0.5, log10 8)`` THz."""
+    cases = []
+    for sheets, seed in ((1, 42), (2, 43)):
+        rng = random.Random(seed)
+        for i in range(count):
+            n = rng.choice((3, 4))
+            eps = [rng.uniform(1.0, 12.0) for _ in range(n)]
+            thicknesses = [10.0 ** rng.uniform(-8.0, -5.0) for _ in range(n - 2)]
+            interfaces = rng.sample(range(n - 1), sheets)
+            drawn = [(j, rng.uniform(0.05, 1.0), rng.uniform(0.1, 1.0) * 1e-12)
+                     for j in interfaces]
+            f_hz = 10.0 ** rng.uniform(math.log10(0.5), math.log10(8.0)) * 1e12
+            cases.append({"id": f"{sheets}-sheet sample row {i}", "config": None,
+                          "layers": list(zip(eps, [None, *thicknesses, None])),
+                          "sheets": drawn, "frequency_hz": f_hz})
+    return cases
+
+
+def _layered_row(case: dict) -> str:
+    """One cold find_mode on a layered case: its root's CSV or failure."""
+    from thzplasmon import (DielectricLayer, GrapheneSheet, LayeredStack,
+                            ModeSolverError, find_mode)
+    stack = LayeredStack(
+        tuple(DielectricLayer(*layer) for layer in case["layers"]),
+        {j: GrapheneSheet(ef, tau) for j, ef, tau in case["sheets"]})
+    try:
+        mode = find_mode(stack, 2.0 * math.pi * case["frequency_hz"])
+        x = mode.wavevector / mode.k0
+        row = f"{x.real:.17e},{x.imag:.17e},ok"
+    except (ModeSolverError, ValueError) as err:
+        row = ",,failed:" + str(err).replace(",", ";").replace("\n", " ")
+    return f"x_real(1),x_imag(1),status(-)\n{row}\n"
+
+
 def run_cases(src: str) -> None:
     """Worker: read cases from stdin, write one result per case to stdout."""
     sys.path.insert(0, src)
@@ -392,6 +439,10 @@ def run_cases(src: str) -> None:
     with tempfile.TemporaryDirectory() as directory:
         os.chdir(directory)
         for case in cases:
+            if "layers" in case:
+                results.append({"code": 0, "stdout": _layered_row(case),
+                                "stderr": "", "files": {}})
+                continue
             for name in os.listdir("."):
                 os.remove(name)
             if case["config"] is not None:
@@ -460,6 +511,9 @@ def _root(header: list[str], cells: list[str]):
                                        float(row["q_imag(rad/m)"]))
     if "f_res(THz)" in row:
         return "antenna f_res", float(row["f_res(THz)"])
+    if "x_real(1)" in row:
+        return "layered x", complex(float(row["x_real(1)"]),
+                                    float(row["x_imag(1)"]))
     if "normalized_lp(1)" in row:
         n_eff = float(row["n_eff(1)"])
         return "stack x", complex(
@@ -596,7 +650,8 @@ def main(argv=None) -> int:
         parser.error("NEW_SRC is required")
     cases = (shipped_cases() + workload_cases()
              + config_documents(args.seed, args.documents, args.max_faults)
-             + direct_calls(args.seed, args.calls) + dipole_grid_cases())
+             + direct_calls(args.seed, args.calls) + dipole_grid_cases()
+             + layered_cases())
     old, new = (_results(str(Path(src).resolve()), cases)
                 for src in (args.old_src, args.new_src))
     if args.classify:

@@ -652,24 +652,24 @@ def test_muller_nudges_a_flat_parabola_and_gives_up():
 
 def test_inverted_scan_band_is_skipped(monkeypatch):
     # at cladding index 1e7 the dielectric band's first point lies 1e-6
-    # above it, past the 1 um film's index + 1, so that scan has no points:
-    # it gives no seeds and evaluates nothing, and with one sheet it is the
-    # only scan
+    # above it, past the 1 um film's index + 1, so that scan has no points
+    # and the bracket grid below the film's index none either: it gives no
+    # seeds and evaluates nothing, and with one sheet it is the only scan
     scans = []
     scan = modesolver._scan_seeds
 
-    def recording(term, geometry, store, reals):
+    def recording(term, geometry, store, reals, grid):
         seeds = []
         evals = oracles.count_evals(
-            lambda: seeds.extend(scan(term, geometry, store, reals)))
-        scans.append((len(reals), evals, seeds))
+            lambda: seeds.extend(scan(term, geometry, store, reals, grid)))
+        scans.append((len(reals), len(grid), evals, seeds))
         return seeds
     monkeypatch.setattr(modesolver, "_scan_seeds", recording)
     clad = DielectricLayer(1e14)
     stack = LayeredStack((clad, DielectricLayer(1e14 + 1e8, 1e-6), clad),
                          {0: SHEET_02})
     mode = find_mode(stack, OMEGA_1THZ)
-    assert scans == [(0, 0, [])]
+    assert scans == [(0, 0, 0, [])]
     assert mode.wavevector.real > stack.max_cladding_index * OMEGA_1THZ / C0
 
 
@@ -875,10 +875,10 @@ def _ladder(stack) -> list[complex]:
 
 @pytest.mark.parametrize("preset", ["H1G", "H2G"])
 def test_layered_cold_seeds_skip_the_late_rungs_once_a_root_is_bound(preset):
-    # with one sheet the adjacent-layer quasi-static seed, the first rung
-    # and the scan's minima come first; the cladding quasi-static seed and
-    # rungs 2-9 run only while nothing bound was found, which on these rows
-    # never happens
+    # with one sheet the adjacent-layer quasi-static seed, the brackets'
+    # seeds and the scan's minima come first; the cladding quasi-static seed
+    # and all nine rungs run only while nothing bound was found, which on
+    # these rows never happens
     for ef in (0.05, 0.2, 0.8):
         stack = preset_stack(preset, GrapheneSheet(ef, 0.6e-12))
         layers, interface = PRESET_LAYERS[preset]
@@ -888,8 +888,8 @@ def test_layered_cold_seeds_skip_the_late_rungs_once_a_root_is_bound(preset):
             omega = 2.0 * math.pi * f_thz * 1e12
             seeds = _polished_seeds(lambda: find_mode(stack, omega))
             qs = quasi_static_wavevector(stack, omega) / (omega / C0)
-            assert seeds[:2] == [qs * adjacent, _ladder(stack)[0]]
-            assert not set([qs] + _ladder(stack)[1:]) & set(seeds)
+            assert seeds[0] == qs * adjacent
+            assert not set([qs] + _ladder(stack)) & set(seeds)
 
 
 # single-sheet stacks whose root only the late cladding quasi-static seed
@@ -905,20 +905,53 @@ LATE_CLADDING_ROOTS = [
                          LATE_CLADDING_ROOTS, ids=["1.148THz", "4.7THz"])
 def test_the_late_cladding_seed_reaches_a_root_the_early_seeds_miss(
         layers, interface, ef, tau, f_hz, expected):
-    # the early seeds reach no bound root, so the cladding seed is polished
-    # next and its root is returned
+    # the early seeds reach no bound root, so the cladding seed, which heads
+    # the ladder, is polished next and its root is returned; no rung runs
     stack = LayeredStack(tuple(DielectricLayer(*layer) for layer in layers),
                          {interface: GrapheneSheet(ef, tau)})
     omega = 2.0 * math.pi * f_hz
     outcome = []
     seeds = _polished_seeds(lambda: outcome.append(find_mode(stack, omega)))
     qs = quasi_static_wavevector(stack, omega) / (omega / C0)
-    assert seeds[-1] == qs and _ladder(stack)[0] in seeds[:-1]
+    assert seeds[-1] == qs and not set(_ladder(stack)) & set(seeds)
     x = outcome[0].wavevector / outcome[0].k0
     assert abs(x - expected) <= 1e-5 * abs(expected)
     sigma = oracles.mp_conductivity(ef, tau, f_hz)
     assert oracles.layered_mode_residual(
         layers, {interface: sigma}, outcome[0].wavevector, omega) <= 1e-15
+
+
+# H2G film roots by the substrate light line that an early seed reaches
+# only from a bracket of the sheet-free function on the real axis: (f Hz,
+# tau s, E_F eV, x).  Without the brackets the first two rows return a root
+# of Re x 2.985; the last, a wide-grid row, returns 13.68 + 0.278i unless the
+# grid holds n_clad * 1.1
+BRACKET_ROOTS = [
+    (7.870185823245252e12, 0.6e-12, 0.6758792047085261,
+     1.949670488924797 + 4.2765897534625683e-05j),
+    (7.870185823245252e12, 0.6e-12, 0.9785901142044015,
+     1.9493601651114383 + 6.724870853063852e-06j),
+    (3917154524492.8467, 1.8700314463280446e-12, 0.9975792091919032,
+     2.1086286277323585 + 0.0004596953992304102j)]
+
+
+@pytest.mark.parametrize("f_hz, tau, ef, expected", BRACKET_ROOTS,
+                         ids=["0.676eV", "0.979eV", "wide-grid"])
+def test_bracket_seeds_reach_the_film_roots_by_the_light_line(f_hz, tau, ef,
+                                                               expected):
+    stack = preset_stack("H2G", GrapheneSheet(ef, tau))
+    omega = 2.0 * math.pi * f_hz
+    outcome = []
+    seeds = _polished_seeds(lambda: outcome.append(find_mode(stack, omega)))
+    qs = quasi_static_wavevector(stack, omega) / (omega / C0)
+    assert not set([qs] + _ladder(stack)) & set(seeds)
+    x = outcome[0].wavevector / outcome[0].k0
+    assert x.real > math.sqrt(3.8) and x.imag > 0.0
+    assert abs(x - expected) <= 1e-9 * abs(expected)
+    layers, interface = PRESET_LAYERS["H2G"]
+    sigma = oracles.mp_conductivity(ef, tau, f_hz)
+    assert oracles.layered_mode_residual(
+        layers, {interface: sigma}, outcome[0].wavevector, omega) <= 1e-12
 
 
 def test_two_sheet_cold_seeds_lead_with_the_cladding_seed():
@@ -1193,9 +1226,9 @@ def test_stack_sweep_rows_equal_lone_find_mode_bit_for_bit(preset, f_thz):
         _find_mode_rows(stack, f_thz * 1e12, SHARED_SCAN_GRID)))
     assert [_row_bits(row) for row in rows] == expected
     # the same seeds, polished alike: every valid row but the one that
-    # builds it saves the 215 walk pairs of the band scan, the one scan a
-    # single-sheet stack runs
-    assert lone_evals - sweep_evals == 215 * (len(SHARED_SCAN_GRID) - 2)
+    # builds them saves the 215 walk pairs of the band scan, the one scan a
+    # single-sheet stack runs, and the 16 real points it brackets
+    assert lone_evals - sweep_evals == (215 + 16) * (len(SHARED_SCAN_GRID) - 2)
     assert rows[0].status == "failed:chemical_potential_ev must be >= 0"
     assert all(row.status == "ok" for row in rows[1:])
 
@@ -1346,12 +1379,12 @@ def test_two_sheet_stack_sweep_scans_every_row():
     assert all(row.status == "ok" for row in rows)
 
 
-@pytest.mark.parametrize("preset, expected", [("H1G", 863), ("H2G", 622)],
+@pytest.mark.parametrize("preset, expected", [("H1G", 398), ("H2G", 377)],
                          ids=["H1G", "H2G"])
 def test_stack_sweep_evaluation_count(preset, expected):
     # 9 points, 0.2-1.0 eV, 0.6 ps, 4 THz: the rows share the 215-point band
-    # scan, whose sheet-free parts are built and counted once; with one
-    # sheet there is no 48-point scan
+    # scan and the 16-point bracket grid, whose sheet-free parts are built
+    # and counted once; with one sheet there is no 48-point scan
     stack = preset_stack(preset, GrapheneSheet(0.2, 0.6e-12))
     grid = [0.2 + 0.1 * i for i in range(9)]
     evals = oracles.count_evals(lambda: stack_metrics_sweep(stack, 4e12, grid))

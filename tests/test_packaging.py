@@ -52,7 +52,7 @@ def test_resonance_evaluation_budget():
 
 
 @pytest.mark.parametrize("preset, expected", [
-    ("G", 7), ("H1G", 327), ("H2G", 327)], ids=["G", "H1G", "H2G"])
+    ("G", 7), ("H1G", 240), ("H2G", 240)], ids=["G", "H1G", "H2G"])
 def test_cold_solve_evaluation_count(preset, expected):
     # exact and deterministic: every evaluation must pass through
     # modesolver._mode_function
@@ -80,7 +80,7 @@ def test_trace_evaluation_count():
     evals = oracles.count_evals(
         lambda: points.extend(trace_dispersion(stack, freqs)))
     assert all(point.ok for point in points)
-    assert evals == 710
+    assert evals == 704
 
 
 def test_resonance_evaluation_count():
