@@ -518,18 +518,15 @@ def _linear(lo: float, hi: float, count: int) -> list[float]:
 
 def _solve(stack: LayeredStack, angular_frequency: float,
            initial_guess: complex | None, store: list) -> ModeSolution:
-    """find_mode's seeds, polish and root selection: every seed before
-    index ``late`` is polished and the bound root of smallest Re x wins;
-    the seeds from ``late`` on, the ladder headed by the cladding
-    quasi-static seed, only look for a root while none was found.  Each
-    early seed is popped from that ladder or built beside it; on a
-    single-sheet stack none is popped, and the brackets' seeds stand where
-    the first rung stood.  A root's residual is the (value, scale) pair
-    Muller's method evaluated it at, so no root is evaluated again.
-    ``store`` keeps the band scan's points, their sheet-free parts and the
-    brackets' seeds (_scan_seeds) for later solves: those of stacks with
-    equal walks at this frequency, such as one sweep's single-sheet rows,
-    take them unbuilt."""
+    """find_mode's seeds, polish and root selection: every early seed is
+    polished and the bound root of smallest Re x wins; the late seeds, the
+    ladder less any seed already early, are polished only while no root was
+    found.  A root's residual is the (value, scale) pair Muller's method
+    evaluated it at, so no root is evaluated again.  ``store`` keeps the
+    band scan's points, their sheet-free parts and the brackets' seeds
+    (_scan_seeds) for later solves: those of stacks with equal walks at
+    this frequency, such as one sweep's single-sheet rows, take them
+    unbuilt."""
     term, geometry = _mode_problem(stack, angular_frequency)
     k0 = geometry[0]
 
@@ -539,7 +536,7 @@ def _solve(stack: LayeredStack, angular_frequency: float,
     n_clad = stack.max_cladding_index
     layers = stack.layers
     if initial_guess is not None:
-        seeds = [initial_guess / k0]
+        early = [initial_guess / k0]
         ladder = []
     else:
         qs = quasi_static_wavevector(stack, angular_frequency) / k0
@@ -548,36 +545,36 @@ def _solve(stack: LayeredStack, angular_frequency: float,
         # The cladding quasi-static seed heads it: with one sheet, the
         # adjacent-layer seed below reaches the tightly confined roots and
         # the brackets of the band scan the film roots by the light line, so
-        # the whole ladder runs only while nothing bound was found
+        # the ladder runs only while nothing bound was found
         rungs = [n_clad * (1.0 + d + 0.5j * d)
                  for d in (1e-4, 1e-3, 3e-3, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0)]
         ladder = [qs] + rungs
-        seeds = []
+        early = []
         one_sheet = len(stack.sheets) == 1
         if not one_sheet:
             # with a second sheet the cladding seed reaches roots of smaller
-            # Re x that no other seed does, so it stays early, followed by
-            # each lower sheet's own quasi-static estimate: the plasmon bound
-            # to that sheet can have the smaller Re x (a conductivity that
+            # Re x that no other seed does, so it is early, followed by each
+            # lower sheet's own quasi-static estimate: the plasmon bound to
+            # that sheet can have the smaller Re x (a conductivity that
             # underflowed to 0 gives none)
-            seeds.append(ladder.pop(0))
+            early.append(qs)
             for i in sorted(stack.sheets)[1:]:
                 sigma = intraband_conductivity(stack.sheets[i], angular_frequency)
                 if sigma != 0:
-                    seeds.append(1j * (layers[i].relative_permittivity
+                    early.append(1j * (layers[i].relative_permittivity
                                        + layers[i + 1].relative_permittivity)
                                  * angular_frequency * EPS0 / sigma / k0)
-        if len(layers) > 2:
-            # at large q the sheet sees the layers next to it, not the
-            # claddings the quasi-static estimate sums
-            ref = stack.top_sheet_interface
-            seeds.append(qs * (
-                (layers[ref].relative_permittivity
-                 + layers[ref + 1].relative_permittivity)
-                / (layers[0].relative_permittivity
-                   + layers[-1].relative_permittivity)))
-            if not one_sheet:
-                seeds.append(ladder.pop(0))    # the first rung
+        # at large q the sheet sees the layers next to it, not the claddings
+        # the quasi-static estimate sums; on two half-spaces they are the
+        # claddings, and the estimate is the cladding seed itself
+        ref = stack.top_sheet_interface
+        early.append(qs * (
+            (layers[ref].relative_permittivity
+             + layers[ref + 1].relative_permittivity)
+            / (layers[0].relative_permittivity
+               + layers[-1].relative_permittivity)))
+        if not one_sheet:
+            early.append(rungs[0])
         # only a stack of more than two layers has a band or a second sheet
         n_max = stack.max_layer_index
         if n_max > n_clad:
@@ -593,25 +590,25 @@ def _solve(stack: LayeredStack, angular_frequency: float,
             reals = [r for r in log if r < hi] + _linear(n_clad * 1.1, hi, 200)
             grid = ([r for r in log + [n_clad * 1.1] if r < n_max]
                     if one_sheet else [])
-            seeds += _scan_seeds(term, geometry, store, reals, grid)
+            early += _scan_seeds(term, geometry, store, reals, grid)
         if not one_sheet:
             # a second sheet's term in the bottom walk can put the
             # fundamental root above the band
             hi = max(2.0 * abs(qs), n_max + 2.0, 50.0)
-            seeds += _scan_seeds(term, geometry, store,
+            early += _scan_seeds(term, geometry, store,
                                  _linear(n_max + 1.0, hi, 48), [])
-    late = len(seeds)
-    seeds += ladder
 
     bound: list[tuple[complex, float]] = []
     unbound_reason: str | None = None
-    for i, seed in enumerate(seeds):
-        if bound and i >= late:
+    for i, seed in enumerate(early + [s for s in ladder if s not in early]):
+        if bound and i >= len(early):
             break
         found = _muller_polish(fn, seed)
         if found is None:
             continue
         root, rel = found[0], _relative_value(None, found[1:])
+        if root.real < 0.0:
+            root = -root    # the same root: the mode function is even in x
         if not rel < RESIDUAL_GATE:
             continue
         reason = _classify_root(stack, root)
@@ -635,29 +632,28 @@ def find_mode(stack: LayeredStack, angular_frequency: float,
               initial_guess: complex | None = None) -> ModeSolution:
     """Fundamental bound TM mode of the stack at one angular frequency.
 
-    Without a guess, the cold seeds are the quasi-static estimate
-    q0 = i (eps top + eps bottom cladding) w eps0 / sigma and a ladder
-    just above the cladding light line, x = n_clad (1 + d + 0.5i d) for
-    d = 1e-4 ... 3.  Early seeds are all polished, and of the bound roots
+    Without a guess, early seeds are all polished, and of the bound roots
     they reach the one with smallest Re q is returned; late seeds are
-    polished in order only while no bound root has been found.  On a stack
-    with more than one sheet q0 is early, followed by each lower sheet's
-    own estimate i (eps_i + eps_i+1) w eps0 / sigma_i for the sheet at
-    interface i.  On a stack of more than two layers the early seeds go
-    on, in order: the top sheet's estimate with the two layers next to it
-    in place of the claddings, since a tightly confined plasmon sees those;
-    with more than one sheet, the first rung (d = 1e-4); where a layer is
-    denser than the claddings, on a single-sheet stack one seed per
-    bracket of the sheet-free mode function on the 16 real points
-    n_clad (1 + 1e-6 ... 1e-1) below the densest layer's index (a pair of
-    neighbours between which its real or imaginary part changes sign,
-    seeded at the midpoint + 1e-6i), then the deepest minima of a
-    215-point scan of the dielectric-guided band (those 16 log-spaced
-    offsets, then linear up to the densest layer's index + 1); and on a
-    stack with more than one sheet, those of a 48-point scan above it.
-    The late seeds are the rest of the ladder: with one sheet q0 and all
-    nine rungs, with more than one the other eight.  With a guess, only
-    that seed is iterated (continuation use).
+    polished in order only while no bound root has been found.  Early, in
+    order:
+    - with more than one sheet, the quasi-static estimate
+      q0 = i (eps top + eps bottom cladding) w eps0 / sigma, then each
+      lower sheet's own i (eps_i + eps_i+1) w eps0 / sigma_i (interface i);
+    - the top sheet's estimate with the two layers next to it in place of
+      the claddings, which a tightly confined plasmon sees (on two
+      half-spaces, q0 itself);
+    - with more than one sheet, the first rung of the ladder below;
+    - where a layer is denser than the claddings: with one sheet, one seed
+      per bracket of the sheet-free mode function on the 16 real points
+      n_clad (1 + 1e-6 ... 1e-1) below the densest layer's index (a pair of
+      neighbours between which its real or imaginary part changes sign,
+      seeded at the midpoint + 1e-6i); then the deepest minima of a
+      215-point scan of the dielectric-guided band (those 16 offsets, then
+      linear up to the densest layer's index + 1);
+    - with more than one sheet, those of a 48-point scan above the band.
+    Late: the ladder, q0 and then the rungs just above the cladding light
+    line x = n_clad (1 + d + 0.5i d) for d = 1e-4 ... 3, less the early
+    seeds.  With a guess, only that seed is iterated (continuation use).
     """
     return _solve(stack, angular_frequency, initial_guess, [])
 

@@ -32,8 +32,10 @@ less than ``ULP_LEVEL`` relative, and so did an antenna row's efficiency
 proxy, which rests on Im q), a larger change (below ``BRANCH_LEVEL``), a
 branch change (both rows ok, but the root moved by ``BRANCH_LEVEL`` or
 more, where ``find_mode`` tells two roots apart), failed -> ok or
-ok -> failed; everything else (an exit code, stderr, a header, a
-conductivity or scenario row, plot data) is "other".  It prints the count
+ok -> failed; a changed plot value of a column that rests on a root
+(``SOLVER_COLUMNS``) is classed alike by its own relative change;
+everything else (an exit code, stderr, a header, a conductivity or
+scenario row, other plot data) is "other".  It prints the count
 of each class, and the case and both roots or statuses of each larger
 change, branch change or flip.
 
@@ -480,6 +482,11 @@ BRANCH_LEVEL = 1e-8  # one that moves by more is another root to find_mode
 # columns judged with a row's root: an antenna row's f_res and its
 # efficiency proxy are the two unknowns (f, Im q) of the resonance solve
 JUDGED_ALSO = ("efficiency_proxy(1)",)
+# the result columns that rest on a solver root: a plot block of one is
+# judged value by value, by its own relative change
+SOLVER_COLUMNS = ("q_real", "q_imag", "n_eff", "lambda_spp",
+                  "propagation_length", "normalized_lp", "resonant_length",
+                  "f_res", "miniaturization", "efficiency_proxy")
 ULP, LARGER, BRANCH, FIXED, BROKEN, OTHER = (
     "ulp-level", "larger change", "branch change", "failed -> ok",
     "ok -> failed", "other")
@@ -521,6 +528,11 @@ def _root(header: list[str], cells: list[str]):
     return None
 
 
+def _level(relative: float) -> str:
+    return (ULP if relative < ULP_LEVEL else
+            LARGER if relative < BRANCH_LEVEL else BRANCH)
+
+
 def _cells_change(what: str, old: list[str], new: list[str]) -> Change:
     try:
         relative = max(_relative(float(a), float(b))
@@ -556,15 +568,14 @@ def _csv_changes(name: str, old_text: str, new_text: str) -> list[Change]:
             b = _root(header, new)[1]
             relative = max([_relative(a, b)] + [
                 _relative(float(old[i]), float(new[i])) for i in judged])
-            kind = (ULP if relative < ULP_LEVEL else
-                    LARGER if relative < BRANCH_LEVEL else BRANCH)
-            changes.append(Change(kind, what, relative, a, b))
+            changes.append(Change(_level(relative), what, relative, a, b))
     return changes
 
 
 def _plot_changes(name: str, old_text: str, new_text: str) -> list[Change]:
     """One Change per changed value of two plot-data texts, named after
-    the column of its block ("# x=<column> y=<column>")."""
+    the column of its block ("# x=<column> y=<column>"): in a block of a
+    SOLVER_COLUMNS column, classed by its relative change as a root is."""
     old_lines, new_lines = old_text.splitlines(), new_text.splitlines()
     if len(old_lines) != len(new_lines):
         return [Change(OTHER, f"text of {name}", math.nan)]
@@ -578,8 +589,15 @@ def _plot_changes(name: str, old_text: str, new_text: str) -> list[Change]:
         if len(old) != len(new) or old_line.startswith("#"):
             changes.append(Change(OTHER, f"text of {name}", math.nan))
             continue
-        changes += [_cells_change(f"plot {column}", [a], [b])
-                    for a, b in zip(old, new) if a != b]
+        for a, b in zip(old, new):
+            if a == b:
+                continue
+            if column in SOLVER_COLUMNS:
+                relative = _relative(float(a), float(b))
+                changes.append(Change(_level(relative), f"plot {column}",
+                                      relative, float(a), float(b)))
+            else:
+                changes.append(_cells_change(f"plot {column}", [a], [b]))
     return changes
 
 

@@ -728,6 +728,13 @@ ANTENNA_PROXY = "length(um),f_res(THz),f_metal(THz),efficiency_proxy(1),status(-
 CONDUCTIVITY = "frequency(THz),sigma_real(S),sigma_imag(S),status(-)"
 SCENARIO = "length(um),footprint(m2),fits(1),status(-)"
 ULP_UP = repr(math.nextafter(7.2e5, math.inf))
+PLOT = "# x=chemical_potential y={}\n0.2 {}\n"
+
+
+def _plot(column, value):
+    """A case's result whose stdout is one plot-data block."""
+    return {"code": 0, "stdout": PLOT.format(column, value), "stderr": "",
+            "files": {}}
 
 
 def _run(*rows, code=0, stderr="", name="out.csv"):
@@ -763,9 +770,20 @@ def _run(*rows, code=0, stderr="", name="out.csv"):
     (_run(ANTENNA_PROXY, "10,2.06,9.6,0.52,ok"),
      _run(ANTENNA_PROXY, "10,2.06,9.6,0.520000001,ok"),
      (compare_trees.LARGER, "antenna f_res")),
+    # a plot value of a column that rests on a root is judged by its own
+    # relative change
+    (_plot("n_eff", "2.1"), _plot("n_eff", repr(math.nextafter(2.1, 3.0))),
+     (compare_trees.ULP, "plot n_eff")),
+    (_plot("normalized_lp", "77.3"), _plot("normalized_lp", "77.3000001"),
+     (compare_trees.LARGER, "plot normalized_lp")),
+    (_plot("q_imag", "5.5e4"), _plot("q_imag", "5.6e4"),
+     (compare_trees.BRANCH, "plot q_imag")),
+    (_plot("f_metal", "2.06"), _plot("f_metal", repr(math.nextafter(2.06, 3.0))),
+     (compare_trees.OTHER, "plot f_metal")),
 ], ids=["ulp-level", "larger", "branch", "failed-to-ok", "ok-to-failed",
         "conductivity", "scenario", "header", "antenna proxy ulp-level",
-        "antenna proxy larger"])
+        "antenna proxy larger", "plot ulp-level", "plot larger", "plot branch",
+        "plot other"])
 def test_classify_sorts_each_changed_row(old, new, expected):
     assert [change[:2] for change in compare_trees.classify(old, new)] == [expected]
 
@@ -783,14 +801,15 @@ def test_classify_measures_the_root_of_a_row():
 
 
 def test_classify_sorts_other_items():
-    plot = "# x=frequency y=n_eff\n1.0 2.5\n"
+    # plot data of a column that rests on no root
+    plot = "# x=frequency y=sigma_real\n1.0 2.5\n"
     old = {"code": 0, "stdout": plot, "stderr": "", "files": {}}
     new = {"code": 2, "stdout": plot.replace("2.5", "2.5000000000000004"),
            "stderr": "failed\n", "files": {"out.txt": "x\n"}}
     changes = compare_trees.classify(old, new)
     assert [change[:2] for change in changes] == [
         ("other", "code"), ("other", "stderr"), ("other", "presence of out.txt"),
-        ("other", "plot n_eff")]
+        ("other", "plot sigma_real")]
     assert changes[3].relative == pytest.approx(1.776e-16, rel=1e-3)
     assert compare_trees.classify(old, old) == []
 

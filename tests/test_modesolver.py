@@ -10,7 +10,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -253,6 +253,109 @@ def test_find_mode_is_flip_invariant(stack, f_hz):
     else:
         q = mode.wavevector
         assert abs(flipped.wavevector - q) <= 1e-12 * abs(q)
+
+
+# --- physical no-ops: edits of a stack that leave its modes unchanged --------
+
+def _assert_same_mode(stack, edited, f_hz):
+    # the same root to 1e-9 relative, or the same failure
+    omega = 2.0 * math.pi * f_hz
+    mode, other = _mode_or_error(stack, omega), _mode_or_error(edited, omega)
+    if isinstance(mode, type) or isinstance(other, type):
+        assert mode == other
+    else:
+        q = mode.wavevector
+        assert abs(other.wavevector - q) <= 1e-9 * abs(q)
+
+
+def _split(stack, j, fraction):
+    """The stack with interior layer j cut in two layers of its permittivity
+    at fraction of its thickness; the sheets below it move down one
+    interface."""
+    eps, d = stack.layers[j].relative_permittivity, stack.layers[j].thickness_m
+    layers = (*stack.layers[:j], DielectricLayer(eps, fraction * d),
+              DielectricLayer(eps, (1.0 - fraction) * d), *stack.layers[j + 1:])
+    return LayeredStack(layers, {i + (i >= j): s for i, s in stack.sheets.items()})
+
+
+def _padded(stack, d):
+    """The stack with a layer of the top cladding's permittivity and
+    thickness d under the top cladding; every sheet moves down one
+    interface."""
+    pad = DielectricLayer(stack.layers[0].relative_permittivity, d)
+    return LayeredStack((stack.layers[0], pad, *stack.layers[1:]),
+                        {i + 1: s for i, s in stack.sheets.items()})
+
+
+def _layered(layers, sheets):
+    """A stack from (eps, thickness m or None) layers, top to bottom, and
+    {interface: (E_F eV, tau s)} sheets."""
+    return LayeredStack(tuple(DielectricLayer(*layer) for layer in layers),
+                        {i: GrapheneSheet(*sheet) for i, sheet in sheets.items()})
+
+
+# a failing property stops at its first failure: shrinking two-sheet cold
+# solves would cost seconds and show nothing more
+NO_OP_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
+                          phases=(Phase.explicit, Phase.generate))
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 15: the top sheet's mode function cannot resolve a root "
+    "bound to a lower sheet across layers where the field grows by decades, "
+    "so the two orientations can return different roots"))
+@NO_OP_SETTINGS
+@given(stack=two_sheet_stacks(), f_hz=st.floats(0.5e12, 6e12))
+def test_two_sheet_find_mode_is_flip_invariant(stack, f_hz):
+    _assert_same_mode(stack, stack.reversed(), f_hz)
+
+
+NO_OP_MISS = ("ROADMAP items 13 and 2: the cold seeds can miss the bound root "
+              "of smallest Re x, and no count of the roots below the one "
+              "returned says so")
+
+
+# a single-sheet row whose failure changes type, and a two-sheet row whose
+# root 2.717 + 0.142i the split stack misses (it returns 40.76 + 2.10i)
+@pytest.mark.xfail(strict=True, reason=NO_OP_MISS)
+@example(stack=_layered(
+    ((6.669454130357646, None), (6.794613035218725, 4.907209093732956e-07),
+     (8.368097477789274, 8.40761435496306e-07), (7.762361718192801, None)),
+    {1: (0.993916406688019, 2.8337176025465583e-13)}),
+    f_hz=583287201321.7739, pick=0, fraction=0.5319495294435811)
+@example(stack=_layered(
+    ((3.6581383699429733, None), (8.103800231652693, 1.2568436424231273e-07),
+     (3.5785608477324837, None)),
+    {0: (0.7036953904802183, 7.161199965743586e-13),
+     1: (0.4651896137029298, 7.238993631481387e-13)}),
+    f_hz=2190186290705.7935, pick=0, fraction=0.5935804772863397)
+@NO_OP_SETTINGS
+@given(stack=st.one_of(single_sheet_stacks(min_layers=3), two_sheet_stacks()),
+       f_hz=st.floats(0.5e12, 6e12), pick=st.integers(0, 1),
+       fraction=st.floats(0.1, 0.9))
+def test_splitting_a_layer_leaves_the_mode(stack, f_hz, pick, fraction):
+    j = 1 + pick % (len(stack.layers) - 2)
+    _assert_same_mode(stack, _split(stack, j, fraction), f_hz)
+
+
+# a root at 17.61 + 2.82i that the padded stack fails to converge to, and a
+# root 2.328 + 2.1e-6i by the light line that it misses (11.01 + 0.517i)
+@pytest.mark.xfail(strict=True, reason=NO_OP_MISS)
+@example(stack=_layered(
+    ((6.351048133522401, None), (5.282399039574594, 2.2360467665528245e-08),
+     (11.425461163112145, 1.0874581082725164e-06), (7.001232097308506, None)),
+    {0: (0.8670161259603706, 1.4738354687092542e-13)}),
+    f_hz=6293583034232.026, d=1.158139544333294e-06)
+@example(stack=_layered(
+    ((5.415557434101701, None), (3.876211546167755, 5.17225688210364e-08),
+     (8.13520435232005, 6.830446231232741e-06), (3.7336162215359514, None)),
+    {1: (0.839802134669183, 6.650797874592616e-13)}),
+    f_hz=4740022842465.844, d=1.039320909577619e-06)
+@NO_OP_SETTINGS
+@given(stack=single_sheet_stacks(), f_hz=st.floats(0.5e12, 6e12),
+       d=st.floats(1e-8, 1e-5))
+def test_padding_under_the_top_cladding_leaves_the_mode(stack, f_hz, d):
+    _assert_same_mode(stack, _padded(stack, d), f_hz)
 
 
 def test_residual_symmetric_stack_reversal_is_identity():
@@ -506,6 +609,19 @@ def test_find_mode_reports_nonbound_distinctly():
     stack = graphene_on_substrate(sheet, 3.8)
     with pytest.raises(NonBoundModeError):
         find_mode(stack, omega, (1.0052 + 0.003j) * k0)
+
+
+def test_nonbound_error_reports_the_root_with_positive_re_q():
+    # Muller's method can return -x, the same root of a mode function that
+    # depends on x^2 only; the error names it with Re q > 0
+    stack = _layered(
+        ((2.843377730032417, None), (1.102178178036954, 7.441778270045792e-08),
+         (11.79370715427091, 1.1008459879530215e-06), (7.47553088272611, None)),
+        {2: (0.5785767027109348, 1.2928638330554552e-13)})
+    with pytest.raises(NonBoundModeError) as err:
+        find_mode(stack, 2.0 * math.pi * 362857750882.79315)
+    assert str(err.value) == ("not bound: Re q = 1.18009 k0 does not exceed "
+                              "the cladding index 2.73414")
 
 
 # below 1e150 no square overflows; Im x reaches down to the subnormals
@@ -1362,6 +1478,43 @@ def _sheets_around_silicon(tau_s):
         (DielectricLayer(1.0), DielectricLayer(11.9, 2.808e-6),
          DielectricLayer(3.8)),
         {0: GrapheneSheet(0.3935, tau_s), 1: GrapheneSheet(0.592, tau_s)})
+
+
+# rows of the two-sheet sample whose root needs an early seed that a
+# single-sheet stack runs late: (layers, sheets {interface: (E_F eV, tau s)},
+# f Hz, x).  The first needs the first rung (late, the solve returns
+# 31.14 + 14.38i), the second the first rung or the cladding quasi-static
+# seed (both late, 7.912 + 0.892i), the third that seed (late, 14.81 + 1.13i)
+TWO_SHEET_EARLY_ROOTS = [
+    (((5.788699862627491, None), (4.431257401801149, 1.1388987277922036e-07),
+      (9.884553872006821, None)),
+     {1: (0.5900569192063043, 1.7916864291561413e-13),
+      0: (0.8490904101340723, 6.500377386951464e-13)},
+     569433642226.412, 3.169795915036656 + 0.1297810283717307j),
+    (((1.1996874719935, None), (1.324803641797386, 4.2999943277938637e-07),
+      (4.921512119942427, None)),
+     {1: (0.7984504427241085, 3.5104840355521893e-13),
+      0: (0.7707492235989417, 6.577594031133236e-13)},
+     1669338837977.4932, 2.341185106677933 + 0.05782209412038191j),
+    (((3.4773470135085613, None), (9.047508979844123, 8.623407590636083e-06),
+      (1.6769932455256558, 2.1924533501596006e-07), (6.670010143721379, None)),
+     {0: (0.3577254174405668, 6.844816995000214e-13),
+      1: (0.7692382717061671, 4.720216412640165e-13)},
+     2934231925180.619, 7.9869374600481216 + 0.7479663843069739j)]
+
+
+@pytest.mark.parametrize("layers, sheets, f_hz, expected",
+                         TWO_SHEET_EARLY_ROOTS,
+                         ids=["first-rung", "either", "cladding"])
+def test_two_sheet_early_seeds_reach_the_smallest_root(layers, sheets, f_hz,
+                                                       expected):
+    mode = find_mode(_layered(layers, sheets), 2.0 * math.pi * f_hz)
+    x = mode.wavevector / mode.k0
+    assert abs(x - expected) <= 1e-9 * abs(expected)
+    sigmas = {i: oracles.mp_conductivity(ef, tau, f_hz)
+              for i, (ef, tau) in sheets.items()}
+    assert oracles.layered_mode_residual(
+        layers, sigmas, mode.wavevector, 2.0 * math.pi * f_hz) <= 1e-12
 
 
 def test_two_sheet_stack_sweep_scans_every_row():
