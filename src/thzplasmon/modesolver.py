@@ -29,10 +29,12 @@ the zero of D collides with a pole.  The bilinear form has the same zeros
 off the branch cuts and stays finite.  Neither walk crosses the top sheet,
 so the form is affine in that sheet's term: _mode_function evaluates the
 sheet-free parts of a point once, and one _with_term adds the term for
-every consumer (the root finder, the seed scans, dispersion_residual,
-residual_scale and the resonance search's Newton step, whose closed-form
-derivatives for two half-spaces reuse the same parts).  A root's residual
-is the evaluation Muller's method stopped on.
+every consumer (the root finder, dispersion_residual, residual_scale and
+the resonance search's Newton step, whose closed-form derivatives for two
+half-spaces reuse the same parts) but one: the seed scans' per-row loop,
+_relative_values, repeats its operations in their order inline, the one
+mirror, which the tests pin to it bit for bit.  A root's residual is the
+evaluation Muller's method stopped on.
 """
 from __future__ import annotations
 
@@ -213,7 +215,8 @@ def _mode_function(x: complex, geometry):
 def _with_term(term: complex, parts) -> tuple[complex, float]:
     """The bilinear form and its term scale: the top sheet's term added to
     a point's sheet-free parts.  The one place that adds it, for every
-    consumer, so a scan point stored once serves any row's term."""
+    consumer but the scan's per-row loop (_relative_values), which repeats
+    it inline, so a scan point stored once serves any row's term."""
     value, scale, b_bottom, b_top = parts
     sheet = term * b_bottom * b_top
     m = abs(sheet)
@@ -404,7 +407,7 @@ def _newton(stack: LayeredStack, q_re: float, f: float, beta: float):
             value, scale, d_x, d_w = _form_with_derivatives(stack, omega,
                                                             q / k0)
             if done:
-                rel = _relative_value(None, (value, scale))
+                rel = _relative_value((value, scale))
                 return ((f, ModeSolution(omega, q, rel)) if rel < RESIDUAL_GATE
                         and _classify_root(stack, q / k0) is None else None)
             d_beta = 1j * d_x / k0
@@ -452,18 +455,52 @@ def _sheet_free_parts(geometry, x: complex):
         return None
 
 
-def _relative_value(term: complex | None, parts) -> float:
-    """The relative mode function |D| / scale of a point: from its
-    sheet-free parts and the top sheet's term, or (term None) from the
-    (value, scale) pair that already holds the term; inf where the parts
-    are None (they overflowed), the scale is 0 or a modulus overflows."""
-    if parts is None:
-        return math.inf
+def _relative_value(pair) -> float:
+    """The relative mode function |D| / scale of a (value, scale) pair that
+    holds the top sheet's term; inf where the scale is 0 or |value|
+    overflows."""
+    value, scale = pair
     try:
-        value, scale = parts if term is None else _with_term(term, parts)
         return abs(value) / scale if scale > 0.0 else math.inf
     except OverflowError:
         return math.inf
+
+
+def _relative_values(term: complex, parts: list) -> list[float]:
+    """The relative mode function of each point from its sheet-free parts
+    and the top sheet's term: _with_term then _relative_value in one loop,
+    their operations in their order, which the scan's per-row pass runs
+    (two calls per point cost more than the rest of the pass).  The one
+    copy of _with_term's arithmetic, pinned to it bit for bit by the tests;
+    inf where the parts are None (they overflowed), the scale is 0 or a
+    modulus overflows."""
+    inf = math.inf
+    values = []
+    for p in parts:
+        if p is None:
+            values.append(inf)
+            continue
+        value, scale, b_bottom, b_top = p
+        try:
+            sheet = term * b_bottom * b_top
+            m = abs(sheet)
+            if m > scale:
+                scale = m
+            values.append(abs(value + sheet) / scale if scale > 0.0 else inf)
+        except OverflowError:
+            values.append(inf)
+    return values
+
+
+def _local_minima(values: list[float], points: list) -> list:
+    """(value, point) of each finite interior value below both neighbours,
+    the smallest first (a stable sort).  NaN fails both comparisons and the
+    values are never -inf, so != inf is isfinite here."""
+    minima = [(v, z) for u, v, w, z in zip(values, values[1:], values[2:],
+                                           points[1:])
+              if v < u and v < w and v != math.inf]
+    minima.sort(key=lambda item: item[0])
+    return minima
 
 
 def _bracket_seeds(geometry, grid: list[float]) -> list[complex]:
@@ -492,7 +529,9 @@ def _scan_seeds(term: complex, geometry, store: list, reals: list[float],
     the bracket seeds depends on the sheet term: ``store``, a one-slot list,
     keeps them for the last scan, and they are built anew for other points
     or another geometry.  The values are the row's term applied to the
-    kept parts."""
+    kept parts (_relative_values).  The caller builds ``reals`` and
+    ``grid``: the band's once per store (_band_grids), the 48 points above
+    the band of a several-sheet stack per solve."""
     key = (reals, grid, geometry)
     if not store or store[0][0] != key:
         points = [complex(p, _SCAN_IMAG_FRAC * p) for p in reals]
@@ -500,11 +539,7 @@ def _scan_seeds(term: complex, geometry, store: list, reals: list[float],
                      [_sheet_free_parts(geometry, x) for x in points],
                      _bracket_seeds(geometry, grid))]
     _, points, parts, brackets = store[0]
-    values = [_relative_value(term, p) for p in parts]
-    minima = [(values[i], points[i]) for i in range(1, len(points) - 1)
-              if values[i] < values[i - 1] and values[i] < values[i + 1]
-              and math.isfinite(values[i])]
-    minima.sort(key=lambda item: item[0])
+    minima = _local_minima(_relative_values(term, parts), points)
     return brackets + [z for _, z in minima[:6]]
 
 
@@ -516,16 +551,41 @@ def _linear(lo: float, hi: float, count: int) -> list[float]:
     return [lo + i * step for i in range(count)]
 
 
+def _band_grids(store: list, n_clad: float, n_max: float,
+                one_sheet: bool) -> tuple[list[float], list[float]]:
+    """(reals, grid) of the dielectric-guided band's scan (_scan_seeds):
+    sharp minima live there for hybrid stacks, the weakly guided ones close
+    to the light line, so 16 log-spaced offsets n_clad (1 + 1e-6 ... 1e-1)
+    lead in, the last of them the first point of the linear part up to
+    n_max + 1.  With one sheet the 16 offsets below n_max, on the real
+    axis, are bracketed too (a second sheet's lossy term in a walk moves
+    the bare stack's roots off the axis).  Both depend on the indices
+    alone: ``store``, a one-slot list, keeps them for the next solve of a
+    stack with the same ones, such as one sweep's rows."""
+    key = (n_clad, n_max, one_sheet)
+    if not store or store[0][0] != key:
+        hi = n_max + 1.0
+        log = [n_clad * (1.0 + 10.0 ** (k / 3.0 - 6.0)) for k in range(15)]
+        reals = [r for r in log if r < hi] + _linear(n_clad * 1.1, hi, 200)
+        grid = ([r for r in log + [n_clad * 1.1] if r < n_max]
+                if one_sheet else [])
+        store[:] = [(key, reals, grid)]
+    return store[0][1], store[0][2]
+
+
 def _solve(stack: LayeredStack, angular_frequency: float,
-           initial_guess: complex | None, store: list) -> ModeSolution:
+           initial_guess: complex | None,
+           store: tuple[list, list]) -> ModeSolution:
     """find_mode's seeds, polish and root selection: every early seed is
     polished and the bound root of smallest Re x wins; the late seeds, the
     ladder less any seed already early, are polished only while no root was
     found.  A root's residual is the (value, scale) pair Muller's method
-    evaluated it at, so no root is evaluated again.  ``store`` keeps the
-    band scan's points, their sheet-free parts and the brackets' seeds
-    (_scan_seeds) for later solves: those of stacks with equal walks at
-    this frequency, such as one sweep's single-sheet rows, take them
+    evaluated it at, so no root is evaluated again.  ``store``, a pair of
+    one-slot lists, keeps for later solves the band's grids (_band_grids),
+    which those of stacks with the same indices, such as one sweep's rows,
+    take unbuilt, and the band scan's points, their sheet-free parts and
+    the brackets' seeds (_scan_seeds), which those of stacks with equal
+    walks at this frequency, such as one sweep's single-sheet rows, take
     unbuilt."""
     term, geometry = _mode_problem(stack, angular_frequency)
     k0 = geometry[0]
@@ -577,25 +637,15 @@ def _solve(stack: LayeredStack, angular_frequency: float,
             early.append(rungs[0])
         # only a stack of more than two layers has a band or a second sheet
         n_max = stack.max_layer_index
+        grids, scans = store
         if n_max > n_clad:
-            # dielectric-guided band: sharp minima live here for hybrid
-            # stacks, the weakly guided ones close to the light line, so
-            # 16 log-spaced offsets n_clad (1 + 1e-6 ... 1e-1) lead in, the
-            # last of them the first point of the linear part.  With one
-            # sheet the 16 offsets below n_max, on the real axis, are
-            # bracketed too (a second sheet's lossy term in a walk moves
-            # the bare stack's roots off the axis)
-            hi = n_max + 1.0
-            log = [n_clad * (1.0 + 10.0 ** (k / 3.0 - 6.0)) for k in range(15)]
-            reals = [r for r in log if r < hi] + _linear(n_clad * 1.1, hi, 200)
-            grid = ([r for r in log + [n_clad * 1.1] if r < n_max]
-                    if one_sheet else [])
-            early += _scan_seeds(term, geometry, store, reals, grid)
+            reals, grid = _band_grids(grids, n_clad, n_max, one_sheet)
+            early += _scan_seeds(term, geometry, scans, reals, grid)
         if not one_sheet:
             # a second sheet's term in the bottom walk can put the
             # fundamental root above the band
             hi = max(2.0 * abs(qs), n_max + 2.0, 50.0)
-            early += _scan_seeds(term, geometry, store,
+            early += _scan_seeds(term, geometry, scans,
                                  _linear(n_max + 1.0, hi, 48), [])
 
     bound: list[tuple[complex, float]] = []
@@ -606,7 +656,7 @@ def _solve(stack: LayeredStack, angular_frequency: float,
         found = _muller_polish(fn, seed)
         if found is None:
             continue
-        root, rel = found[0], _relative_value(None, found[1:])
+        root, rel = found[0], _relative_value(found[1:])
         if root.real < 0.0:
             root = -root    # the same root: the mode function is even in x
         if not rel < RESIDUAL_GATE:
@@ -655,7 +705,7 @@ def find_mode(stack: LayeredStack, angular_frequency: float,
     line x = n_clad (1 + d + 0.5i d) for d = 1e-4 ... 3, less the early
     seeds.  With a guess, only that seed is iterated (continuation use).
     """
-    return _solve(stack, angular_frequency, initial_guess, [])
+    return _solve(stack, angular_frequency, initial_guess, ([], []))
 
 
 def trace_dispersion(stack: LayeredStack, frequencies_hz) -> list[TracePoint]:
@@ -704,9 +754,10 @@ def stack_metrics_sweep(stack: LayeredStack, frequency_hz: float,
     """
     omega = 2.0 * math.pi * frequency_hz
     grid = [float(ef) for ef in chemical_potentials_ev]
-    # the rows share the band scan's parts while their walks are equal: with
-    # one sheet, at the reference interface, no walk holds the retuned term
-    store: list = []
+    # the rows share the band's grids, which hang on the indices alone, and
+    # the band scan's parts while their walks are equal: with one sheet, at
+    # the reference interface, no walk holds the retuned term
+    store: tuple[list, list] = ([], [])
     rows: list[StackMetricsRow] = []
     for ef in grid:
         try:

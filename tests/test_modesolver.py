@@ -766,6 +766,12 @@ def test_muller_nudges_a_flat_parabola_and_gives_up():
     assert calls[3] == ROOT * (1.0 + 1e-6) and calls[4] == calls[3] * (1.0 + 1e-6)
 
 
+def _inverted_band_stack():
+    clad = DielectricLayer(1e14)
+    return LayeredStack((clad, DielectricLayer(1e14 + 1e8, 1e-6), clad),
+                        {0: SHEET_02})
+
+
 def test_inverted_scan_band_is_skipped(monkeypatch):
     # at cladding index 1e7 the dielectric band's first point lies 1e-6
     # above it, past the 1 um film's index + 1, so that scan has no points
@@ -781,9 +787,7 @@ def test_inverted_scan_band_is_skipped(monkeypatch):
         scans.append((len(reals), len(grid), evals, seeds))
         return seeds
     monkeypatch.setattr(modesolver, "_scan_seeds", recording)
-    clad = DielectricLayer(1e14)
-    stack = LayeredStack((clad, DielectricLayer(1e14 + 1e8, 1e-6), clad),
-                         {0: SHEET_02})
+    stack = _inverted_band_stack()
     mode = find_mode(stack, OMEGA_1THZ)
     assert scans == [(0, 0, 0, [])]
     assert mode.wavevector.real > stack.max_cladding_index * OMEGA_1THZ / C0
@@ -863,8 +867,8 @@ def test_root_residual_is_the_relative_value_at_the_root(stack, f_hz):
     term, geometry = modesolver._mode_problem(stack, omega)
     x = next(x for x, reason in classified
              if reason is None and x * geometry[0] == mode.wavevector)
-    expected = modesolver._relative_value(
-        term, modesolver._sheet_free_parts(geometry, x))
+    expected = modesolver._relative_value(modesolver._with_term(
+        term, modesolver._sheet_free_parts(geometry, x)))
     assert mode.residual.hex() == expected.hex()
 
 
@@ -1416,12 +1420,12 @@ def _solver_fn(stack, omega):
 
 
 def _assert_single_pass_bits(stack, omega, points):
-    # the scan's relative values and the (value, scale) pairs Muller's
-    # method iterates on and stops with equal the single-pass form's bits,
-    # overflow included
+    # the scan's relative values, from the loop its per-row pass runs, and
+    # the (value, scale) pairs Muller's method iterates on and stops with
+    # equal the single-pass form's bits, overflow included
     term, geometry = modesolver._mode_problem(stack, omega)
-    scan = [modesolver._relative_value(
-        term, modesolver._sheet_free_parts(geometry, z)) for z in points]
+    scan = modesolver._relative_values(
+        term, [modesolver._sheet_free_parts(geometry, z) for z in points])
     assert [v.hex() for v in scan] == [
         _single_pass_relative(z, term, geometry).hex() for z in points]
     fn = _solver_fn(stack, omega)
@@ -1462,6 +1466,97 @@ def test_overflowing_points_agree_with_the_single_pass_form():
                   for z in points].count("OverflowError")
         assert 0 < raised < len(points)
         _assert_single_pass_bits(stack, omega, points)
+
+
+def _index_minima(values, points):
+    # the local-minimum rule as an index loop with math.isfinite, the form
+    # the scan used before its comprehension over neighbouring triples
+    minima = [(values[i], points[i]) for i in range(1, len(points) - 1)
+              if values[i] < values[i - 1] and values[i] < values[i + 1]
+              and math.isfinite(values[i])]
+    minima.sort(key=lambda item: item[0])
+    return minima
+
+
+# a scan value is |D| / scale: non-negative, inf or NaN; the few fixed ones
+# give repeats and plateaus
+SCAN_VALUES = st.one_of(st.sampled_from([0.0, 1.0, 2.0, math.inf, math.nan]),
+                        st.floats(0.0, 1e300))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(values=st.one_of(st.lists(SCAN_VALUES, max_size=6),
+                        st.lists(SCAN_VALUES, min_size=7, max_size=80)))
+def test_scan_minima_follow_the_index_rule(values):
+    # the same (value, point) list in the same order; the points are
+    # distinct, so the stable sort's order of equal values shows
+    points = [complex(i, 1e-4 * i) for i in range(len(values))]
+    got = modesolver._local_minima(values, points)
+    expected = _index_minima(values, points)
+    assert [(v.hex(), z) for v, z in got] == [(v.hex(), z) for v, z in expected]
+
+
+def _per_solve_band_grids(n_clad, n_max, one_sheet):
+    # the band's scan points and bracket grid as each cold solve built them
+    # before a store kept them
+    hi = n_max + 1.0
+    log = [n_clad * (1.0 + 10.0 ** (k / 3.0 - 6.0)) for k in range(15)]
+    lo = n_clad * 1.1
+    linear = ([lo + i * ((hi - lo) / 199) for i in range(200)]
+              if hi > lo else [])
+    reals = [r for r in log if r < hi] + linear
+    grid = [r for r in log + [n_clad * 1.1] if r < n_max] if one_sheet else []
+    return reals, grid
+
+
+@pytest.mark.parametrize("name", ["H1G", "H2G", "inverted band", "two sheets"])
+def test_band_grids_equal_the_per_solve_expressions(name):
+    stack = {"H1G": lambda: preset_stack("H1G", SHEET_02),
+             "H2G": lambda: preset_stack("H2G", SHEET_02),
+             "inverted band": _inverted_band_stack,
+             "two sheets": _two_sheet_stack}[name]()
+    key = (stack.max_cladding_index, stack.max_layer_index,
+           len(stack.sheets) == 1)
+    store = []
+    reals, grid = modesolver._band_grids(store, *key)
+    expected = _per_solve_band_grids(*key)
+    assert [r.hex() for r in reals] == [r.hex() for r in expected[0]]
+    assert [r.hex() for r in grid] == [r.hex() for r in expected[1]]
+    assert (len(reals), len(grid)) == {"H1G": (215, 16), "H2G": (215, 16),
+                                       "inverted band": (0, 0),
+                                       "two sheets": (215, 0)}[name]
+    # kept for the next solve with the same indices, not built again
+    again = modesolver._band_grids(store, *key)
+    assert again[0] is reals and again[1] is grid
+
+
+def test_stack_sweep_builds_the_band_grids_once(monkeypatch):
+    # nine single-sheet rows share one build of the band grids (a
+    # single-sheet solve's one _linear call) and hand Muller's method the
+    # seeds of nine lone solves, each of which builds its own
+    stack = preset_stack("H1G", GrapheneSheet(0.2, 0.6e-12))
+    potentials = [0.2 + 0.1 * i for i in range(9)]
+    built, seeds = [], []
+    linear, polish = modesolver._linear, modesolver._muller_polish
+
+    def counted(*args):
+        built.append(args)
+        return linear(*args)
+
+    def recording(fn, seed):
+        seeds.append(seed)
+        return polish(fn, seed)
+    monkeypatch.setattr(modesolver, "_linear", counted)
+    monkeypatch.setattr(modesolver, "_muller_polish", recording)
+    rows = stack_metrics_sweep(stack, 4e12, potentials)
+    swept = (len(built), list(seeds))
+    built.clear()
+    seeds.clear()
+    for ef in potentials:
+        find_mode(stack.with_chemical_potential(ef), 2.0 * math.pi * 4e12)
+    assert all(row.status == "ok" for row in rows)
+    assert swept == (1, seeds)
+    assert len(built) == len(potentials)
 
 
 def _two_sheet_stack():
