@@ -493,14 +493,20 @@ def _relative_values(term: complex, parts: list) -> list[float]:
 
 
 def _local_minima(values: list[float], points: list) -> list:
-    """(value, point) of each finite interior value below both neighbours,
-    the smallest first (a stable sort).  NaN fails both comparisons and the
-    values are never -inf, so != inf is isfinite here."""
+    """(value, point) of each interior value below both neighbours, the
+    smallest first (a stable sort); inf and NaN never are."""
     minima = [(v, z) for u, v, w, z in zip(values, values[1:], values[2:],
                                            points[1:])
-              if v < u and v < w and v != math.inf]
+              if v < u and v < w]
     minima.sort(key=lambda item: item[0])
     return minima
+
+
+def _minima_seeds(term: complex, points: list, parts: list) -> list[complex]:
+    """The deepest six local minima of the relative mode function over scan
+    points, their values the term applied to the sheet-free parts."""
+    return [z for _, z in _local_minima(_relative_values(term, parts),
+                                        points)[:6]]
 
 
 def _bracket_seeds(geometry, grid: list[float]) -> list[complex]:
@@ -520,27 +526,11 @@ def _bracket_seeds(geometry, grid: list[float]) -> list[complex]:
     return seeds
 
 
-def _scan_seeds(term: complex, geometry, store: list, reals: list[float],
-                grid: list[float]) -> list[complex]:
-    """The bracket seeds of the real points ``grid`` (_bracket_seeds), then
-    the local minima of the relative mode function at the real parts
-    ``reals`` along a near-real line (Im x = _SCAN_IMAG_FRAC Re x), the
-    deepest six first.  None of the scan points, their sheet-free parts and
-    the bracket seeds depends on the sheet term: ``store``, a one-slot list,
-    keeps them for the last scan, and they are built anew for other points
-    or another geometry.  The values are the row's term applied to the
-    kept parts (_relative_values).  The caller builds ``reals`` and
-    ``grid``: the band's once per store (_band_grids), the 48 points above
-    the band of a several-sheet stack per solve."""
-    key = (reals, grid, geometry)
-    if not store or store[0][0] != key:
-        points = [complex(p, _SCAN_IMAG_FRAC * p) for p in reals]
-        store[:] = [(key, points,
-                     [_sheet_free_parts(geometry, x) for x in points],
-                     _bracket_seeds(geometry, grid))]
-    _, points, parts, brackets = store[0]
-    minima = _local_minima(_relative_values(term, parts), points)
-    return brackets + [z for _, z in minima[:6]]
+def _scan_line(geometry, reals: list[float]) -> tuple[list, list]:
+    """(points, their sheet-free parts) of a scan at the real parts
+    ``reals`` along the near-real line Im x = _SCAN_IMAG_FRAC Re x."""
+    points = [complex(p, _SCAN_IMAG_FRAC * p) for p in reals]
+    return points, [_sheet_free_parts(geometry, x) for x in points]
 
 
 def _linear(lo: float, hi: float, count: int) -> list[float]:
@@ -551,42 +541,34 @@ def _linear(lo: float, hi: float, count: int) -> list[float]:
     return [lo + i * step for i in range(count)]
 
 
-def _band_grids(store: list, n_clad: float, n_max: float,
-                one_sheet: bool) -> tuple[list[float], list[float]]:
-    """(reals, grid) of the dielectric-guided band's scan (_scan_seeds):
-    sharp minima live there for hybrid stacks, the weakly guided ones close
-    to the light line, so 16 log-spaced offsets n_clad (1 + 1e-6 ... 1e-1)
-    lead in, the last of them the first point of the linear part up to
-    n_max + 1.  With one sheet the 16 offsets below n_max, on the real
-    axis, are bracketed too (a second sheet's lossy term in a walk moves
-    the bare stack's roots off the axis).  Both depend on the indices
-    alone: ``store``, a one-slot list, keeps them for the next solve of a
-    stack with the same ones, such as one sweep's rows."""
-    key = (n_clad, n_max, one_sheet)
-    if not store or store[0][0] != key:
-        hi = n_max + 1.0
-        log = [n_clad * (1.0 + 10.0 ** (k / 3.0 - 6.0)) for k in range(15)]
-        reals = [r for r in log if r < hi] + _linear(n_clad * 1.1, hi, 200)
-        grid = ([r for r in log + [n_clad * 1.1] if r < n_max]
-                if one_sheet else [])
-        store[:] = [(key, reals, grid)]
-    return store[0][1], store[0][2]
+def _band_scan(geometry, n_clad: float, n_max: float, one_sheet: bool):
+    """(points, parts, bracket seeds) of the dielectric-guided band, where
+    hybrid stacks have sharp minima, the weakly guided ones close to the
+    light line: 16 log-spaced offsets n_clad (1 + 1e-6 ... 1e-1) lead in,
+    the last of them the first point of the linear part up to n_max + 1.
+    With one sheet the 16 offsets below n_max, on the real axis, are
+    bracketed too (a second sheet's lossy term in a walk moves the bare
+    stack's roots off the axis).  None of it depends on the top sheet's
+    term."""
+    hi = n_max + 1.0
+    log = [n_clad * (1.0 + 10.0 ** (k / 3.0 - 6.0)) for k in range(15)]
+    points, parts = _scan_line(
+        geometry, [r for r in log if r < hi] + _linear(n_clad * 1.1, hi, 200))
+    grid = [r for r in log + [n_clad * 1.1] if r < n_max] if one_sheet else []
+    return points, parts, _bracket_seeds(geometry, grid)
 
 
 def _solve(stack: LayeredStack, angular_frequency: float,
            initial_guess: complex | None,
-           store: tuple[list, list]) -> ModeSolution:
+           store: list) -> ModeSolution:
     """find_mode's seeds, polish and root selection: every early seed is
     polished and the bound root of smallest Re x wins; the late seeds, the
     ladder less any seed already early, are polished only while no root was
     found.  A root's residual is the (value, scale) pair Muller's method
-    evaluated it at, so no root is evaluated again.  ``store``, a pair of
-    one-slot lists, keeps for later solves the band's grids (_band_grids),
-    which those of stacks with the same indices, such as one sweep's rows,
-    take unbuilt, and the band scan's points, their sheet-free parts and
-    the brackets' seeds (_scan_seeds), which those of stacks with equal
-    walks at this frequency, such as one sweep's single-sheet rows, take
-    unbuilt."""
+    evaluated it at, so no root is evaluated again.  ``store``, a one-slot
+    list [geometry, band scan], keeps the band scan (_band_scan) for the
+    next solve of an equal geometry, such as one sweep's single-sheet rows:
+    k0 and the two walks fix every value the scan holds."""
     term, geometry = _mode_problem(stack, angular_frequency)
     k0 = geometry[0]
 
@@ -637,16 +619,18 @@ def _solve(stack: LayeredStack, angular_frequency: float,
             early.append(rungs[0])
         # only a stack of more than two layers has a band or a second sheet
         n_max = stack.max_layer_index
-        grids, scans = store
         if n_max > n_clad:
-            reals, grid = _band_grids(grids, n_clad, n_max, one_sheet)
-            early += _scan_seeds(term, geometry, scans, reals, grid)
+            if not store or store[0] != geometry:
+                store[:] = [geometry,
+                            _band_scan(geometry, n_clad, n_max, one_sheet)]
+            points, parts, brackets = store[1]
+            early += brackets + _minima_seeds(term, points, parts)
         if not one_sheet:
             # a second sheet's term in the bottom walk can put the
             # fundamental root above the band
             hi = max(2.0 * abs(qs), n_max + 2.0, 50.0)
-            early += _scan_seeds(term, geometry, scans,
-                                 _linear(n_max + 1.0, hi, 48), [])
+            early += _minima_seeds(term, *_scan_line(
+                geometry, _linear(n_max + 1.0, hi, 48)))
 
     bound: list[tuple[complex, float]] = []
     unbound_reason: str | None = None
@@ -704,8 +688,10 @@ def find_mode(stack: LayeredStack, angular_frequency: float,
     Late: the ladder, q0 and then the rungs just above the cladding light
     line x = n_clad (1 + d + 0.5i d) for d = 1e-4 ... 3, less the early
     seeds.  With a guess, only that seed is iterated (continuation use).
+    Each call builds its own band scan; stack_metrics_sweep's rows share
+    one while their geometry is equal.
     """
-    return _solve(stack, angular_frequency, initial_guess, ([], []))
+    return _solve(stack, angular_frequency, initial_guess, [])
 
 
 def trace_dispersion(stack: LayeredStack, frequencies_hz) -> list[TracePoint]:
@@ -754,10 +740,9 @@ def stack_metrics_sweep(stack: LayeredStack, frequency_hz: float,
     """
     omega = 2.0 * math.pi * frequency_hz
     grid = [float(ef) for ef in chemical_potentials_ev]
-    # the rows share the band's grids, which hang on the indices alone, and
-    # the band scan's parts while their walks are equal: with one sheet, at
-    # the reference interface, no walk holds the retuned term
-    store: tuple[list, list] = ([], [])
+    # the rows share the band scan while their geometry is equal: with one
+    # sheet, at the reference interface, no walk holds the retuned term
+    store: list = []
     rows: list[StackMetricsRow] = []
     for ef in grid:
         try:

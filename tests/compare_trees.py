@@ -19,12 +19,16 @@ Each tree gets one subprocess that imports ``thzplasmon.cli`` from its
   over 10-2000 um at width 8 um and gap 3 um;
 - the layered family (``layered_cases``): the first 200 rows of the
   single-sheet and of the two-sheet random-stack samples, each one cold
-  ``find_mode`` called in process, since no command builds such a stack.
+  ``find_mode`` called in process, since no command builds such a stack;
+- the sweep family (``sweep_cases``): the first 50 rows of the two-sheet
+  sample, each a ``stack_metrics_sweep`` over E_F 0.1, 0.4 and 0.7 eV at
+  its drawn f, called in process, since no command sweeps such a stack.
 
 A case runs in an empty working directory.  Its exit code, stdout, stderr
 and the files it writes are compared, and every case that differs is
 printed; a layered case's stdout is a one-row CSV of its root x = q/k0 or
-its failure.  The exit code is 0 when no case differs and 1 otherwise.
+its failure, and a sweep case's the rows under the ``stack`` target's CSV
+header.  The exit code is 0 when no case differs and 1 otherwise.
 
 ``--classify`` sorts what differs instead of printing it (``classify``):
 each changed row of an emitted CSV is ulp-level (its solver root moved by
@@ -42,8 +46,8 @@ change, branch change or flip.
 Not collected by pytest: run it by hand before and after a change that must
 keep the command line's behaviour.  ``tests/test_cli.py`` runs its worker
 on one tree over the shipped cases and the default seed-1 corpora, without
-the workload rounds, the dipole grid and the layered family, and checks one
-digest per case.
+the workload rounds, the dipole grid and the layered and sweep families,
+and checks one digest per case.
 """
 from __future__ import annotations
 
@@ -416,13 +420,17 @@ def layered_cases(count: int = 200) -> list[dict]:
     return cases
 
 
-def _layered_row(case: dict) -> str:
-    """One cold find_mode on a layered case: its root's CSV or failure."""
-    from thzplasmon import (DielectricLayer, GrapheneSheet, LayeredStack,
-                            ModeSolverError, find_mode)
-    stack = LayeredStack(
+def _case_stack(case: dict):
+    from thzplasmon import DielectricLayer, GrapheneSheet, LayeredStack
+    return LayeredStack(
         tuple(DielectricLayer(*layer) for layer in case["layers"]),
         {j: GrapheneSheet(ef, tau) for j, ef, tau in case["sheets"]})
+
+
+def _layered_row(case: dict) -> str:
+    """One cold find_mode on a layered case: its root's CSV or failure."""
+    from thzplasmon import ModeSolverError, find_mode
+    stack = _case_stack(case)
     try:
         mode = find_mode(stack, 2.0 * math.pi * case["frequency_hz"])
         x = mode.wavevector / mode.k0
@@ -430,6 +438,29 @@ def _layered_row(case: dict) -> str:
     except (ModeSolverError, ValueError) as err:
         row = ",,failed:" + str(err).replace(",", ";").replace("\n", " ")
     return f"x_real(1),x_imag(1),status(-)\n{row}\n"
+
+
+def sweep_cases(count: int = 50) -> list[dict]:
+    """The first count rows of the two-sheet sample, each swept over E_F."""
+    return [dict(case, id=f"2-sheet sample sweep {i}",
+                 potentials=(0.1, 0.4, 0.7))
+            for i, case in enumerate(layered_cases(count)[count:])]
+
+
+def _sweep_rows(case: dict) -> str:
+    """A sweep case's rows as the ``stack`` target prints them."""
+    from thzplasmon import stack_metrics_sweep
+    lines = ["chemical_potential(eV),n_eff(1),normalized_lp(1),"
+             "resonant_length(m),status(-)"]
+    for row in stack_metrics_sweep(_case_stack(case), case["frequency_hz"],
+                                   case["potentials"]):
+        cells = (row.effective_index, row.normalized_propagation_length,
+                 row.resonant_length_m)
+        status = row.status.replace(",", ";").replace("\n", " ")
+        lines.append(",".join([f"{row.chemical_potential_ev:.17e}"]
+                              + ["" if c is None else f"{c:.17e}" for c in cells]
+                              + [status]))
+    return "\n".join(lines) + "\n"
 
 
 def run_cases(src: str) -> None:
@@ -442,7 +473,8 @@ def run_cases(src: str) -> None:
         os.chdir(directory)
         for case in cases:
             if "layers" in case:
-                results.append({"code": 0, "stdout": _layered_row(case),
+                rows = _sweep_rows if "potentials" in case else _layered_row
+                results.append({"code": 0, "stdout": rows(case),
                                 "stderr": "", "files": {}})
                 continue
             for name in os.listdir("."):
@@ -669,7 +701,7 @@ def main(argv=None) -> int:
     cases = (shipped_cases() + workload_cases()
              + config_documents(args.seed, args.documents, args.max_faults)
              + direct_calls(args.seed, args.calls) + dipole_grid_cases()
-             + layered_cases())
+             + layered_cases() + sweep_cases())
     old, new = (_results(str(Path(src).resolve()), cases)
                 for src in (args.old_src, args.new_src))
     if args.classify:

@@ -777,19 +777,32 @@ def test_inverted_scan_band_is_skipped(monkeypatch):
     # above it, past the 1 um film's index + 1, so that scan has no points
     # and the bracket grid below the film's index none either: it gives no
     # seeds and evaluates nothing, and with one sheet it is the only scan
-    scans = []
-    scan = modesolver._scan_seeds
+    scans, grids, minima = [], [], []
+    band, brackets, deepest = (modesolver._band_scan, modesolver._bracket_seeds,
+                               modesolver._minima_seeds)
 
-    def recording(term, geometry, store, reals, grid):
-        seeds = []
+    def recording(geometry, n_clad, n_max, one_sheet):
+        scan = []
         evals = oracles.count_evals(
-            lambda: seeds.extend(scan(term, geometry, store, reals, grid)))
-        scans.append((len(reals), len(grid), evals, seeds))
-        return seeds
-    monkeypatch.setattr(modesolver, "_scan_seeds", recording)
+            lambda: scan.extend(band(geometry, n_clad, n_max, one_sheet)))
+        scans.append((scan, evals))
+        return tuple(scan)
+
+    def recording_grid(geometry, grid):
+        grids.append(grid)
+        return brackets(geometry, grid)
+
+    def recording_minima(term, points, parts):
+        minima.append(deepest(term, points, parts))
+        return minima[-1]
+    monkeypatch.setattr(modesolver, "_band_scan", recording)
+    monkeypatch.setattr(modesolver, "_bracket_seeds", recording_grid)
+    monkeypatch.setattr(modesolver, "_minima_seeds", recording_minima)
     stack = _inverted_band_stack()
     mode = find_mode(stack, OMEGA_1THZ)
-    assert scans == [(0, 0, 0, [])]
+    assert len(scans) == len(grids) == len(minima) == 1
+    [((points, _, seeds), evals)], [grid], [found] = scans, grids, minima
+    assert (len(points), len(grid), evals, seeds + found) == (0, 0, 0, [])
     assert mode.wavevector.real > stack.max_cladding_index * OMEGA_1THZ / C0
 
 
@@ -1510,24 +1523,35 @@ def _per_solve_band_grids(n_clad, n_max, one_sheet):
 
 
 @pytest.mark.parametrize("name", ["H1G", "H2G", "inverted band", "two sheets"])
-def test_band_grids_equal_the_per_solve_expressions(name):
-    stack = {"H1G": lambda: preset_stack("H1G", SHEET_02),
-             "H2G": lambda: preset_stack("H2G", SHEET_02),
-             "inverted band": _inverted_band_stack,
-             "two sheets": _two_sheet_stack}[name]()
+def test_band_grids_equal_the_per_solve_expressions(monkeypatch, name):
+    make = {"H1G": lambda: preset_stack("H1G", SHEET_02),
+            "H2G": lambda: preset_stack("H2G", SHEET_02),
+            "inverted band": _inverted_band_stack,
+            "two sheets": _two_sheet_stack}[name]
+    stack = make()
     key = (stack.max_cladding_index, stack.max_layer_index,
            len(stack.sheets) == 1)
-    store = []
-    reals, grid = modesolver._band_grids(store, *key)
+    grids, bracket = [], modesolver._bracket_seeds
+
+    def recording(geometry, grid):
+        grids.append(grid)
+        return bracket(geometry, grid)
+    monkeypatch.setattr(modesolver, "_bracket_seeds", recording)
+    _, geometry = modesolver._mode_problem(stack, OMEGA_1THZ)
+    points = modesolver._band_scan(geometry, *key)[0]
+    reals, (grid,) = [z.real for z in points], grids
     expected = _per_solve_band_grids(*key)
     assert [r.hex() for r in reals] == [r.hex() for r in expected[0]]
     assert [r.hex() for r in grid] == [r.hex() for r in expected[1]]
     assert (len(reals), len(grid)) == {"H1G": (215, 16), "H2G": (215, 16),
                                        "inverted band": (0, 0),
                                        "two sheets": (215, 0)}[name]
-    # kept for the next solve with the same indices, not built again
-    again = modesolver._band_grids(store, *key)
-    assert again[0] is reals and again[1] is grid
+    # kept for the next solve of an equal geometry, not built again
+    store = []
+    modesolver._solve(stack, OMEGA_1THZ, None, store)
+    kept = store[1]
+    modesolver._solve(make(), OMEGA_1THZ, None, store)
+    assert store[0] == geometry and store[1] is kept and len(grids) == 2
 
 
 def test_stack_sweep_builds_the_band_grids_once(monkeypatch):
@@ -1627,13 +1651,17 @@ def test_two_sheet_stack_sweep_scans_every_row():
     assert all(row.status == "ok" for row in rows)
 
 
-@pytest.mark.parametrize("preset, expected", [("H1G", 398), ("H2G", 377)],
-                         ids=["H1G", "H2G"])
-def test_stack_sweep_evaluation_count(preset, expected):
-    # 9 points, 0.2-1.0 eV, 0.6 ps, 4 THz: the rows share the 215-point band
-    # scan and the 16-point bracket grid, whose sheet-free parts are built
-    # and counted once; with one sheet there is no 48-point scan
-    stack = preset_stack(preset, GrapheneSheet(0.2, 0.6e-12))
+@pytest.mark.parametrize("name, expected", [("H1G", 398), ("H2G", 377),
+                                           ("two sheets", 4527)],
+                         ids=["H1G", "H2G", "two sheets"])
+def test_stack_sweep_evaluation_count(name, expected):
+    # 9 points, 0.2-1.0 eV, 0.6 ps, 4 THz: single-sheet rows share the
+    # 215-point band scan and the 16-point bracket grid, whose sheet-free
+    # parts are built and counted once, and run no 48-point scan; two-sheet
+    # rows, whose bottom walk holds the retuned lower sheet, build both
+    # scans each, as nine lone find_mode calls do
+    stack = (_two_sheet_stack() if name == "two sheets"
+             else preset_stack(name, GrapheneSheet(0.2, 0.6e-12)))
     grid = [0.2 + 0.1 * i for i in range(9)]
     evals = oracles.count_evals(lambda: stack_metrics_sweep(stack, 4e12, grid))
     assert evals == expected

@@ -15,10 +15,10 @@ import scipy.constants as sc
 import oracles
 import thzplasmon
 from thzplasmon import conductivity
-from thzplasmon import (CODATA, DipoleGeometry, GrapheneSheet,
-                        NoResonanceInBandError, find_mode, preset_stack,
-                        resonance_frequency, stack_metrics_sweep,
-                        trace_dispersion)
+from thzplasmon import (CODATA, DielectricLayer, DipoleGeometry,
+                        GrapheneSheet, LayeredStack, NoResonanceInBandError,
+                        find_mode, preset_stack, resonance_frequency,
+                        stack_metrics_sweep, trace_dispersion)
 
 SRC = str(Path(thzplasmon.__file__).resolve().parent.parent)
 
@@ -59,6 +59,19 @@ def test_cold_solve_evaluation_count(preset, expected):
     stack = preset_stack(preset, GrapheneSheet(0.4, 1e-12))
     evals = oracles.count_evals(lambda: find_mode(stack, 2.0 * math.pi * 2e12))
     assert evals == expected
+
+
+def test_two_sheet_cold_solve_evaluation_count():
+    # vacuum | sheet | Si 5 um | eps 2.25 3 um | sheet | quartz, both sheets
+    # at 0.4 eV and 1 ps: the band scan, the 48-point scan above it and the
+    # lower sheet's own seed all run
+    sheet = GrapheneSheet(0.4, 1e-12)
+    stack = LayeredStack(
+        (DielectricLayer(1.0), DielectricLayer(11.9, 5e-6),
+         DielectricLayer(2.25, 3e-6), DielectricLayer(3.8)),
+        {0: sheet, 2: sheet})
+    evals = oracles.count_evals(lambda: find_mode(stack, 2.0 * math.pi * 2e12))
+    assert evals == 503
 
 
 def test_guessed_solve_evaluation_count():
