@@ -31,8 +31,8 @@ so the form is affine in that sheet's term: _mode_function evaluates the
 sheet-free parts of a point once, and one _with_term adds the term for
 every consumer (the root finder, dispersion_residual, residual_scale and
 the resonance search's Newton step, whose closed-form derivatives for two
-half-spaces reuse the same parts) but one: the seed scans' per-row loop,
-_relative_values, repeats its operations in their order inline, the one
+half-spaces reuse the same parts) but one: the seed scans' per-row pass,
+_scan_minima, repeats its operations in their order inline, the one
 mirror, which the tests pin to it bit for bit.  A root's residual is the
 evaluation Muller's method stopped on.
 """
@@ -215,8 +215,8 @@ def _mode_function(x: complex, geometry):
 def _with_term(term: complex, parts) -> tuple[complex, float]:
     """The bilinear form and its term scale: the top sheet's term added to
     a point's sheet-free parts.  The one place that adds it, for every
-    consumer but the scan's per-row loop (_relative_values), which repeats
-    it inline, so a scan point stored once serves any row's term."""
+    consumer but the scan's per-row pass (_scan_minima), which repeats it
+    inline, so a scan point stored once serves any row's term."""
     value, scale, b_bottom, b_top = parts
     sheet = term * b_bottom * b_top
     m = abs(sheet)
@@ -466,47 +466,37 @@ def _relative_value(pair) -> float:
         return math.inf
 
 
-def _relative_values(term: complex, parts: list) -> list[float]:
-    """The relative mode function of each point from its sheet-free parts
-    and the top sheet's term: _with_term then _relative_value in one loop,
-    their operations in their order, which the scan's per-row pass runs
-    (two calls per point cost more than the rest of the pass).  The one
-    copy of _with_term's arithmetic, pinned to it bit for bit by the tests;
-    inf where the parts are None (they overflowed), the scale is 0 or a
-    modulus overflows."""
+def _scan_minima(term: complex, points: list, parts: list) -> list:
+    """(value, point) of the deepest six local minima of the relative mode
+    function over scan points, the smallest first (a stable sort), in one
+    pass.  A point's value is _with_term then _relative_value inline, their
+    operations in their order, the one copy the tests pin to them bit for
+    bit; inf where the parts are None (they overflowed), the scale is 0 or
+    a modulus overflows.  The previous value is a minimum where it is below
+    both neighbours, which inf, NaN and the first point, led by two NaNs,
+    never are."""
     inf = math.inf
-    values = []
-    for p in parts:
+    minima = []
+    u = v = math.nan
+    y = None
+    for z, p in zip(points, parts):
         if p is None:
-            values.append(inf)
-            continue
-        value, scale, b_bottom, b_top = p
-        try:
-            sheet = term * b_bottom * b_top
-            m = abs(sheet)
-            if m > scale:
-                scale = m
-            values.append(abs(value + sheet) / scale if scale > 0.0 else inf)
-        except OverflowError:
-            values.append(inf)
-    return values
-
-
-def _local_minima(values: list[float], points: list) -> list:
-    """(value, point) of each interior value below both neighbours, the
-    smallest first (a stable sort); inf and NaN never are."""
-    minima = [(v, z) for u, v, w, z in zip(values, values[1:], values[2:],
-                                           points[1:])
-              if v < u and v < w]
+            w = inf
+        else:
+            value, scale, b_bottom, b_top = p
+            try:
+                sheet = term * b_bottom * b_top
+                m = abs(sheet)
+                if m > scale:
+                    scale = m
+                w = abs(value + sheet) / scale if scale > 0.0 else inf
+            except OverflowError:
+                w = inf
+        if v < u and v < w:
+            minima.append((v, y))
+        u, v, y = v, w, z
     minima.sort(key=lambda item: item[0])
-    return minima
-
-
-def _minima_seeds(term: complex, points: list, parts: list) -> list[complex]:
-    """The deepest six local minima of the relative mode function over scan
-    points, their values the term applied to the sheet-free parts."""
-    return [z for _, z in _local_minima(_relative_values(term, parts),
-                                        points)[:6]]
+    return minima[:6]
 
 
 def _bracket_seeds(geometry, grid: list[float]) -> list[complex]:
@@ -591,32 +581,31 @@ def _solve(stack: LayeredStack, angular_frequency: float,
         rungs = [n_clad * (1.0 + d + 0.5j * d)
                  for d in (1e-4, 1e-3, 3e-3, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0)]
         ladder = [qs] + rungs
-        early = []
+        # at large q the sheet sees the layers next to it, not the claddings
+        # the quasi-static estimate sums; on two half-spaces they are the
+        # claddings, and the estimate is the cladding seed itself
+        ref = stack.top_sheet_interface
+        adjacent = qs * ((layers[ref].relative_permittivity
+                          + layers[ref + 1].relative_permittivity)
+                         / (layers[0].relative_permittivity
+                            + layers[-1].relative_permittivity))
         one_sheet = len(stack.sheets) == 1
-        if not one_sheet:
+        if one_sheet:
+            early = [adjacent]
+        else:
             # with a second sheet the cladding seed reaches roots of smaller
             # Re x that no other seed does, so it is early, followed by each
-            # lower sheet's own quasi-static estimate: the plasmon bound to
-            # that sheet can have the smaller Re x (a conductivity that
-            # underflowed to 0 gives none)
-            early.append(qs)
+            # lower sheet's own quasi-static estimate (the plasmon bound to
+            # that sheet can have the smaller Re x; a conductivity that
+            # underflowed to 0 gives none), the adjacent one and a rung
+            early = [qs]
             for i in sorted(stack.sheets)[1:]:
                 sigma = intraband_conductivity(stack.sheets[i], angular_frequency)
                 if sigma != 0:
                     early.append(1j * (layers[i].relative_permittivity
                                        + layers[i + 1].relative_permittivity)
                                  * angular_frequency * EPS0 / sigma / k0)
-        # at large q the sheet sees the layers next to it, not the claddings
-        # the quasi-static estimate sums; on two half-spaces they are the
-        # claddings, and the estimate is the cladding seed itself
-        ref = stack.top_sheet_interface
-        early.append(qs * (
-            (layers[ref].relative_permittivity
-             + layers[ref + 1].relative_permittivity)
-            / (layers[0].relative_permittivity
-               + layers[-1].relative_permittivity)))
-        if not one_sheet:
-            early.append(rungs[0])
+            early += [adjacent, rungs[0]]
         # only a stack of more than two layers has a band or a second sheet
         n_max = stack.max_layer_index
         if n_max > n_clad:
@@ -624,13 +613,13 @@ def _solve(stack: LayeredStack, angular_frequency: float,
                 store[:] = [geometry,
                             _band_scan(geometry, n_clad, n_max, one_sheet)]
             points, parts, brackets = store[1]
-            early += brackets + _minima_seeds(term, points, parts)
+            early += brackets + [z for _, z in _scan_minima(term, points, parts)]
         if not one_sheet:
             # a second sheet's term in the bottom walk can put the
             # fundamental root above the band
             hi = max(2.0 * abs(qs), n_max + 2.0, 50.0)
-            early += _minima_seeds(term, *_scan_line(
-                geometry, _linear(n_max + 1.0, hi, 48)))
+            points, parts = _scan_line(geometry, _linear(n_max + 1.0, hi, 48))
+            early += [z for _, z in _scan_minima(term, points, parts)]
 
     bound: list[tuple[complex, float]] = []
     unbound_reason: str | None = None

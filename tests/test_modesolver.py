@@ -779,7 +779,7 @@ def test_inverted_scan_band_is_skipped(monkeypatch):
     # seeds and evaluates nothing, and with one sheet it is the only scan
     scans, grids, minima = [], [], []
     band, brackets, deepest = (modesolver._band_scan, modesolver._bracket_seeds,
-                               modesolver._minima_seeds)
+                               modesolver._scan_minima)
 
     def recording(geometry, n_clad, n_max, one_sheet):
         scan = []
@@ -797,7 +797,7 @@ def test_inverted_scan_band_is_skipped(monkeypatch):
         return minima[-1]
     monkeypatch.setattr(modesolver, "_band_scan", recording)
     monkeypatch.setattr(modesolver, "_bracket_seeds", recording_grid)
-    monkeypatch.setattr(modesolver, "_minima_seeds", recording_minima)
+    monkeypatch.setattr(modesolver, "_scan_minima", recording_minima)
     stack = _inverted_band_stack()
     mode = find_mode(stack, OMEGA_1THZ)
     assert len(scans) == len(grids) == len(minima) == 1
@@ -1432,13 +1432,30 @@ def _solver_fn(stack, omega):
     return handed[0]
 
 
+def _scan_value(term, parts):
+    # one point's value as the scan's per-row pass computes it, read through
+    # a three-point scan with inf on both sides: a finite value comes back as
+    # the one minimum; where none does the value is inf or NaN, and a
+    # neighbour of value 0 tells them apart, a minimum beside inf but not
+    # beside NaN
+    points = [0j, 1j, 2j]
+    found = modesolver._scan_minima(term, points, [None, parts, None])
+    if found:
+        [(value, point)] = found
+        assert point == 1j
+        return value
+    zero = (0j, 1.0, 0j, 0j)
+    beside = modesolver._scan_minima(term, points, [parts, zero, None])
+    return math.inf if beside else math.nan
+
+
 def _assert_single_pass_bits(stack, omega, points):
-    # the scan's relative values, from the loop its per-row pass runs, and
-    # the (value, scale) pairs Muller's method iterates on and stops with
-    # equal the single-pass form's bits, overflow included
+    # the scan's relative values, from the pass its rows run, and the
+    # (value, scale) pairs Muller's method iterates on and stops with equal
+    # the single-pass form's bits, overflow included
     term, geometry = modesolver._mode_problem(stack, omega)
-    scan = modesolver._relative_values(
-        term, [modesolver._sheet_free_parts(geometry, z) for z in points])
+    scan = [_scan_value(term, modesolver._sheet_free_parts(geometry, z))
+            for z in points]
     assert [v.hex() for v in scan] == [
         _single_pass_relative(z, term, geometry).hex() for z in points]
     fn = _solver_fn(stack, omega)
@@ -1501,11 +1518,14 @@ SCAN_VALUES = st.one_of(st.sampled_from([0.0, 1.0, 2.0, math.inf, math.nan]),
 @given(values=st.one_of(st.lists(SCAN_VALUES, max_size=6),
                         st.lists(SCAN_VALUES, min_size=7, max_size=80)))
 def test_scan_minima_follow_the_index_rule(values):
-    # the same (value, point) list in the same order; the points are
-    # distinct, so the stable sort's order of equal values shows
+    # the same (value, point) list in the same order, up to the six the scan
+    # keeps; the points are distinct, so the stable sort's order of equal
+    # values shows.  Under a finite term the parts (v, 1, 0, 0) read v
+    # exactly: the sheet term is 0 and the scale 1
     points = [complex(i, 1e-4 * i) for i in range(len(values))]
-    got = modesolver._local_minima(values, points)
-    expected = _index_minima(values, points)
+    got = modesolver._scan_minima(
+        1.0 + 1.0j, points, [(complex(v), 1.0, 0j, 0j) for v in values])
+    expected = _index_minima(values, points)[:6]
     assert [(v.hex(), z) for v, z in got] == [(v.hex(), z) for v, z in expected]
 
 
@@ -1649,6 +1669,26 @@ def test_two_sheet_stack_sweep_scans_every_row():
     assert sweep_evals == lone_evals
     assert [_row_bits(row) for row in rows] == expected
     assert all(row.status == "ok" for row in rows)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(stack=st.one_of(single_sheet_stacks(min_layers=3), two_sheet_stacks()),
+       f_hz=st.floats(0.5e12, 6e12))
+def test_stack_sweep_rows_equal_lone_find_mode_on_random_stacks(stack, f_hz):
+    # on any layered stack the sweep's rows are its lone solves bit for bit:
+    # a shared band scan only saves evaluations, and where a second sheet's
+    # retuned term sits in a walk nothing is shared
+    grid = (0.1, 0.4, 0.7)
+    rows, expected = [], []
+    sweep_evals = oracles.count_evals(lambda: rows.extend(
+        stack_metrics_sweep(stack, f_hz, grid)))
+    lone_evals = oracles.count_evals(lambda: expected.extend(
+        _find_mode_rows(stack, f_hz, grid)))
+    assert [_row_bits(row) for row in rows] == expected
+    if len(stack.sheets) > 1:
+        assert sweep_evals == lone_evals
+    else:
+        assert sweep_evals <= lone_evals
 
 
 @pytest.mark.parametrize("name, expected", [("H1G", 398), ("H2G", 377),
