@@ -34,7 +34,8 @@ the resonance search's Newton step, whose closed-form derivatives for two
 half-spaces reuse the same parts) but one: the seed scans' per-row pass,
 _scan_minima, repeats its operations in their order inline, the one
 mirror, which the tests pin to it bit for bit.  A root's residual is the
-evaluation Muller's method stopped on.
+evaluation Muller's method stopped on, judged by the one rule _accepted,
+as the Newton step's is; find_mode returns the first of the bound roots.
 """
 from __future__ import annotations
 
@@ -50,6 +51,7 @@ from .stacks import LayeredStack
 TOLERANCE = 1e-12       # relative step |dq|/|q| at convergence
 MAX_ITERATIONS = 100    # Muller steps before a seed is given up
 RESIDUAL_GATE = 1e-10   # |D| relative to its largest term, at a root
+_SAME_ROOT = 1e-8       # polished roots closer than this, relative, are one
 _NEWTON_STEPS = 40      # damped Newton steps before a start is given up
 _MAX_STEP = 0.3         # the largest |d f| / f of one Newton step
 
@@ -393,10 +395,9 @@ def _newton(stack: LayeredStack, q_re: float, f: float, beta: float):
     d_f, shortened to |d_f| <= _MAX_STEP f and to keep beta > 0.  Returns
     f and the mode at the point a step shorter than TOLERANCE relative
     reached (Newton converges quadratically, so it is at rounding level),
-    with that evaluation's residual, where it meets the rule every Muller
-    root meets: a residual below RESIDUAL_GATE and a bound mode
-    (_classify_root).  None where it fails that rule, the steps run out or
-    a value is not finite.
+    with that evaluation's residual, where _accepted, the rule every Muller
+    root meets, takes it.  None where the rule refuses it, the steps run
+    out or a value is not finite.
     """
     done = False
     for _ in range(_NEWTON_STEPS + 1):
@@ -407,9 +408,9 @@ def _newton(stack: LayeredStack, q_re: float, f: float, beta: float):
             value, scale, d_x, d_w = _form_with_derivatives(stack, omega,
                                                             q / k0)
             if done:
-                rel = _relative_value((value, scale))
-                return ((f, ModeSolution(omega, q, rel)) if rel < RESIDUAL_GATE
-                        and _classify_root(stack, q / k0) is None else None)
+                rel = _accepted(stack, q / k0, (value, scale))
+                return ((f, ModeSolution(omega, q, rel))
+                        if isinstance(rel, float) else None)
             d_beta = 1j * d_x / k0
             d_f = 2.0 * math.pi * d_w
             det = (d_beta.conjugate() * d_f).imag
@@ -455,24 +456,26 @@ def _sheet_free_parts(geometry, x: complex):
         return None
 
 
-def _relative_value(pair) -> float:
-    """The relative mode function |D| / scale of a (value, scale) pair that
-    holds the top sheet's term; inf where the scale is 0 or |value|
-    overflows."""
+def _accepted(stack: LayeredStack, x: complex, pair) -> float | str | None:
+    """The rule every root x = q/k0 meets, Muller's and Newton's, on the
+    (value, scale) pair that stopped its solve: the residual |value| / scale
+    if below RESIDUAL_GATE and x is bound, else _classify_root's reason;
+    None where it fails the gate (so does a zero scale or |value| overflow)."""
     value, scale = pair
     try:
-        return abs(value) / scale if scale > 0.0 else math.inf
+        rel = abs(value) / scale if scale > 0.0 else math.inf
     except OverflowError:
-        return math.inf
+        return None
+    return (_classify_root(stack, x) or rel) if rel < RESIDUAL_GATE else None
 
 
 def _scan_minima(term: complex, points: list, parts: list) -> list:
     """(value, point) of the deepest six local minima of the relative mode
     function over scan points, the smallest first (a stable sort), in one
-    pass.  A point's value is _with_term then _relative_value inline, their
-    operations in their order, the one copy the tests pin to them bit for
-    bit; inf where the parts are None (they overflowed), the scale is 0 or
-    a modulus overflows.  The previous value is a minimum where it is below
+    pass.  A point's value is _with_term then _accepted's residual inline,
+    their operations in their order, the one copy the tests pin to them bit
+    for bit; inf where the parts are None (they overflowed), the scale is 0
+    or a modulus overflows.  The previous value is a minimum where it is below
     both neighbours, which inf, NaN and the first point, led by two NaNs,
     never are."""
     inf = math.inf
@@ -548,14 +551,14 @@ def _band_scan(geometry, n_clad: float, n_max: float, one_sheet: bool):
     return points, parts, _bracket_seeds(geometry, grid)
 
 
-def _solve(stack: LayeredStack, angular_frequency: float,
-           initial_guess: complex | None,
-           store: list) -> ModeSolution:
-    """find_mode's seeds, polish and root selection: every early seed is
-    polished and the bound root of smallest Re x wins; the late seeds, the
-    ladder less any seed already early, are polished only while no root was
-    found.  A root's residual is the (value, scale) pair Muller's method
-    evaluated it at, so no root is evaluated again.  ``store``, a one-slot
+def _bound_roots(stack: LayeredStack, angular_frequency: float,
+                 initial_guess: complex | None, store: list) -> tuple:
+    """find_mode's seeds and polish: the (x = q/k0, residual) pairs of the
+    distinct bound roots (none within _SAME_ROOT of another), sorted by Re x.
+    Every early seed is polished, the late ones (the ladder less the early
+    seeds) only while no root was found; _accepted judges the pair Muller's
+    method stopped on.  With no root, NonBoundModeError (the last reason)
+    if one passed the gate, else ConvergenceError.  ``store``, a one-slot
     list [geometry, band scan], keeps the band scan (_band_scan) for the
     next solve of an equal geometry, such as one sweep's single-sheet rows:
     k0 and the two walks fix every value the scan holds."""
@@ -629,17 +632,15 @@ def _solve(stack: LayeredStack, angular_frequency: float,
         found = _muller_polish(fn, seed)
         if found is None:
             continue
-        root, rel = found[0], _relative_value(found[1:])
+        root = found[0]
         if root.real < 0.0:
             root = -root    # the same root: the mode function is even in x
-        if not rel < RESIDUAL_GATE:
-            continue
-        reason = _classify_root(stack, root)
-        if reason is not None:
-            unbound_reason = reason
-            continue
-        if not any(abs(root - r) < 1e-8 * abs(r) for r, _ in bound):
-            bound.append((root, rel))
+        verdict = _accepted(stack, root, found[1:])
+        if isinstance(verdict, str):
+            unbound_reason = verdict
+        elif verdict is not None and not any(
+                abs(root - r) < _SAME_ROOT * abs(r) for r, _ in bound):
+            bound.append((root, verdict))
 
     if not bound:
         if unbound_reason is not None:
@@ -647,18 +648,26 @@ def _solve(stack: LayeredStack, angular_frequency: float,
         raise ConvergenceError(
             f"no root of the mode condition converged within {MAX_ITERATIONS} "
             f"iterations at f = {angular_frequency / (2 * math.pi):.4g} Hz")
-    x, rel = min(bound, key=lambda item: item[0].real)
-    return ModeSolution(angular_frequency, x * k0, rel)
+    return tuple(sorted(bound, key=lambda item: item[0].real))
+
+
+def _solve(stack: LayeredStack, angular_frequency: float,
+           initial_guess: complex | None, store: list) -> ModeSolution:
+    """find_mode's root: the first of _bound_roots, of smallest Re x."""
+    (x, rel), *_ = _bound_roots(stack, angular_frequency, initial_guess, store)
+    return ModeSolution(angular_frequency, x * (angular_frequency / C0), rel)
 
 
 def find_mode(stack: LayeredStack, angular_frequency: float,
               initial_guess: complex | None = None) -> ModeSolution:
     """Fundamental bound TM mode of the stack at one angular frequency.
 
-    Without a guess, early seeds are all polished, and of the bound roots
-    they reach the one with smallest Re q is returned; late seeds are
-    polished in order only while no bound root has been found.  Early, in
-    order:
+    Without a guess, early seeds are all polished; the distinct bound roots
+    they reach form one set sorted by Re q, whose first is returned.  Late
+    seeds run in order only while no bound root has been found.  A root
+    counts if bound with a residual below RESIDUAL_GATE: ConvergenceError
+    where no seed passes the gate, else NonBoundModeError where none is
+    bound.  Early, in order:
     - with more than one sheet, the quasi-static estimate
       q0 = i (eps top + eps bottom cladding) w eps0 / sigma, then each
       lower sheet's own i (eps_i + eps_i+1) w eps0 / sigma_i (interface i);

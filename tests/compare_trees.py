@@ -510,7 +510,10 @@ def _short(value, width: int = 160) -> str:
 # --- sorting what a change moves (--classify) ---------------------------------
 
 ULP_LEVEL = 1e-14   # a root that moves by less, relative, moved by rounding
-BRANCH_LEVEL = 1e-8  # one that moves by more is another root to find_mode
+# one that moves by more is another root to find_mode: the solver's merge
+# distance for two polished roots (_SAME_ROOT in its modesolver), written
+# out since this script compares two trees and imports neither's constants
+BRANCH_LEVEL = 1e-8
 # columns judged with a row's root: an antenna row's f_res and its
 # efficiency proxy are the two unknowns (f, Im q) of the resonance solve
 JUDGED_ALSO = ("efficiency_proxy(1)",)

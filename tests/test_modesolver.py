@@ -5,6 +5,7 @@ import json
 import math
 import pickle
 import re
+import sys
 from pathlib import Path
 
 import mpmath
@@ -856,33 +857,130 @@ def test_returned_solutions_satisfy_residual_gate():
             < 1e-10 * residual_scale(stack, q, 2.0 * math.pi * 4e12)
 
 
+def _roots_or_error(stack, omega):
+    try:
+        return modesolver._bound_roots(stack, omega, None, [])
+    except (ModeSolverError, ValueError) as err:
+        return type(err)
+
+
+def _fresh_pair(stack, omega, x):
+    # the (value, scale) pair at x from a new evaluation
+    term, geometry = modesolver._mode_problem(stack, omega)
+    return modesolver._with_term(term, modesolver._sheet_free_parts(geometry, x))
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(stack=st.one_of(single_sheet_stacks(), two_sheet_stacks()),
        f_hz=st.floats(0.5e12, 6e12))
 def test_root_residual_is_the_relative_value_at_the_root(stack, f_hz):
     # the residual comes from the evaluation Muller's method stopped on, not
-    # from a new one; it equals the relative mode function at the root x
-    # (the classified root that gives the returned q), evaluated afresh
+    # from a new one; it equals the relative mode function evaluated afresh
+    # at every member x of the bound-root set, the returned root's included
     omega = 2.0 * math.pi * f_hz
-    classified = []
-    classify = modesolver._classify_root
-
-    def recording(stack, x):
-        reason = classify(stack, x)
-        classified.append((x, reason))
-        return reason
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(modesolver, "_classify_root", recording)
-        mode = _mode_or_error(stack, omega)
-    if isinstance(mode, type):
+    roots = _roots_or_error(stack, omega)
+    if isinstance(roots, type):
         return
-    term, geometry = modesolver._mode_problem(stack, omega)
-    x = next(x for x, reason in classified
-             if reason is None and x * geometry[0] == mode.wavevector)
-    expected = modesolver._relative_value(modesolver._with_term(
-        term, modesolver._sheet_free_parts(geometry, x)))
-    assert mode.residual.hex() == expected.hex()
+    for x, residual in roots:
+        value, scale = _fresh_pair(stack, omega, x)
+        assert residual.hex() == (abs(value) / scale).hex()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(stack=st.one_of(single_sheet_stacks(), two_sheet_stacks()),
+       f_hz=st.floats(0.5e12, 6e12))
+def test_bound_roots_are_distinct_accepted_and_sorted(stack, f_hz):
+    # every member passes the one rule and is bound, the set is sorted by
+    # Re x, no two members lie within the merge distance of each other, and
+    # find_mode returns the first member, bit for bit, or the same error
+    omega = 2.0 * math.pi * f_hz
+    roots = _roots_or_error(stack, omega)
+    mode = _mode_or_error(stack, omega)
+    if isinstance(roots, type):
+        assert mode is roots
+        return
+    assert roots
+    for x, residual in roots:
+        assert modesolver._classify_root(stack, x) is None
+        assert modesolver._accepted(stack, x, _fresh_pair(stack, omega, x)) \
+            == residual
+    reals = [x.real for x, _ in roots]
+    assert reals == sorted(reals)
+    for i, (x, _) in enumerate(roots):
+        for y, _ in roots[:i]:
+            assert abs(x - y) >= modesolver._SAME_ROOT * min(abs(x), abs(y))
+    x, residual = roots[0]
+    assert _hex(mode.wavevector) == _hex(x * (omega / C0))
+    assert mode.residual.hex() == residual.hex()
+
+
+@pytest.mark.parametrize("preset, f_thz, expected", [
+    ("H1G", 4.0, (2.08362 + 0.00237j, 18.57722 + 0.71544j)),
+    ("H2G", 4.0, (2.14191 + 0.00030j, 33.89647 + 1.33475j)),
+    ("H1G", 2.0, (9.72140 + 0.68496j,)),
+    ("H2G", 2.0, (17.19033 + 1.32370j,))])
+def test_pinned_bound_root_sets(preset, f_thz, expected):
+    # at 4 THz a film root below the densest layer's index and the plasmon
+    # above it, of which find_mode returns the film root; at 2 THz one root
+    stack = preset_stack(preset, GrapheneSheet(0.4, 1e-12))
+    roots = modesolver._bound_roots(stack, 2.0 * math.pi * f_thz * 1e12,
+                                    None, [])
+    assert len(roots) == len(expected)
+    for (x, _), pinned in zip(roots, expected):
+        assert abs(x - pinned) < 1e-5
+    if len(roots) == 2:
+        assert roots[0][0].real < stack.max_layer_index < roots[1][0].real
+
+
+# --- the one acceptance rule ---------------------------------------------------
+
+RULE_STACK = preset_stack("G", SHEET_02)    # bound above sqrt(3.8) ~ 1.95
+
+
+@pytest.mark.parametrize("pair, expected", [
+    ((complex(modesolver.RESIDUAL_GATE), 1.0), None),    # the gate is strict
+    ((complex(math.nextafter(modesolver.RESIDUAL_GATE, 0.0)), 1.0),
+     math.nextafter(modesolver.RESIDUAL_GATE, 0.0)),
+    ((0j, 0.0), None),                                   # a zero scale
+    ((complex(1e308, 1e308), 1.0), None),                # |value| overflows
+    ((complex(math.nan), 1.0), None),
+    ((0j, 1.0), 0.0)], ids=["at-gate", "below-gate", "zero-scale",
+                            "overflow", "nan", "zero"])
+def test_rule_judges_the_residual(pair, expected):
+    assert modesolver._accepted(RULE_STACK, 3.0 + 0.1j, pair) == expected
+
+
+@pytest.mark.parametrize("x", [1.5 + 0.1j, 3.0 - 0.1j, 3.0 + 0.0j])
+def test_rule_gives_the_classifier_reason_for_an_unbound_root(x):
+    reason = modesolver._classify_root(RULE_STACK, x)
+    assert reason.startswith("not bound")
+    assert modesolver._accepted(RULE_STACK, x, (0j, 1.0)) == reason
+    # a residual that fails the gate is refused before the classifier runs
+    assert modesolver._accepted(RULE_STACK, x, (1j, 1.0)) is None
+
+
+def test_rule_judges_both_root_finders(monkeypatch):
+    # Muller's roots in find_mode and the resonance search's Newton root
+    # pass through the same function, and each returned residual is what
+    # it gave
+    rule = modesolver._accepted
+    calls = []
+
+    def recording(stack, x, pair):
+        verdict = rule(stack, x, pair)
+        calls.append((sys._getframe(1).f_code.co_name, verdict))
+        return verdict
+
+    monkeypatch.setattr(modesolver, "_accepted", recording)
+    mode = find_mode(preset_stack("H1G", GrapheneSheet(0.4, 1e-12)),
+                     2.0 * math.pi * 2e12)
+    assert {caller for caller, _ in calls} == {"_bound_roots"}
+    assert mode.residual in [v for _, v in calls]
+    calls.clear()
+    result = resonance_frequency(DipoleGeometry(8e-6, 20e-6, 3e-6, 3.8),
+                                 GrapheneSheet(0.2, 1e-12))
+    assert {caller for caller, _ in calls} == {"_bound_roots", "_newton"}
+    assert calls[-1] == ("_newton", result.mode.residual)
 
 
 def test_mode_solution_derived_quantities():
@@ -1912,13 +2010,27 @@ def _hex(z: complex) -> str:
     return f"{z.real.hex()} {z.imag.hex()}"
 
 
-def _cold_root_bits(bits: dict, stack, label: str, f_thz: float):
-    key = f"find_mode {label} {f_thz} THz"
-    try:
-        mode = find_mode(stack, 2.0 * math.pi * f_thz * 1e12)
-        bits[key] = [_hex(mode.wavevector), mode.residual.hex()]
-    except ModeSolverError as err:
-        bits[key] = f"{type(err).__name__}: {err}"
+COLD_THZ = (0.5, 1.5, 3.0, 6.0)
+
+
+def _cold_stacks():
+    # (label, stack, whether its off-mode residuals are pinned too) of each
+    # stack whose cold roots solver_bits pins at COLD_THZ
+    for name in ("G", "H1G", "H2G"):
+        for flipped in (False, True):
+            for ef in (0.05, 0.1, 0.4, 0.8):
+                stack = preset_stack(name, GrapheneSheet(ef, 0.6e-12))
+                yield (f"{name}{' reversed' if flipped else ''} {ef} eV",
+                       stack.reversed() if flipped else stack, True)
+    for name, stack in (("two sheets", _two_sheet_stack()),
+                        ("sheets around silicon",
+                         _sheets_around_silicon(0.6e-12))):
+        for ef in (0.05, 0.1, 0.4, 0.8):
+            yield f"{name} {ef} eV", stack.with_chemical_potential(ef), False
+
+
+def _cold_root_key(label: str, f_thz: float) -> str:
+    return f"find_mode {label} {f_thz} THz"
 
 
 def solver_bits() -> dict:
@@ -1928,28 +2040,22 @@ def solver_bits() -> dict:
     A kernel rewrite that claims the same IEEE operations must reproduce
     every bit."""
     bits = {}
-    for name in ("G", "H1G", "H2G"):
-        for flipped in (False, True):
-            for ef in (0.05, 0.1, 0.4, 0.8):
-                stack = preset_stack(name, GrapheneSheet(ef, 0.6e-12))
-                if flipped:
-                    stack = stack.reversed()
-                label = f"{name}{' reversed' if flipped else ''} {ef} eV"
-                for f_thz in (0.5, 1.5, 3.0, 6.0):
-                    _cold_root_bits(bits, stack, label, f_thz)
-                omega = 2.0 * math.pi * 2e12
-                for x in (1.2 + 0.05j, 2.5 + 0.3j, 30.0 + 3.0j, 80.0 + 1.0j):
-                    q = x * omega / C0
-                    key = f"residual {label} 2 THz x={x}"
-                    bits[key] = [_hex(dispersion_residual(stack, q, omega)),
-                                 residual_scale(stack, q, omega).hex()]
-    for name, stack in (("two sheets", _two_sheet_stack()),
-                        ("sheets around silicon",
-                         _sheets_around_silicon(0.6e-12))):
-        for ef in (0.05, 0.1, 0.4, 0.8):
-            for f_thz in (0.5, 1.5, 3.0, 6.0):
-                _cold_root_bits(bits, stack.with_chemical_potential(ef),
-                                f"{name} {ef} eV", f_thz)
+    for label, stack, off_mode in _cold_stacks():
+        for f_thz in COLD_THZ:
+            key = _cold_root_key(label, f_thz)
+            try:
+                mode = find_mode(stack, 2.0 * math.pi * f_thz * 1e12)
+                bits[key] = [_hex(mode.wavevector), mode.residual.hex()]
+            except ModeSolverError as err:
+                bits[key] = f"{type(err).__name__}: {err}"
+        if not off_mode:
+            continue
+        omega = 2.0 * math.pi * 2e12
+        for x in (1.2 + 0.05j, 2.5 + 0.3j, 30.0 + 3.0j, 80.0 + 1.0j):
+            q = x * omega / C0
+            bits[f"residual {label} 2 THz x={x}"] = [
+                _hex(dispersion_residual(stack, q, omega)),
+                residual_scale(stack, q, omega).hex()]
     trace = trace_dispersion(preset_stack("H2G", GrapheneSheet(0.8, 1e-12)),
                              [1.5e12 + i * 0.15e12 for i in range(30)])
     for point in trace:
@@ -1969,6 +2075,23 @@ def solver_bits() -> dict:
 def test_solver_outputs_bit_identical_to_reference():
     # tests/data/solver_bits.json was written by this module's __main__
     assert solver_bits() == json.loads(SOLVER_BITS.read_text())
+
+
+def test_first_bound_root_is_the_reference_cold_root():
+    # every cold case of the reference: the bound-root set's first member,
+    # scaled by w / c0, is find_mode's root and residual, or the set raises
+    # find_mode's error
+    reference = json.loads(SOLVER_BITS.read_text())
+    for label, stack, _ in _cold_stacks():
+        for f_thz in COLD_THZ:
+            omega = 2.0 * math.pi * f_thz * 1e12
+            try:
+                (x, residual), *_ = modesolver._bound_roots(stack, omega,
+                                                            None, [])
+                got = [_hex(x * (omega / C0)), residual.hex()]
+            except ModeSolverError as err:
+                got = f"{type(err).__name__}: {err}"
+            assert got == reference[_cold_root_key(label, f_thz)]
 
 
 if __name__ == "__main__":

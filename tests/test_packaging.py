@@ -14,7 +14,7 @@ import scipy.constants as sc
 
 import oracles
 import thzplasmon
-from thzplasmon import conductivity
+from thzplasmon import conductivity, modesolver
 from thzplasmon import (CODATA, DielectricLayer, DipoleGeometry,
                         GrapheneSheet, LayeredStack, NoResonanceInBandError,
                         find_mode, preset_stack, resonance_frequency,
@@ -59,6 +59,10 @@ def test_cold_solve_evaluation_count(preset, expected):
     stack = preset_stack(preset, GrapheneSheet(0.4, 1e-12))
     evals = oracles.count_evals(lambda: find_mode(stack, 2.0 * math.pi * 2e12))
     assert evals == expected
+    # the whole bound-root set costs what find_mode's one root does: the
+    # solve keeps the set's first member and evaluates nothing more
+    assert oracles.count_evals(lambda: modesolver._bound_roots(
+        stack, 2.0 * math.pi * 2e12, None, [])) == expected
 
 
 def test_two_sheet_cold_solve_evaluation_count():
@@ -72,6 +76,8 @@ def test_two_sheet_cold_solve_evaluation_count():
         {0: sheet, 2: sheet})
     evals = oracles.count_evals(lambda: find_mode(stack, 2.0 * math.pi * 2e12))
     assert evals == 503
+    assert oracles.count_evals(lambda: modesolver._bound_roots(
+        stack, 2.0 * math.pi * 2e12, None, [])) == 503
 
 
 def test_guessed_solve_evaluation_count():
