@@ -15,12 +15,13 @@ For a single sheet between two half-spaces this reduces exactly to
 i.e. the classical thin-sheet plasmon condition normalized by k0.  The
 principal square root (cmath.sqrt) is the decaying branch: Re k_i >= 0
 always, and Re k_i > 0 for Re x above the cladding index and Im x > 0
-unless x^2 overflows.  Layer propagation uses decaying exponentials only
-(phase factors exp(-2 k d k0) with |.| <= 1), so thick layers cannot
-overflow.  One recursion walks up from the bottom cladding; the upper half
-is walked as its mirror (looking up is looking down in the flipped stack,
-admittance negated), which is exact in IEEE arithmetic because negation
-commutes with rounding.
+wherever x^2 is finite.  No point whose x^2 overflows passes the residual
+gate, so those two comparisons are the whole bound test.  Layer
+propagation uses decaying exponentials only (phase factors exp(-2 k d k0)
+with |.| <= 1), so thick layers cannot overflow.  One recursion walks up
+from the bottom cladding; the upper half is walked as its mirror (looking
+up is looking down in the flipped stack, admittance negated), which is
+exact in IEEE arithmetic because negation commutes with rounding.
 
 Root finding runs on the pole-free bilinear numerator of D rather than on D
 itself: when a sheet sits near a node of the tangential electric field
@@ -432,21 +433,6 @@ def _newton(stack: LayeredStack, q_re: float, f: float, beta: float):
     return None
 
 
-def _classify_root(stack: LayeredStack, x: complex) -> str | None:
-    """None if x = q/k0 is a bound mode, else a reason string."""
-    n_clad = stack.max_cladding_index
-    if x.real <= n_clad:
-        return (f"not bound: Re q = {x.real:.6g} k0 does not exceed the "
-                f"cladding index {n_clad:.6g}")
-    if x.imag <= 0.0:
-        return f"not bound: Im q = {x.imag:.3g} k0 is not positive"
-    x_sq = x * x
-    for layer in (stack.layers[0], stack.layers[-1]):
-        if cmath.sqrt(x_sq - layer.relative_permittivity).real <= 0.0:
-            return "leaky: no decay into a cladding"
-    return None
-
-
 def _sheet_free_parts(geometry, x: complex):
     """_mode_function at x, or None where it overflowed; looked up at call
     time, so a counter patched onto the module counts every walk pair."""
@@ -458,15 +444,27 @@ def _sheet_free_parts(geometry, x: complex):
 
 def _accepted(stack: LayeredStack, x: complex, pair) -> float | str | None:
     """The rule every root x = q/k0 meets, Muller's and Newton's, on the
-    (value, scale) pair that stopped its solve: the residual |value| / scale
-    if below RESIDUAL_GATE and x is bound, else _classify_root's reason;
-    None where it fails the gate (so does a zero scale or |value| overflow)."""
+    (value, scale) pair that stopped its solve: None where |value| / scale
+    is not below RESIDUAL_GATE (a zero scale or an overflowing |value| is
+    not); else the reason where x is not bound, Re x above the cladding
+    index and Im x > 0; else that residual.  No decay check is needed:
+    wherever x^2 is finite the two give Re k > 0 in both claddings, and
+    where it overflows every walk term goes inf or NaN, so no pair there
+    passes the gate."""
     value, scale = pair
     try:
         rel = abs(value) / scale if scale > 0.0 else math.inf
     except OverflowError:
         return None
-    return (_classify_root(stack, x) or rel) if rel < RESIDUAL_GATE else None
+    if not rel < RESIDUAL_GATE:
+        return None
+    n_clad = stack.max_cladding_index
+    if x.real <= n_clad:
+        return (f"not bound: Re q = {x.real:.6g} k0 does not exceed the "
+                f"cladding index {n_clad:.6g}")
+    if x.imag <= 0.0:
+        return f"not bound: Im q = {x.imag:.3g} k0 is not positive"
+    return rel
 
 
 def _scan_minima(term: complex, points: list, parts: list) -> list:
@@ -665,9 +663,9 @@ def find_mode(stack: LayeredStack, angular_frequency: float,
     Without a guess, early seeds are all polished; the distinct bound roots
     they reach form one set sorted by Re q, whose first is returned.  Late
     seeds run in order only while no bound root has been found.  A root
-    counts if bound with a residual below RESIDUAL_GATE: ConvergenceError
-    where no seed passes the gate, else NonBoundModeError where none is
-    bound.  Early, in order:
+    counts by _accepted's rule, a residual below RESIDUAL_GATE and Re q, Im q
+    above n_clad k0 and 0: ConvergenceError where no seed passes the gate,
+    else NonBoundModeError where none is bound.  Early, in order:
     - with more than one sheet, the quasi-static estimate
       q0 = i (eps top + eps bottom cladding) w eps0 / sigma, then each
       lower sheet's own i (eps_i + eps_i+1) w eps0 / sigma_i (interface i);

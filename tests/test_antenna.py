@@ -425,8 +425,8 @@ def test_long_dipole_restarts_on_the_light_line(monkeypatch, length_m, eps,
     assert results[0] is None and len(results) == 2
     assert results[1][0] == prediction.resonance_frequency_hz
     mode = prediction.mode
-    assert modesolver._classify_root(graphene_on_substrate(sheet, eps),
-                                     mode.wavevector / mode.k0) is None
+    assert modesolver._accepted(graphene_on_substrate(sheet, eps),
+                                mode.wavevector / mode.k0, (0j, 1.0)) == 0.0
     reference = oracles.resonance_frequency_oracle(
         length_m, eps, lambda omega: intraband_conductivity(sheet, omega))
     assert abs(prediction.resonance_frequency_hz - reference) < 1e-9 * reference

@@ -11,7 +11,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import Phase, example, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -190,7 +190,7 @@ def test_reversed_root_is_a_bound_mode_of_the_forward_stack(ef, f_hz, smaller):
     mode = find_mode(stack.reversed(), omega)
     x = mode.wavevector / mode.k0
     assert abs(x - smaller) < 1e-4 * abs(x)
-    assert modesolver._classify_root(stack, x) is None
+    assert modesolver._accepted(stack, x, (0j, 1.0)) == 0.0
     sigma = oracles.mp_conductivity(ef, 0.6e-12, f_hz)
     assert oracles.layered_mode_residual(
         TWO_SHEET_LAYERS, {0: sigma, 2: sigma}, mode.wavevector, omega) <= 1e-11
@@ -232,6 +232,18 @@ def two_sheet_stacks(draw):
     free = [i for i in range(len(stack.layers) - 1) if i not in stack.sheets]
     return LayeredStack(stack.layers,
                         {**stack.sheets, draw(st.sampled_from(free)): _sheet(draw)})
+
+
+@st.composite
+def multi_sheet_stacks(draw):
+    """2-5 layers drawn like single_sheet_stacks', with 1-3 sheets at
+    distinct interfaces."""
+    eps = draw(st.lists(st.floats(1.0, 12.0), min_size=2, max_size=5))
+    inner = [DielectricLayer(e, draw(st.floats(1e-8, 1e-5))) for e in eps[1:-1]]
+    layers = (DielectricLayer(eps[0]), *inner, DielectricLayer(eps[-1]))
+    interfaces = draw(st.lists(st.integers(0, len(layers) - 2), min_size=1,
+                               max_size=3, unique=True))
+    return LayeredStack(layers, {i: _sheet(draw) for i in interfaces})
 
 
 def _mode_or_error(stack, omega):
@@ -625,17 +637,19 @@ def test_nonbound_error_reports_the_root_with_positive_re_q():
                               "the cladding index 2.73414")
 
 
-# below 1e150 no square overflows; Im x reaches down to the subnormals
-_IMAG = st.one_of(st.floats(0.0, 1e150, exclude_min=True),
+# a square overflows above sqrt(max float) ~ 1.34e154; Im x reaches down to
+# the subnormals
+_SQRT_MAX = math.sqrt(sys.float_info.max)
+_IMAG = st.one_of(st.floats(0.0, _SQRT_MAX, exclude_min=True),
                   st.floats(5e-324, 2.2250738585072014e-308))
 
 
 @settings(max_examples=300, deadline=None)
-@given(eps=st.floats(1.0, 1e150), excess=st.floats(0.0, 1e150, exclude_min=True),
+@given(eps=st.floats(1.0, 1e150), excess=st.floats(0.0, _SQRT_MAX, exclude_min=True),
        ulps=st.integers(0, 4), imag=_IMAG)
 def test_principal_root_decays_above_the_cladding_index(eps, excess, ulps, imag):
     # Re x > sqrt(eps) and Im x > 0 give Im(x^2 - eps) > 0, so the principal
-    # square root is the decaying branch, Re k > 0
+    # square root is the decaying branch, Re k > 0, wherever x^2 is finite
     n = math.sqrt(eps)
     real = n + excess
     if ulps:
@@ -643,20 +657,44 @@ def test_principal_root_decays_above_the_cladding_index(eps, excess, ulps, imag)
         for _ in range(ulps):
             real = math.nextafter(real, math.inf)
     x = complex(real, imag)
+    assume(cmath.isfinite(x * x))
     assert cmath.sqrt(x * x - eps).real > 0.0
 
 
-def test_leaky_branch_fires_where_the_square_overflows():
-    # found by the property above over the whole float range: x^2 overflows
-    # to -inf + 5.4e154j and its principal root is 0 + inf j
-    stack = graphene_on_substrate(SHEET_02, 3.8)
-    x = complex(2.0, 1.3407807929942597e154)
-    assert modesolver._classify_root(stack, x) == "leaky: no decay into a cladding"
+@st.composite
+def _overflowing_x(draw):
+    # one part above sqrt(max float), either sign, so that x^2 overflows
+    huge = draw(st.floats(1.35e154, 1e308)) * draw(st.sampled_from([1.0, -1.0]))
+    other = draw(st.floats(-1e308, 1e308))
+    return complex(huge, other) if draw(st.booleans()) else complex(other, huge)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(stack=st.one_of(single_sheet_stacks(), two_sheet_stacks(),
+                       multi_sheet_stacks()),
+       f_hz=st.floats(1e9, 1e14), x=_overflowing_x())
+@example(stack=graphene_on_substrate(SHEET_02, 3.8), f_hz=1e12,
+         x=complex(2.0, 1.3407807929942597e154))
+def test_no_overflowing_square_passes_the_gate(stack, f_hz, x):
+    # with the property above, this is why the rule needs no decay check:
+    # where x^2 overflows every walk term goes inf or NaN, so no fresh pair
+    # passes the gate and Muller's method, which stops on finite values
+    # only, returns no such point
+    assert not cmath.isfinite(x * x)
+    omega = 2.0 * math.pi * f_hz
+    term, geometry = modesolver._mode_problem(stack, omega)
+    try:
+        pair = modesolver._with_term(term, modesolver._mode_function(x, geometry))
+    except OverflowError:
+        pass
+    else:
+        assert modesolver._accepted(stack, x, pair) is None
+    assert modesolver._muller_polish(_solver_fn(stack, omega), x) is None
 
 
 def test_classifier_rejects_a_root_below_the_real_axis():
     stack = graphene_on_substrate(SHEET_02, 3.8)
-    assert modesolver._classify_root(stack, 3.0 - 0.1j) \
+    assert modesolver._accepted(stack, 3.0 - 0.1j, (0j, 1.0)) \
         == "not bound: Im q = -0.1 k0 is not positive"
 
 
@@ -901,7 +939,7 @@ def test_bound_roots_are_distinct_accepted_and_sorted(stack, f_hz):
         return
     assert roots
     for x, residual in roots:
-        assert modesolver._classify_root(stack, x) is None
+        assert modesolver._accepted(stack, x, (0j, 1.0)) == 0.0
         assert modesolver._accepted(stack, x, _fresh_pair(stack, omega, x)) \
             == residual
     reals = [x.real for x, _ in roots]
@@ -950,12 +988,18 @@ def test_rule_judges_the_residual(pair, expected):
     assert modesolver._accepted(RULE_STACK, 3.0 + 0.1j, pair) == expected
 
 
-@pytest.mark.parametrize("x", [1.5 + 0.1j, 3.0 - 0.1j, 3.0 + 0.0j])
+# the reasons reach the CSV statuses through NonBoundModeError
+UNBOUND_REASONS = {
+    1.5 + 0.1j: ("not bound: Re q = 1.5 k0 does not exceed the cladding "
+                 "index 1.94936"),
+    3.0 - 0.1j: "not bound: Im q = -0.1 k0 is not positive",
+    3.0 + 0.0j: "not bound: Im q = 0 k0 is not positive"}
+
+
+@pytest.mark.parametrize("x", UNBOUND_REASONS)
 def test_rule_gives_the_classifier_reason_for_an_unbound_root(x):
-    reason = modesolver._classify_root(RULE_STACK, x)
-    assert reason.startswith("not bound")
-    assert modesolver._accepted(RULE_STACK, x, (0j, 1.0)) == reason
-    # a residual that fails the gate is refused before the classifier runs
+    assert modesolver._accepted(RULE_STACK, x, (0j, 1.0)) == UNBOUND_REASONS[x]
+    # a residual that fails the gate is refused before the bound test runs
     assert modesolver._accepted(RULE_STACK, x, (1j, 1.0)) is None
 
 
@@ -993,6 +1037,62 @@ def test_mode_solution_derived_quantities():
     assert mode.normalized_propagation_length == pytest.approx(
         mode.propagation_length_m / mode.guided_wavelength_m)
     assert mode.frequency_hz == pytest.approx(1e12)
+
+
+# --- the film band's branch cut ------------------------------------------------
+
+def _even_walk(walk, x_sq, k0):
+    # a walk of _mode_problem's geometry by the transfer matrix
+    # a' = a C + (eps/k) S b, b' = (k/eps) S a + b C, whose entries are
+    # entire in k^2; C and S are scaled by exp(-|Re k k0 d|) > 0, which
+    # keeps them bounded and leaves the form's phase as it is
+    eps_clad, a, steps = walk
+    b = cmath.sqrt(x_sq - eps_clad)
+    for term, eps_i, d_i in steps:
+        if term is not None:
+            a = a + term * b
+        k_i = cmath.sqrt(x_sq - eps_i)
+        t = k_i * k0 * d_i
+        grow, decay = cmath.exp(t - abs(t.real)), cmath.exp(-t - abs(t.real))
+        c, s = 0.5 * (grow + decay), 0.5 * (grow - decay)
+        a, b = a * c + eps_i / k_i * s * b, k_i / eps_i * s * a + b * c
+    return a, b
+
+
+def _even_relative(term, geometry, x):
+    k0, bottom, top = geometry
+    a_bottom, b_bottom = _even_walk(bottom, x * x, k0)
+    a_top, b_top = _even_walk(top, x * x, k0)
+    below, above = a_bottom * b_top, -a_top * b_bottom
+    sheet = term * b_bottom * b_top
+    return (below - above + sheet) / max(abs(below), abs(above), abs(sheet))
+
+
+@pytest.mark.parametrize("preset", ["H1G", "H2G"])
+def test_the_film_band_axis_is_a_cut_of_the_form_alone(preset):
+    # between the cladding index 1.95 and the film's 3.45 the principal k of
+    # the film flips sign across the real axis, and the form, whose walk is
+    # not even in that k, jumps; above the film index, and in the even walk
+    # everywhere, it changes by first order in the 2e-9 step only
+    stack = preset_stack(preset, GrapheneSheet(0.4, 1e-12))
+    omega = 2.0 * math.pi * 4e12
+    term, geometry = modesolver._mode_problem(stack, omega)
+
+    def today(x):
+        value, scale = _fresh_pair(stack, omega, x)
+        return value / scale
+
+    def even(x):
+        return _even_relative(term, geometry, x)
+
+    def jump(relative, x):
+        return abs(relative(complex(x, 1e-9)) - relative(complex(x, -1e-9)))
+
+    assert stack.max_cladding_index < 2.5 < 3.2 < stack.max_layer_index < 3.6
+    assert jump(today, 2.5) > 0.5 and jump(today, 3.2) > 0.5
+    assert jump(today, 3.6) < 1e-7
+    for x in (2.5, 3.2, 3.6):
+        assert jump(even, x) < 1e-7
 
 
 # --- multilayer reduction ----------------------------------------------------
@@ -1871,18 +1971,6 @@ def _rebuilt_mode_problem(stack, angular_frequency):
                   ((i, layers[i]) for i in range(len(layers) - 2, ref, -1)))
     top = walk(layers[0], ((i, layers[i + 1]) for i in range(ref)))
     return terms[ref], (k0, bottom, top)
-
-
-@st.composite
-def multi_sheet_stacks(draw):
-    """2-5 layers drawn like single_sheet_stacks', with 1-3 sheets at
-    distinct interfaces."""
-    eps = draw(st.lists(st.floats(1.0, 12.0), min_size=2, max_size=5))
-    inner = [DielectricLayer(e, draw(st.floats(1e-8, 1e-5))) for e in eps[1:-1]]
-    layers = (DielectricLayer(eps[0]), *inner, DielectricLayer(eps[-1]))
-    interfaces = draw(st.lists(st.integers(0, len(layers) - 2), min_size=1,
-                               max_size=3, unique=True))
-    return LayeredStack(layers, {i: _sheet(draw) for i in interfaces})
 
 
 # the top sheet at interface 0 and a second one inside the bottom walk
