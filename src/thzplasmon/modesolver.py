@@ -27,16 +27,17 @@ Root finding runs on the pole-free bilinear numerator of D rather than on D
 itself: when a sheet sits near a node of the tangential electric field
 (buried-sheet stacks), both one-sided admittances diverge at the mode and
 the zero of D collides with a pole.  The bilinear form has the same zeros
-off the branch cuts and stays finite.  Neither walk crosses the top sheet,
-so the form is affine in that sheet's term: _mode_function evaluates the
-sheet-free parts of a point once, and one _with_term adds the term for
-every consumer (the root finder, dispersion_residual, residual_scale and
-the resonance search's Newton step, whose closed-form derivatives for two
-half-spaces reuse the same parts) but one: the seed scans' per-row pass,
-_scan_minima, repeats its operations in their order inline, the one
-mirror, which the tests pin to it bit for bit.  A root's residual is the
-evaluation Muller's method stopped on, judged by the one rule _accepted,
-as the Newton step's is; find_mode returns the first of the bound roots.
+off the branch cuts and stays finite.  One evaluation, _mode_function,
+adds the top sheet's term for every consumer (the root finder,
+dispersion_residual, residual_scale and the resonance search's Newton
+step, whose closed-form derivatives for two half-spaces reuse its
+denominators).  Neither walk crosses the top sheet, so the form is affine
+in that term: the seed scans store each point's form at term 0, and their
+per-row pass, _scan_minima, adds a row's term inline in the same
+operations and order, the one mirror, which the tests pin to
+_mode_function bit for bit.  A root's residual is the evaluation Muller's
+method stopped on, judged by the one rule _accepted, as the Newton step's
+is; find_mode returns the first of the bound roots.
 """
 from __future__ import annotations
 
@@ -196,36 +197,27 @@ def _walk(walk, x_sq: complex, k0: float, sqrt=cmath.sqrt, exp=cmath.exp):
     return a, b
 
 
-def _mode_function(x: complex, geometry):
-    """Sheet-free parts of the pole-free bilinear form of the mode
-    condition: (below - above, max(|below|, |above|), and the two walks'
-    denominators, whose product the form was multiplied by).  The only
-    caller of _walk, so one call is one counted evaluation; _with_term
-    adds the top sheet's term."""
+def _mode_function(x: complex, geometry, term: complex):
+    """The pole-free bilinear form of the mode condition with the top
+    sheet's term: (below - above + term b_bottom b_top, its term scale
+    max(|below|, |above|, |sheet|), and the two walks' denominators
+    b_bottom and b_top, whose product the form was multiplied by).  The
+    only caller of _walk, so one call is one counted evaluation."""
     k0, bottom, top = geometry
     x_sq = x * x
     a_bottom, b_bottom = _walk(bottom, x_sq, k0)
     a_top, b_top = _walk(top, x_sq, k0)
     below = a_bottom * b_top
     above = -a_top * b_bottom    # the top walk's admittance is negated
+    sheet = term * b_bottom * b_top
     scale = abs(below)
     m = abs(above)
     if m > scale:
         scale = m
-    return below - above, scale, b_bottom, b_top
-
-
-def _with_term(term: complex, parts) -> tuple[complex, float]:
-    """The bilinear form and its term scale: the top sheet's term added to
-    a point's sheet-free parts.  The one place that adds it, for every
-    consumer but the scan's per-row pass (_scan_minima), which repeats it
-    inline, so a scan point stored once serves any row's term."""
-    value, scale, b_bottom, b_top = parts
-    sheet = term * b_bottom * b_top
     m = abs(sheet)
     if m > scale:
         scale = m
-    return value + sheet, scale
+    return below - above + sheet, scale, b_bottom, b_top
 
 
 def _form_with_derivatives(stack: LayeredStack, angular_frequency: float,
@@ -239,9 +231,7 @@ def _form_with_derivatives(stack: LayeredStack, angular_frequency: float,
     if len(stack.layers) != 2:
         raise ValueError("closed-form derivatives need exactly two layers")
     term, geometry = _mode_problem(stack, angular_frequency)
-    parts = _mode_function(x, geometry)
-    value, scale = _with_term(term, parts)
-    k_bot, k_top = parts[2], parts[3]
+    value, scale, k_bot, k_top = _mode_function(x, geometry, term)
     eps_bot, eps_top = geometry[1][0], geometry[2][0]
     d_x = x * (eps_bot / k_top + eps_top / k_bot
                + term * (k_top / k_bot + k_bot / k_top))
@@ -252,20 +242,20 @@ def _form_with_derivatives(stack: LayeredStack, angular_frequency: float,
 
 
 def _checked_form(term: complex, geometry, x: complex):
-    """(bilinear form, term scale, the walks' denominator product), each
-    quartered, at x for the public residuals, which divide the first two by
-    the third.  They raise ValueError where the form, its scale or a
-    quotient is not finite (a modulus overflows); the solver reads such a
-    point as no value instead.  A zero denominator product is a pole of D."""
+    """(bilinear form, term scale, the walks' denominator product) of one
+    _mode_function evaluation at x, each quartered, for the public
+    residuals, which divide the first two by the third.  They raise
+    ValueError where the form, its scale or a quotient is not finite (a
+    modulus overflows); the solver reads such a point as no value instead.
+    A zero denominator product is a pole of D."""
     try:
-        parts = _mode_function(x, geometry)
-        value, scale = _with_term(term, parts)
+        value, scale, b_bottom, b_top = _mode_function(x, geometry, term)
         # Python's complex division forms a.real + a.imag * r with |r| <= 1,
         # which overflows where a part of the form tops half the float
         # range although the quotient is finite; a quarter of all three
         # cannot, and divides to the same bits unless a quarter is subnormal
         value, scale = 0.25 * value, 0.25 * scale
-        denom = 0.25 * (parts[2] * parts[3])
+        denom = 0.25 * (b_bottom * b_top)
         if denom == 0.0 or (cmath.isfinite(value / denom)
                             and scale / abs(denom) < math.inf):
             return value, scale, denom
@@ -325,8 +315,9 @@ def quasi_static_wavevector(stack: LayeredStack,
 
 
 def _muller_polish(fn, seed: complex):
-    """Muller's method on the value of fn's (value, scale) pair, from three
-    points around the seed.
+    """Muller's method on the value fn returns first, from three points
+    around the seed; its scale comes second, and any further items, such
+    as _mode_function's denominators, are ignored.
 
     Returns (point, value, scale) of the last point evaluated, the one the
     first step shorter than TOLERANCE relative (or a zero step) reached, or
@@ -340,9 +331,10 @@ def _muller_polish(fn, seed: complex):
     sqrt, isfinite, tolerance = cmath.sqrt, cmath.isfinite, TOLERANCE
     x0, x1, x2 = seed * (1.0 + 1e-3), seed * (1.0 - 1e-3 + 1e-3j), seed
     try:
-        (f0, _), (f1, _), (f2, s2) = fn(x0), fn(x1), fn(x2)
+        f0, f1, last = fn(x0)[0], fn(x1)[0], fn(x2)
     except (OverflowError, ZeroDivisionError):
         return None
+    f2 = last[0]
     if not (isfinite(f0) and isfinite(f1) and isfinite(f2)):
         return None
     limit = 1e6 * (abs(seed) + 1.0)
@@ -350,7 +342,7 @@ def _muller_polish(fn, seed: complex):
         dx10 = x1 - x0
         dx21 = x2 - x1
         if dx10 == 0 or dx21 == 0:
-            return x2, f2, s2
+            return x2, f2, last[1]
         q = dx21 / dx10
         q1 = 1.0 + q
         qqf0 = q * q * f0
@@ -368,22 +360,22 @@ def _muller_polish(fn, seed: complex):
         if not isfinite(x_new) or abs(x_new) > limit:
             return None
         try:
-            f_new, s_new = fn(x_new)
+            new = fn(x_new)
         except (OverflowError, ZeroDivisionError):
             return None
-        if not isfinite(f_new):
+        if not isfinite(new[0]):
             # back off toward the last good point
             x_new = 0.5 * (x_new + x2)
             try:
-                f_new, s_new = fn(x_new)
+                new = fn(x_new)
             except (OverflowError, ZeroDivisionError):
                 return None
-            if not isfinite(f_new):
+            if not isfinite(new[0]):
                 return None
         x0, x1, x2 = x1, x2, x_new
-        f0, f1, f2, s2 = f1, f2, f_new, s_new
+        f0, f1, f2, last = f1, f2, new[0], new
         if abs(x2 - x1) < tolerance * abs(x2):
-            return x2, f2, s2
+            return x2, f2, last[1]
     return None
 
 
@@ -434,10 +426,11 @@ def _newton(stack: LayeredStack, q_re: float, f: float, beta: float):
 
 
 def _sheet_free_parts(geometry, x: complex):
-    """_mode_function at x, or None where it overflowed; looked up at call
+    """_mode_function at x with term 0, the sheet-free parts a scan stores
+    for every row's term, or None where it overflowed; looked up at call
     time, so a counter patched onto the module counts every walk pair."""
     try:
-        return _mode_function(x, geometry)
+        return _mode_function(x, geometry, 0j)
     except (OverflowError, ZeroDivisionError):
         return None
 
@@ -470,12 +463,13 @@ def _accepted(stack: LayeredStack, x: complex, pair) -> float | str | None:
 def _scan_minima(term: complex, points: list, parts: list) -> list:
     """(value, point) of the deepest six local minima of the relative mode
     function over scan points, the smallest first (a stable sort), in one
-    pass.  A point's value is _with_term then _accepted's residual inline,
-    their operations in their order, the one copy the tests pin to them bit
-    for bit; inf where the parts are None (they overflowed), the scale is 0
-    or a modulus overflows.  The previous value is a minimum where it is below
-    both neighbours, which inf, NaN and the first point, led by two NaNs,
-    never are."""
+    pass.  A point's value adds the row's term to its parts at term 0 as
+    _mode_function adds it, then takes _accepted's residual, inline and in
+    their order, the one copy the tests pin to them bit for bit; inf where
+    the parts are None (they overflowed), the scale is 0 or a modulus
+    overflows.  The previous value is a minimum where it is below both
+    neighbours, which inf, NaN and the first point, led by two NaNs, never
+    are."""
     inf = math.inf
     minima = []
     u = v = math.nan
@@ -563,8 +557,8 @@ def _bound_roots(stack: LayeredStack, angular_frequency: float,
     term, geometry = _mode_problem(stack, angular_frequency)
     k0 = geometry[0]
 
-    def fn(x: complex) -> tuple[complex, float]:
-        return _with_term(term, _mode_function(x, geometry))
+    def fn(x: complex):
+        return _mode_function(x, geometry, term)
 
     n_clad = stack.max_cladding_index
     layers = stack.layers

@@ -445,14 +445,18 @@ def test_residuals_survive_a_division_overflow(entry, oracle, s):
 def _two_attempt_checked_form(term, geometry, x):
     # the residuals' form as it was checked before every division used the
     # quartered values: divided directly first, and by a quarter of all
-    # three only where a direct quotient was not finite
+    # three only where a direct quotient was not finite.  The form comes
+    # from the single-pass reference and the denominators from the two
+    # walks, so it calls neither _checked_form nor _mode_function
     def quotients_finite(value, scale, denom):
         return cmath.isfinite(value / denom) and scale / abs(denom) < math.inf
 
+    k0, bottom, top = geometry
+    x_sq = x * x
     try:
-        parts = modesolver._mode_function(x, geometry)
-        value, scale = modesolver._with_term(term, parts)
-        denom = parts[2] * parts[3]
+        value, scale = _single_pass(x, term, geometry)
+        denom = (modesolver._walk(bottom, x_sq, k0)[1]
+                 * modesolver._walk(top, x_sq, k0)[1])
         if denom == 0.0 or quotients_finite(value, scale, denom):
             return value, scale, denom
         value, scale, denom = 0.25 * value, 0.25 * scale, 0.25 * denom
@@ -512,8 +516,9 @@ def test_residual_scale_is_infinite_where_the_quartered_denominators_underflow(
     # subnormal, and a quarter of that rounds to 0: to the division, a pole
     # of D (a direct attempt, then a quartered retry, raised
     # ZeroDivisionError in residual_scale)
-    monkeypatch.setattr(modesolver, "_mode_function", lambda x, geometry: (
-        1.0 + 1.0j, 2.0, 3e-162 + 0j, 3e-162 + 0j))
+    monkeypatch.setattr(modesolver, "_mode_function",
+                        lambda x, geometry, term: (
+                            1.0 + 1.0j, 2.0, 3e-162 + 0j, 3e-162 + 0j))
     stack = graphene_on_substrate(SHEET_02, 3.8)
     q = 3.0 * OMEGA_1THZ / C0
     assert residual_scale(stack, q, OMEGA_1THZ) == math.inf
@@ -684,7 +689,7 @@ def test_no_overflowing_square_passes_the_gate(stack, f_hz, x):
     omega = 2.0 * math.pi * f_hz
     term, geometry = modesolver._mode_problem(stack, omega)
     try:
-        pair = modesolver._with_term(term, modesolver._mode_function(x, geometry))
+        pair = modesolver._mode_function(x, geometry, term)[:2]
     except OverflowError:
         pass
     else:
@@ -704,16 +709,21 @@ def test_classifier_rejects_a_root_below_the_real_axis():
 ROOT = 3.0 + 0.01j
 
 
-def _polish(near):
+def _polish(near, form=lambda fn: fn):
     """_muller_polish's result for x - R with near(x, d) where d < 0.6, and
-    the points it evaluated."""
+    the points it evaluated; form wraps the (value, scale) function."""
     calls = []
 
     def fn(x):
         calls.append(x)
         d = abs(x - ROOT) / abs(ROOT)
         return (near(x, d) if d < 0.6 else x - ROOT), float(len(calls))
-    return modesolver._muller_polish(fn, 2.0 * ROOT), calls
+    return modesolver._muller_polish(form(fn), 2.0 * ROOT), calls
+
+
+def _with_denominators(fn):
+    # fn's pair widened to the four items _mode_function returns
+    return lambda x: (*fn(x), 0j, 0j)
 
 
 def _overflow(*_):
@@ -767,16 +777,23 @@ def test_muller_backs_off_from_a_non_finite_point():
     _assert_last_call(found, calls)
 
 
-def test_muller_returns_the_step_that_met_the_tolerance():
+@pytest.mark.parametrize("form", [lambda fn: fn, _with_denominators],
+                         ids=["pair", "four-items"])
+def test_muller_returns_the_step_that_met_the_tolerance(form):
     # on x - R every step before the last moves by at least TOLERANCE; the
     # last one does not, and its point is returned with nothing evaluated
-    # after it
-    found, calls = _polish(lambda x, d: x - ROOT)
+    # after it.  Muller's method reads value and scale from the first two
+    # items, so a function that returns more stops at the same bits
+    found, calls = _polish(lambda x, d: x - ROOT, form)
     steps = [abs(b - a) / abs(b) for a, b in zip(calls[2:], calls[3:])]
     assert all(step >= modesolver.TOLERANCE for step in steps[:-1])
     assert steps[-1] < modesolver.TOLERANCE
     _assert_last_call(found, calls)
     assert abs(found[0] - ROOT) <= 1e-15 * abs(ROOT)
+    point, value, scale = found
+    pair_point, pair_value, pair_scale = _polish(lambda x, d: x - ROOT)[0]
+    assert (_hex(point), _hex(value), scale.hex()) == (
+        _hex(pair_point), _hex(pair_value), pair_scale.hex())
 
 
 def test_muller_stops_on_a_zero_step():
@@ -905,7 +922,7 @@ def _roots_or_error(stack, omega):
 def _fresh_pair(stack, omega, x):
     # the (value, scale) pair at x from a new evaluation
     term, geometry = modesolver._mode_problem(stack, omega)
-    return modesolver._with_term(term, modesolver._sheet_free_parts(geometry, x))
+    return modesolver._mode_function(x, geometry, term)[:2]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -1657,7 +1674,7 @@ def _assert_single_pass_bits(stack, omega, points):
     assert [v.hex() for v in scan] == [
         _single_pass_relative(z, term, geometry).hex() for z in points]
     fn = _solver_fn(stack, omega)
-    assert [_outcome(lambda: fn(z)) for z in points] == [
+    assert [_outcome(lambda: fn(z)[:2]) for z in points] == [
         _outcome(lambda: _single_pass(z, term, geometry)) for z in points]
 
 

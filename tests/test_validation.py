@@ -143,7 +143,7 @@ def _check_residuals(stack, q, omega):
         return
     if scale == math.inf:
         _, geometry = modesolver._mode_problem(stack, omega)
-        parts = modesolver._mode_function(q / geometry[0], geometry)
+        parts = modesolver._mode_function(q / geometry[0], geometry, 0j)
         assert 0.25 * (parts[2] * parts[3]) == 0.0
     else:
         assert math.isfinite(scale)
