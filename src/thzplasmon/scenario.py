@@ -11,6 +11,8 @@ only; no link budget is computed.
 from __future__ import annotations
 
 import math
+import os
+import stat
 from dataclasses import dataclass
 
 from .constants import C0, _check_range
@@ -103,10 +105,23 @@ def scenarios_csv() -> str:
 
 def _write_text(path, text: str, what: str) -> None:
     """Write text to path as UTF-8 with its linefeeds kept; an OSError says
-    what could not be written where."""
+    what could not be written where.
+
+    An existing output is overwritten in place and, if it is a regular
+    file, cut to the length of the text, so it keeps its inode, mode bits
+    and links (a symlinked path stays a link).  Opening without O_TRUNC
+    spares the cost of freeing the old blocks first.  The write is not
+    atomic: a failed write can leave old and new bytes mixed."""
     try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
+        # open() passes its own flags (O_BINARY on Windows, O_CLOEXEC) to
+        # the opener and owns the descriptor it returns
+        with open(path, "w", encoding="utf-8", newline="",
+                  opener=lambda name, flags:
+                  os.open(name, flags & ~os.O_TRUNC, 0o666)) as handle:
             handle.write(text)
+            # not seekable(): /dev/null seeks, but ftruncate rejects it
+            if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+                handle.truncate()
     except OSError as err:
         raise OSError(f"cannot write {what} to {path}: {err}") from err
 

@@ -83,6 +83,42 @@ def test_unwritable_output_path_is_one_error_line(tmp_path, capsys, argv):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--config", "CONFIG", "--quiet", "--out"],
+    ["presets", "--quiet", "--csv"],
+])
+def test_output_to_the_null_device(tmp_path, capsys, argv):
+    # the null device seeks but cannot be cut to length
+    config = tmp_path / "run.cfg"
+    config.write_text(CONFIG)
+    argv = [str(config) if arg == "CONFIG" else arg for arg in argv]
+    assert main(argv + [os.devnull]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_existing_output_keeps_its_inode_mode_and_links(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text(CONFIG)
+    fresh = tmp_path / "fresh.csv"
+    assert main(["sweep", "--config", str(config), "--out", str(fresh),
+                 "--quiet"]) == 0
+    out, second_name, link = (tmp_path / "out.csv", tmp_path / "hard.csv",
+                              tmp_path / "link.csv")
+    out.write_bytes(b"stale\n" * 1000)
+    out.chmod(0o640)
+    os.link(out, second_name)
+    os.symlink(out, link)
+    before = out.stat()
+    for path in (out, link):
+        assert main(["sweep", "--config", str(config), "--out", str(path),
+                     "--quiet"]) == 0
+        after = out.stat()
+        assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+        assert link.is_symlink()
+        assert out.read_bytes() == second_name.read_bytes() == fresh.read_bytes()
+        out.write_bytes(b"stale\n" * 1000)
+
+
 def test_usage_error_exit_code():
     assert main(["sweep"]) == 1
     assert main(["frobnicate"]) == 1
@@ -333,11 +369,18 @@ DATA_DIR = Path(__file__).resolve().parent / "data"
 @pytest.mark.parametrize("name", sorted(p.stem for p in CONFIG_DIR.glob("*.cfg")))
 def test_shipped_config_csv_matches_reference(tmp_path, name):
     # the shipped configs' output is pinned byte for byte; a reference
-    # changes only with an intended change of the physics or the format
+    # changes only with an intended change of the physics or the format.
+    # Reruns onto a longer old output must cut it to the new text: every
+    # rerun writes the same length, so only a longer stale file shows a tail
+    reference = (DATA_DIR / f"{name}.csv").read_bytes()
     out = tmp_path / f"{name}.csv"
-    assert main(["sweep", "--config", str(CONFIG_DIR / f"{name}.cfg"),
-                 "--out", str(out), "--quiet"]) == 0
-    assert out.read_bytes() == (DATA_DIR / f"{name}.csv").read_bytes()
+    for stale in (None, b"9" * (len(reference) + 4096),
+                  reference + b"stale\n" * 700):
+        if stale is not None:
+            out.write_bytes(stale)
+        assert main(["sweep", "--config", str(CONFIG_DIR / f"{name}.cfg"),
+                     "--out", str(out), "--quiet"]) == 0
+        assert out.read_bytes() == reference
 
 
 PARITY = {

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from thzplasmon import (CODATA, ScenarioRequirements, builtin_scenarios,
                         fits_footprint, scenario_by_name, scenarios_csv,
-                        sdm_cell_size)
+                        sdm_cell_size, write_scenarios_csv)
 
 # (name, node size m2, tx range m, data rate bit/s)
 EXPECTED = {
@@ -47,6 +47,15 @@ def test_csv_export_matches_constants():
         node, tx, rate = EXPECTED[cells[0]]
         values = [float(c) for c in cells[1:]]
         assert values == [node[0], node[1], tx[0], tx[1], rate[0], rate[1]]
+
+
+@pytest.mark.parametrize("stale", [b"9" * 4096, b"scenario(-)\n"],
+                         ids=["longer", "shorter"])
+def test_scenario_table_overwrites_an_existing_file(tmp_path, stale):
+    path = tmp_path / "table.csv"
+    path.write_bytes(stale)
+    write_scenarios_csv(path)
+    assert path.read_bytes() == scenarios_csv().encode()
 
 
 def test_fits_footprint_worked_examples():

@@ -502,6 +502,23 @@ def test_csv_write_and_read_file(tmp_path):
     assert path.read_bytes() == text.encode()
 
 
+# an output is overwritten in place, so a longer old file must not keep a tail
+@pytest.mark.parametrize("stale", [b"9" * 4096, b"x,y\n"],
+                         ids=["longer", "shorter"])
+@pytest.mark.parametrize("emit", [
+    emit_csv,
+    lambda table, path: emit_plotdata(table, "chemical_potential",
+                                      ("sigma_real",), path),
+], ids=["csv", "plot"])
+def test_write_over_an_existing_file_holds_only_the_text(tmp_path, emit, stale):
+    table = run_sweep(parse_config(MINIMAL_CONDUCTIVITY))
+    path = tmp_path / "out.csv"
+    path.write_bytes(stale)
+    text = emit(table, path)
+    assert len(stale) != len(text.encode())
+    assert path.read_bytes() == text.encode()
+
+
 def test_plotdata_blocks():
     table = run_sweep(parse_config(MINIMAL_CONDUCTIVITY))
     text = emit_plotdata(table, "chemical_potential", ("sigma_real", "sigma_abs"))
