@@ -107,21 +107,23 @@ def _write_text(path, text: str, what: str) -> None:
     """Write text to path as UTF-8 with its linefeeds kept; an OSError says
     what could not be written where.
 
-    An existing output is overwritten in place and, if it is a regular
-    file, cut to the length of the text, so it keeps its inode, mode bits
-    and links (a symlinked path stays a link).  Opening without O_TRUNC
-    spares the cost of freeing the old blocks first.  The write is not
-    atomic: a failed write can leave old and new bytes mixed."""
+    An existing output is overwritten in place, so it keeps its inode, mode
+    bits and links (a symlinked path stays a link); a regular file longer
+    than the text is first cut to the text's length.  Rewriting an existing
+    output this way measured faster than truncating it to zero first; why
+    was not probed.  The write is not atomic: one cut short can leave the
+    old output's bytes after the new ones, up to the new text's length."""
+    data = text.encode("utf-8")
     try:
         # open() passes its own flags (O_BINARY on Windows, O_CLOEXEC) to
         # the opener and owns the descriptor it returns
-        with open(path, "w", encoding="utf-8", newline="",
-                  opener=lambda name, flags:
+        with open(path, "wb", opener=lambda name, flags:
                   os.open(name, flags & ~os.O_TRUNC, 0o666)) as handle:
-            handle.write(text)
             # not seekable(): /dev/null seeks, but ftruncate rejects it
-            if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
-                handle.truncate()
+            old = os.fstat(handle.fileno())
+            if stat.S_ISREG(old.st_mode) and old.st_size > len(data):
+                handle.truncate(len(data))
+            handle.write(data)
     except OSError as err:
         raise OSError(f"cannot write {what} to {path}: {err}") from err
 

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import math
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from thzplasmon import (CODATA, ScenarioRequirements, builtin_scenarios,
                         fits_footprint, scenario_by_name, scenarios_csv,
                         sdm_cell_size, write_scenarios_csv)
+from thzplasmon import scenario as scenario_module
 
 # (name, node size m2, tx range m, data rate bit/s)
 EXPECTED = {
@@ -56,6 +58,43 @@ def test_scenario_table_overwrites_an_existing_file(tmp_path, stale):
     path.write_bytes(stale)
     write_scenarios_csv(path)
     assert path.read_bytes() == scenarios_csv().encode()
+
+
+class _FailingWrite:
+    """A binary file handle whose write fails as a full disk does."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+    def fileno(self):
+        return self.handle.fileno()
+
+    def truncate(self, size):
+        return self.handle.truncate(size)
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_a_failed_rewrite_leaves_nothing_past_the_new_length(tmp_path,
+                                                             monkeypatch):
+    # a longer old output is cut before the write, so stale rows cannot
+    # follow the new text when the write fails
+    path = tmp_path / "table.csv"
+    path.write_bytes(b"9" * 4096)
+    monkeypatch.setattr(scenario_module, "open", raising=False,
+                        value=lambda *args, **kwargs:
+                        _FailingWrite(open(*args, **kwargs)))
+    with pytest.raises(OSError, match=r"^cannot write scenario table to "
+                       r".*: \[Errno 28\] No space left on device$"):
+        write_scenarios_csv(path)
+    assert path.read_bytes() == b"9" * len(scenarios_csv().encode())
 
 
 def test_fits_footprint_worked_examples():
